@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -137,6 +136,20 @@ def cmd_perturb(args) -> int:
     return 0
 
 
+def _parse_ks(text: str) -> tuple[int, ...]:
+    """--k: comma-separated top-k cut-offs, each a positive integer."""
+    ks = []
+    for part in text.split(","):
+        try:
+            k = int(part)
+        except ValueError:
+            raise EvaluationError(f"--k: {part.strip()!r} is not an integer") from None
+        if k < 1:
+            raise EvaluationError(f"--k: {k} is below 1")
+        ks.append(k)
+    return tuple(ks)
+
+
 def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
     manifest = json.loads((Path(args.corpus) / "manifest.json").read_text(encoding="utf-8"))
@@ -147,7 +160,7 @@ def cmd_evaluate(args) -> int:
     for t in tasks:
         if t not in TASKS:
             raise EvaluationError(f"unknown task {t!r} (choose from {', '.join(TASKS)})")
-    ks = tuple(int(k) for k in args.k.split(","))
+    ks = _parse_ks(args.k)
 
     reports = []
     for spec in [m.strip() for m in args.matchers.split(",") if m.strip()]:
@@ -219,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="derive tables via a perturbation plan")
@@ -240,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", default="exact_joins,semantic_joins")
     p.add_argument("--k", default=",".join(str(k) for k in DEFAULT_KS))
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stats", help="print corpus statistics")

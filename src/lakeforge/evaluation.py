@@ -56,8 +56,13 @@ def precision_recall_f1(
     """Returns (precision, recall, f1, degenerate). Positives are predictions
     with score strictly above the threshold. degenerate=True flags an empty
     truth set rather than silently reporting zeros."""
-    preds = dedupe_predictions(preds)
-    positives = {p.key() for p in preds if p.score > threshold}
+    return _precision_recall_f1(dedupe_predictions(preds), truth, threshold)
+
+
+def _precision_recall_f1(
+    unique: list[MatchPrediction], truth: set[PairKey], threshold: float
+) -> tuple[float, float, float, bool]:
+    positives = {p.key() for p in unique if p.score > threshold}
     tp = len(positives & truth)
     precision = tp / len(positives) if positives else 0.0
     degenerate = not truth
@@ -71,11 +76,23 @@ def top_k_precision(preds: list[MatchPrediction], truth: set[PairKey], k: int) -
 
     Ties break on canonical pair order; if fewer than k predictions exist the
     missing slots count as misses."""
+    _check_k(k)
+    return _top_k_precision(_ranked(dedupe_predictions(preds)), truth, k)
+
+
+def _check_k(k: int) -> None:
     if k < 1:
         raise EvaluationError("k must be >= 1")
-    ranked = sorted(dedupe_predictions(preds), key=lambda p: (-p.score, p.key()))
-    hits = sum(1 for p in ranked[:k] if p.key() in truth)
-    return hits / k
+
+
+def _ranked(unique: list[MatchPrediction]) -> list[MatchPrediction]:
+    """Highest score first. dedupe_predictions returns canonical pair order,
+    so the stable sort breaks ties on it."""
+    return sorted(unique, key=lambda p: -p.score)
+
+
+def _top_k_precision(ranked: list[MatchPrediction], truth: set[PairKey], k: int) -> float:
+    return sum(1 for p in ranked[:k] if p.key() in truth) / k
 
 
 @dataclass
@@ -95,8 +112,13 @@ def difficulty_breakdown(
     """Per-difficulty hit counts over the non-exactly but semantically joinable
     pairs (kind == semantic; exact overlap pairs are excluded by kind
     exclusivity)."""
-    preds = dedupe_predictions(preds)
-    score_of = {p.key(): p.score for p in preds}
+    return _difficulty_breakdown(dedupe_predictions(preds), truth_pairs, threshold)
+
+
+def _difficulty_breakdown(
+    unique: list[MatchPrediction], truth_pairs: list[JoinPair], threshold: float
+) -> dict[str, DifficultyCell]:
+    score_of = {p.key(): p.score for p in unique}
     cells = {"easy": DifficultyCell(), "difficult": DifficultyCell()}
     for pair in truth_pairs:
         if pair.kind != KIND_SEMANTIC:
@@ -153,9 +175,13 @@ def evaluate(
     corpus_digest: str = "",
     semantic_includes_exact: bool = True,
 ) -> EvalReport:
+    for k in ks:
+        _check_k(k)
     truth = task_truth(ground_truth, task, semantic_includes_exact)
-    precision, recall, f1, degenerate = precision_recall_f1(preds, truth, threshold)
-    top_k = {k: top_k_precision(preds, truth, k) for k in ks}
+    unique = dedupe_predictions(preds)
+    precision, recall, f1, degenerate = _precision_recall_f1(unique, truth, threshold)
+    ranked = _ranked(unique)
+    top_k = {k: _top_k_precision(ranked, truth, k) for k in ks}
     return EvalReport(
         matcher=matcher,
         task=task,
@@ -164,11 +190,11 @@ def evaluate(
         recall=recall,
         f1=f1,
         top_k=top_k,
-        difficulty=difficulty_breakdown(preds, ground_truth, threshold),
+        difficulty=_difficulty_breakdown(unique, ground_truth, threshold),
         corpus_digest=corpus_digest,
         degenerate=degenerate,
         truth_size=len(truth),
-        prediction_count=len(dedupe_predictions(preds)),
+        prediction_count=len(unique),
     )
 
 

@@ -4,7 +4,9 @@ jl_match     fuzzy Jaccard over distinct instance values, where two values
              count as equal when their normalized Levenshtein similarity
              reaches the threshold; the value matching is optimal (maximum
              cardinality), computed with Hopcroft-Karp over the admissible
-             pairs after an exact-equality fast path.
+             pairs. The fuzzy-equality relation is computed once over all
+             sampled values (value_neighbours: inverted-index candidates,
+             each confirmed by banded Levenshtein), not per column pair.
 sf_match     similarity flooding: build typed schema graphs, form the pairwise
              connectivity graph over same-typed node pairs, then iterate
              sigma' = normalize(sigma0 + sigma + propagate(sigma)) until the
@@ -21,12 +23,15 @@ import csv
 import io
 import subprocess
 from collections import deque
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
+from itertools import combinations
 
 from .common import EvaluationError, lev_ratio, seeded_rng, token_jaccard
 from .model import ColumnRef, Corpus, TableData
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
+JL_DELTA = 0.8  # jl: least normalized Levenshtein similarity of two equal values
 
 
 @dataclass
@@ -63,6 +68,18 @@ def sample_values(table: TableData, column: str, cap: int = VALUE_SAMPLE_CAP, se
     return sorted(rng.sample(values, cap))
 
 
+def column_samples(
+    tables: Iterable[TableData], cap: int = VALUE_SAMPLE_CAP, seed: int = 0
+) -> dict[ColumnRef, frozenset[str]]:
+    """Every column's sample_values as a set, keyed by (table, column): the
+    one value profile the instance matchers share."""
+    return {
+        (t.name, c.name): frozenset(sample_values(t, c.name, cap, seed))
+        for t in tables
+        for c in t.schema.columns
+    }
+
+
 # --------------------------------------------------------------------------
 # Jaccard-Levenshtein
 # --------------------------------------------------------------------------
@@ -95,20 +112,40 @@ def _max_bipartite_matching(adj: dict[int, list[int]], n_left: int, n_right: int
                     q.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adj.get(u, ()):
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
+    def augment(root: int) -> bool:
+        """Layered DFS from a free left vertex, iterative so that long
+        augmenting paths cannot exhaust the interpreter stack. path[i] left
+        the layer through right vertex via[i]."""
+        path = [root]
+        edges = [iter(adj.get(root, ()))]
+        via: list[int] = []
+        while path:
+            u = path[-1]
+            for v in edges[-1]:
+                w = match_r[v]
+                if w == -1:
+                    via.append(v)
+                    for x, y in zip(path, via):
+                        match_l[x] = y
+                        match_r[y] = x
+                    return True
+                if dist[w] == dist[u] + 1:
+                    via.append(v)
+                    path.append(w)
+                    edges.append(iter(adj.get(w, ())))
+                    break
+            else:
+                dist[u] = INF
+                path.pop()
+                edges.pop()
+                if via:
+                    via.pop()
         return False
 
     size = 0
     while bfs():
         for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
+            if match_l[u] == -1 and augment(u):
                 size += 1
     return size
 
@@ -127,7 +164,7 @@ def _lev_within(a: str, b: str, k: int) -> int:
         cur = [big] * (lb + 1)
         if i <= k:
             cur[0] = i
-        row_min = big
+        row_min = cur[0]
         for j in range(lo, hi + 1):
             cost = prev[j - 1] + (a[i - 1] != b[j - 1])
             if prev[j] + 1 < cost:
@@ -143,6 +180,130 @@ def _lev_within(a: str, b: str, k: int) -> int:
     return prev[lb]
 
 
+def _max_edits(m: int, delta: float) -> int:
+    """Largest edit distance at which two values, the longer of length m,
+    still reach normalized similarity delta: ratio >= delta iff dist <= this."""
+    return int((1.0 - delta) * max(m, 1) + 1e-9)
+
+
+DELETION_MAX_EDITS = 2  # beyond, partition signatures: deletion variants grow as C(m, k)
+
+
+def _deletion_variants(s: str, drop: int) -> set[str]:
+    """Every string left after deleting exactly `drop` characters of s."""
+    keep = len(s) - drop
+    return {"".join(map(s.__getitem__, pos)) for pos in combinations(range(len(s)), keep)}
+
+
+def _deletion_candidates(longs: list[str], window: list[str], k: int):
+    """Candidate partners of each value of length m = len(longs[0]) among
+    `window` (every value with length in [m - k, m]).
+
+    Two strings within k edits, the longer of length m, share a subsequence
+    of length m - k (FastSS-style deletion neighbourhoods), so the values
+    that share a length-(m - k) deletion variant are a lossless candidate set.
+    Digit strings and dates share long prefixes but few such variants."""
+    target = max(len(longs[0]) - k, 0)
+    postings: dict[str, list[str]] = {}
+    for w in window:
+        for var in _deletion_variants(w, len(w) - target):
+            postings.setdefault(var, []).append(w)
+    for v in longs:
+        found: set[str] = set()
+        for var in _deletion_variants(v, len(v) - target):
+            found.update(postings[var])
+        yield v, found
+
+
+def _partition_candidates(longs: list[str], window: list[str], k: int):
+    """Candidate partners by partition signatures (Pass-Join, Li et al.,
+    VLDB 2012): cut each value of length m into k + 1 segments. k edits leave
+    at least one segment intact, and it reappears in the partner shifted by
+    at most k positions."""
+    m = len(longs[0])
+    base, extra = divmod(m, k + 1)
+    if base == 0:  # segments would be empty: every window value qualifies
+        for v in longs:
+            yield v, set(window)
+        return
+    segments = []  # (start, length), the last `extra` segments one longer
+    start = 0
+    for i in range(k + 1):
+        length = base + (i >= k + 1 - extra)
+        segments.append((start, length))
+        start += length
+    postings: dict[tuple[int, str], list[str]] = {}
+    for v in longs:
+        for i, (st, ln) in enumerate(segments):
+            postings.setdefault((i, v[st:st + ln]), []).append(v)
+    found: dict[str, set[str]] = {v: set() for v in longs}
+    for w in window:
+        lw = len(w)
+        for i, (st, ln) in enumerate(segments):
+            for p in range(max(0, st - k), min(lw - ln, st + k) + 1):
+                for v in postings.get((i, w[p:p + ln]), ()):
+                    found[v].add(w)
+    yield from found.items()
+
+
+def value_neighbours(values: Iterable[str], delta: float) -> dict[str, set[str]]:
+    """Fuzzy-equality relation over distinct values: value -> every other
+    value u with lev_ratio(value, u) >= delta.
+
+    Pairs are grouped by the longer value's length m, which fixes the edit
+    budget k. Candidates come from an inverted index over the values whose
+    length lies within k of m (deletion variants while k is small, partition
+    signatures beyond), and each candidate is confirmed with the banded
+    Levenshtein. Values without neighbours have no entry."""
+    by_len: dict[int, list[str]] = {}
+    for v in set(values):
+        by_len.setdefault(len(v), []).append(v)
+    neighbours: dict[str, set[str]] = {}
+    for m in sorted(by_len):
+        k = _max_edits(m, delta)
+        if k <= 0:
+            continue
+        longs = by_len[m]
+        window = [w for n in range(max(m - k, 0), m + 1) for w in by_len.get(n, ())]
+        generate = _deletion_candidates if k <= DELETION_MAX_EDITS else _partition_candidates
+        for v, found in generate(longs, window, k):
+            for w in found:
+                # a pair of two length-m values is seen from both ends; check it once
+                if (len(w) == m and w <= v) or _lev_within(v, w, k) > k:
+                    continue
+                neighbours.setdefault(v, set()).add(w)
+                neighbours.setdefault(w, set()).add(v)
+    return neighbours
+
+
+def _fuzzy_jaccard_indexed(sa: Set[str], sb: Set[str], neighbours: dict[str, set[str]]) -> float:
+    """fuzzy_jaccard over two distinct-value sets, given a neighbour map that
+    covers both: the admissible pairs are the equal values plus each value's
+    neighbours on the other side."""
+    if not sa or not sb:
+        return 0.0
+    fuzzy = {}
+    for va in sa & neighbours.keys():
+        hits = neighbours[va] & sb
+        if hits:
+            fuzzy[va] = hits
+    equal = sa & sb
+    matched = len(equal)
+    if fuzzy:
+        # an equal value with no fuzzy edge on either side is an isolated
+        # edge, in every maximum matching; the rest goes to Hopcroft-Karp
+        touched = set().union(*fuzzy.values())
+        shared = [v for v in equal if v in fuzzy or v in touched]
+        right = {v: j for j, v in enumerate(touched.union(shared))}
+        left = {va: [right[u] for u in hits] for va, hits in fuzzy.items()}
+        for v in shared:
+            left.setdefault(v, []).append(right[v])
+        adj = dict(enumerate(left.values()))
+        matched += _max_bipartite_matching(adj, len(adj), len(right)) - len(shared)
+    union = len(sa) + len(sb) - matched
+    return matched / union if union else 0.0
+
+
 def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> float:
     """Jaccard over two value sets with Levenshtein-thresholded equality.
 
@@ -151,41 +312,31 @@ def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> flo
     delta = 1.0 this reduces to classical Jaccard over the distinct sets.
     """
     sa, sb = set(values_a), set(values_b)
-    if not sa or not sb:
-        return 0.0
-    if delta >= 1.0:
-        return len(sa & sb) / len(sa | sb)
-    left = sorted(sa)
-    right = sorted(sb)
-    right_len = [len(v) for v in right]
-    adj: dict[int, list[int]] = {}
-    for i, va in enumerate(left):
-        la = len(va)
-        for j, vb in enumerate(right):
-            m = max(la, right_len[j], 1)
-            kmax = int((1.0 - delta) * m + 1e-9)  # ratio >= delta iff dist <= kmax
-            if abs(la - right_len[j]) > kmax:
-                continue
-            if va == vb or (kmax > 0 and _lev_within(va, vb, kmax) <= kmax):
-                adj.setdefault(i, []).append(j)
-    matched = _max_bipartite_matching(adj, len(left), len(right))
-    union = len(sa) + len(sb) - matched
-    return matched / union if union else 0.0
+    return _fuzzy_jaccard_indexed(sa, sb, value_neighbours(sa | sb, delta))
 
 
 def jl_match(
     a: TableData,
     b: TableData,
-    delta: float = 0.8,
+    delta: float = JL_DELTA,
     cap: int = VALUE_SAMPLE_CAP,
     seed: int = 0,
+    *,
+    samples: dict[ColumnRef, frozenset[str]] | None = None,
+    neighbours: dict[str, set[str]] | None = None,
 ) -> list[MatchPrediction]:
-    samples_b = {cb.name: sample_values(b, cb.name, cap, seed) for cb in b.schema.columns}
+    """fuzzy_jaccard over every column pair. match_corpus passes the
+    corpus-wide column samples and their neighbour map; without them both
+    are built over the two tables."""
+    if samples is None:
+        samples = column_samples((a, b), cap, seed)
+    if neighbours is None:
+        neighbours = value_neighbours(frozenset().union(*samples.values()), delta)
     preds = []
     for ca in a.schema.columns:
-        va = sample_values(a, ca.name, cap, seed)
+        va = samples[(a.name, ca.name)]
         for cb in b.schema.columns:
-            score = fuzzy_jaccard(va, samples_b[cb.name], delta)
+            score = _fuzzy_jaccard_indexed(va, samples[(b.name, cb.name)], neighbours)
             preds.append(MatchPrediction((a.name, ca.name), (b.name, cb.name), score))
     return dedupe_predictions(preds)
 
@@ -327,7 +478,7 @@ def name_similarity(a: str, b: str) -> float:
     return max(lev_ratio(a.lower(), b.lower()), token_jaccard(a, b))
 
 
-def instance_containment(values_a: list[str], values_b: list[str]) -> float:
+def instance_containment(values_a: Iterable[str], values_b: Iterable[str]) -> float:
     sa, sb = set(values_a), set(values_b)
     if not sa or not sb:
         return 0.0
@@ -341,17 +492,22 @@ def hybrid_match(
     w_instance: float = 0.5,
     cap: int = VALUE_SAMPLE_CAP,
     seed: int = 0,
+    *,
+    samples: dict[ColumnRef, frozenset[str]] | None = None,
 ) -> list[MatchPrediction]:
     """COMA-style blend: header similarity (max of normalized Levenshtein and
-    token-set Jaccard) weighted against instance containment."""
+    token-set Jaccard) weighted against instance containment. match_corpus
+    passes the corpus-wide column samples; without them they are drawn here."""
     if w_name < 0 or w_instance < 0 or abs(w_name + w_instance - 1.0) > 1e-9:
         raise EvaluationError("hybrid weights must be non-negative and sum to 1")
+    if samples is None:
+        samples = column_samples((a, b), cap, seed)
     preds = []
     for ca in a.schema.columns:
-        va = sample_values(a, ca.name, cap, seed)
+        va = samples[(a.name, ca.name)]
         for cb in b.schema.columns:
-            vb = sample_values(b, cb.name, cap, seed)
-            score = w_name * name_similarity(ca.name, cb.name) + w_instance * instance_containment(va, vb)
+            containment = instance_containment(va, samples[(b.name, cb.name)])
+            score = w_name * name_similarity(ca.name, cb.name) + w_instance * containment
             preds.append(MatchPrediction((a.name, ca.name), (b.name, cb.name), score))
     return dedupe_predictions(preds)
 
@@ -364,20 +520,29 @@ def hybrid_match(
 def match_corpus(corpus: Corpus, matcher: str, jobs: int = 1, **params) -> list[MatchPrediction]:
     """Run a built-in matcher over every cross-table column pair.
 
-    Matchers are stateless, so table pairs score on up to `jobs` threads; the
-    combined prediction list is canonical regardless of scheduling."""
+    The instance matchers share one value sample per column, drawn once; jl
+    also shares one neighbour map over all sampled values. Table pairs then
+    score on up to `jobs` threads; the combined prediction list is canonical
+    regardless of scheduling."""
+    if matcher not in ("jl", "sf", "hybrid"):
+        raise EvaluationError(f"unknown matcher {matcher!r}")
     tables = sorted(corpus.tables, key=lambda t: t.name)
     seed = corpus.seed
+    shared: dict = {}
+    if matcher != "sf":
+        shared["samples"] = column_samples(tables, params.get("cap", VALUE_SAMPLE_CAP), seed)
+    if matcher == "jl":
+        shared["neighbours"] = value_neighbours(
+            frozenset().union(*shared["samples"].values()), params.get("delta", JL_DELTA)
+        )
 
     def score_pair(pair: tuple[TableData, TableData]) -> list[MatchPrediction]:
         a, b = pair
         if matcher == "jl":
-            return jl_match(a, b, seed=seed, **params)
+            return jl_match(a, b, seed=seed, **params, **shared)
         if matcher == "sf":
             return sf_match(a, b, **params)[0]
-        if matcher == "hybrid":
-            return hybrid_match(a, b, seed=seed, **params)
-        raise EvaluationError(f"unknown matcher {matcher!r}")
+        return hybrid_match(a, b, seed=seed, **params, **shared)
 
     pairs = [
         (tables[i], tables[j])

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from lakeforge.common import lev_ratio
 from lakeforge.ground_truth import classify_join
+from lakeforge.matchers import sample_values
 from lakeforge.model import Corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -324,6 +325,55 @@ def optimal_fuzzy_jaccard(values_a, values_b, delta: float) -> float:
     recurse(0, set(), 0)
     union = len(sa) + len(sb) - best
     return best / union if union else 0.0
+
+
+def _kuhn_matching(admissible: list[list[int]], n_right: int) -> int:
+    """Maximum bipartite matching size by one augmenting-path search per left
+    vertex (Kuhn's algorithm)."""
+    owner = [-1] * n_right
+
+    def augment(i: int, seen: set) -> bool:
+        for j in admissible[i]:
+            if j not in seen:
+                seen.add(j)
+                if owner[j] == -1 or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return sum(1 for i in range(len(admissible)) if augment(i, set()))
+
+
+def reference_jl_scores(corpus: Corpus, delta: float = 0.8) -> dict[tuple, float]:
+    """jl by its definition, one column pair at a time: each column's
+    sample_values, every value pair with lev_ratio >= delta admissible, and a
+    maximum matching over them. Keys are canonical (left, right) pairs."""
+    ratio: dict[tuple[str, str], float] = {}
+
+    def similar(a: str, b: str) -> bool:
+        key = (a, b) if a <= b else (b, a)
+        if key not in ratio:
+            ratio[key] = lev_ratio(a, b)
+        return ratio[key] >= delta
+
+    samples = {
+        (t.name, c): sorted(set(sample_values(t, c, seed=corpus.seed)))
+        for t in corpus.tables
+        for c in t.schema.column_names()
+    }
+    scores = {}
+    tables = sorted(corpus.tables, key=lambda t: t.name)
+    for i, a in enumerate(tables):
+        for b in tables[i + 1:]:
+            for ca in a.schema.column_names():
+                for cb in b.schema.column_names():
+                    va, vb = samples[(a.name, ca)], samples[(b.name, cb)]
+                    admissible = [[j for j, y in enumerate(vb) if similar(x, y)] for x in va]
+                    matched = _kuhn_matching(admissible, len(vb))
+                    union = len(va) + len(vb) - matched
+                    score = matched / union if va and vb and union else 0.0
+                    scores[tuple(sorted([(a.name, ca), (b.name, cb)]))] = score
+    return scores
 
 
 def recount_from_csvs(corpus_dir) -> dict:

@@ -216,3 +216,16 @@ def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):
     code = run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
                 "--matchers", "mystery"])
     assert code == 5
+
+
+@pytest.mark.parametrize("ks, message", [("1,x", "'x' is not an integer"), ("3,0", "0 is below 1")])
+def test_evaluate_bad_k_exit_5(tmp_path, capsys, ks, message):
+    run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
+         "--row-cap", "5"])
+    capsys.readouterr()
+    code = run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
+                "--matchers", "sf", "--k", ks])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "r" / "report.json").exists()

@@ -1,14 +1,18 @@
 import random
 import string
 import sys
+from datetime import date
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import optimal_fuzzy_jaccard
+from helpers import optimal_fuzzy_jaccard, reference_jl_scores
 
 from lakeforge.common import EvaluationError, lev_ratio
 from lakeforge.matchers import (
     MatchPrediction,
+    _max_bipartite_matching,
     dedupe_predictions,
     external_match,
     fuzzy_jaccard,
@@ -19,6 +23,7 @@ from lakeforge.matchers import (
     name_similarity,
     parse_predictions_csv,
     sf_match,
+    value_neighbours,
     write_predictions_csv,
 )
 from lakeforge.model import Column, TableData, TableSchema
@@ -118,6 +123,96 @@ def test_jl_symmetry():
     ab = {p.key(): p.score for p in jl_match(a, b)}
     ba = {p.key(): p.score for p in jl_match(b, a)}
     assert ab == ba
+
+
+def test_matching_long_augmenting_path_is_iterative():
+    # the greedy first phase matches i -> i + 1 and leaves the last vertex
+    # free; the one augmenting path then runs through all 3000 vertices
+    n = 3000
+    adj = {i: [j for j in (i + 1, i) if j < n] for i in range(n)}
+    assert _max_bipartite_matching(adj, n, n) == n
+
+
+_digit_runs = st.builds(
+    lambda prefix, tail: prefix + tail,
+    st.sampled_from(["1000", "2500", "90000"]),
+    st.text(alphabet="0179", max_size=5),
+)
+_dates = st.builds(
+    lambda d, us: d.strftime("%m/%d/%Y" if us else "%Y-%m-%d"),
+    st.dates(min_value=date(1990, 1, 1), max_value=date(1991, 3, 31)),
+    st.booleans(),
+)
+_labels = st.builds(
+    lambda head, tail: head + tail,
+    st.sampled_from(["Filing Type_", "FILING TYPE_", "Loan Status_"]),
+    st.text(alphabet="0123x", max_size=4),
+)
+_words = st.text(alphabet="abAB c.", max_size=24)
+
+
+def _edit(value, edits):
+    for op, at, ch in edits:
+        i = at % (len(value) + 1)
+        if op == "trim":  # drop the first or last `at % 4` characters
+            n = at % 4
+            value = value[n:] if i % 2 else value[: len(value) - n]
+        elif op == "ins":
+            value = value[:i] + ch + value[i:]
+        elif op == "del":
+            value = value[:i] + value[i + 1:]
+        else:
+            value = value[:i] + ch + value[i + 1:]
+    return value
+
+
+def _with_edited_copies(base):
+    """The drawn values plus copies of them a few edits away, so that many
+    pairs sit at or just past the edit budget."""
+    edits = st.lists(
+        st.tuples(st.sampled_from(["trim", "ins", "del", "sub"]), st.integers(0, 40), st.sampled_from("0a_ ")),
+        min_size=1,
+        max_size=3,
+    )
+    copies = st.lists(st.builds(_edit, st.sampled_from(base), edits), max_size=20)
+    return copies.map(lambda extra: base + extra)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.lists(st.one_of(_digit_runs, _dates, _labels, _words), min_size=1, max_size=20).flatmap(
+        _with_edited_copies
+    ),
+    delta=st.sampled_from([0.75, 0.8, 0.9]),
+)
+# three leading deletions shift every intact partition segment by the full budget
+@example(values=["Filing Type_123", "ing Type_123"], delta=0.8)
+def test_value_neighbours_equal_brute_force(values, delta):
+    want = {}
+    for a in values:
+        for b in values:
+            if a != b and lev_ratio(a, b) >= delta:
+                want.setdefault(a, set()).add(b)
+    assert value_neighbours(values, delta) == want
+
+
+def test_match_corpus_jl_equals_per_pair_reference(small_finance_corpus):
+    preds = match_corpus(small_finance_corpus, "jl")
+    assert {p.key(): p.score for p in preds} == reference_jl_scores(small_finance_corpus)
+
+
+@pytest.mark.parametrize("matcher, pair_matcher", [("jl", jl_match), ("hybrid", hybrid_match)])
+def test_pair_matcher_alone_equals_match_corpus(small_finance_corpus, matcher, pair_matcher):
+    # alone, a pair matcher draws its own samples (and jl its own neighbour
+    # map); match_corpus shares corpus-wide ones
+    tables = sorted(small_finance_corpus.tables, key=lambda t: t.name)
+    seed = small_finance_corpus.seed
+    pairwise = [p for i, a in enumerate(tables) for b in tables[i + 1:]
+                for p in pair_matcher(a, b, seed=seed)]
+    corpus_wide = match_corpus(small_finance_corpus, matcher)
+    assert [(p.key(), p.score) for p in dedupe_predictions(pairwise)] == [
+        (p.key(), p.score) for p in corpus_wide
+    ]
 
 
 # ---------------------------------------------------------------------------

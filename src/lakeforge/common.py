@@ -95,19 +95,41 @@ def split_words(name: str) -> list[str]:
 
 
 def levenshtein(a: str, b: str) -> int:
+    """Edit distance (unit-cost insert, delete, substitute), bit-parallel.
+
+    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global-distance form
+    (2003). Over the DP table D of the shorter string b against the longer a,
+    bit i of pv (mv) says D[i + 1][j] - D[i][j] is +1 (-1) in the current
+    column j. One big-int step per character of a updates the whole column,
+    and `dist` follows its last cell, D[len(b)][j]."""
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if m == 0:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    peq: dict[str, int] = {}  # character -> bitmask of its positions in b
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 grows by one per column
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask  # carries only move up: the mask just bounds the ints
+        mv = ph & xv
+    return dist
 
 
 def lev_ratio(a: str, b: str) -> float:

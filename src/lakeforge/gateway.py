@@ -93,7 +93,12 @@ class LlmGateway:
         path = self._cache_path(digest)
         if not path.exists():
             return None
-        entry = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise GatewayError(f"corrupt cache entry {path}: {exc}") from None
+        if not isinstance(entry, dict) or not isinstance(entry.get("response"), str):
+            raise GatewayError(f'corrupt cache entry {path}: no "response" string')
         return entry["response"]
 
     def _cache_write(self, digest: str, req: CompletionRequest, response: str) -> None:
@@ -147,16 +152,20 @@ class LlmGateway:
         raise GatewayError("endpoint response carries no completion text")
 
     def _call_with_retries(self, req: CompletionRequest) -> str:
+        """Call the endpoint up to `retries` times (at least once), backing off
+        between attempts."""
+        attempts = max(1, self.config.retries)
         last: Exception | None = None
-        for attempt in range(max(1, self.config.retries)):
+        for attempt in range(attempts):
             try:
                 with self._sem:
                     return self._call_endpoint(req)
             except Exception as exc:  # noqa: BLE001 - network layer
                 last = exc
-                if attempt + 1 < self.config.retries:
+                if attempt + 1 < attempts:
                     self._sleep(0.5 * (2**attempt))
-        raise GatewayError(f"completion failed after {self.config.retries} attempts: {last}")
+        noun = "attempt" if attempts == 1 else "attempts"
+        raise GatewayError(f"completion failed after {attempts} {noun}: {last}")
 
     def complete(self, req: CompletionRequest, mode: str | None = None) -> str:
         req.validate()

@@ -6,13 +6,18 @@ jl_match     fuzzy Jaccard over distinct instance values, where two values
              cardinality), computed with Hopcroft-Karp over the admissible
              pairs. The fuzzy-equality relation is computed once over all
              sampled values (value_neighbours: inverted-index candidates,
-             each confirmed by banded Levenshtein), not per column pair.
+             each confirmed by the bit-parallel edit distance), not per
+             column pair.
 sf_match     similarity flooding: build typed schema graphs, form the pairwise
              connectivity graph over same-typed node pairs, then iterate
              sigma' = normalize(sigma0 + sigma + propagate(sigma)) until the
              residual drops below epsilon.
 hybrid_match weighted blend of header similarity and instance containment.
 external_match  run an external matcher process and read its predictions CSV.
+
+sf and hybrid read their column-header similarities from one table per
+match_corpus call (header_sims), filled on first use of each header pair:
+a corpus has far fewer distinct header pairs than column pairs.
 
 All matchers are stateless and symmetric; scores live in [0, 1].
 """
@@ -27,7 +32,7 @@ from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from itertools import combinations
 
-from .common import EvaluationError, lev_ratio, seeded_rng, token_jaccard
+from .common import EvaluationError, lev_ratio, levenshtein, seeded_rng, token_jaccard
 from .model import ColumnRef, Corpus, TableData
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
@@ -78,6 +83,18 @@ def column_samples(
         for t in tables
         for c in t.schema.columns
     }
+
+
+def _memo_similarity(memo: dict[tuple[str, str], float], x: str, y: str, similarity) -> float:
+    """similarity of two headers through memo, keyed by the unordered pair:
+    the header similarities are symmetric, so both orders share one entry,
+    computed in the key's order. Threads may race to fill an entry; they
+    store the same value."""
+    key = (x, y) if x <= y else (y, x)
+    sim = memo.get(key)
+    if sim is None:
+        sim = memo[key] = similarity(*key)
+    return sim
 
 
 # --------------------------------------------------------------------------
@@ -148,36 +165,6 @@ def _max_bipartite_matching(adj: dict[int, list[int]], n_left: int, n_right: int
             if match_l[u] == -1 and augment(u):
                 size += 1
     return size
-
-
-def _lev_within(a: str, b: str, k: int) -> int:
-    """Banded Levenshtein: the exact distance when it is <= k, else k + 1."""
-    if a == b:
-        return 0
-    la, lb = len(a), len(b)
-    big = k + 1
-    if abs(la - lb) > k or k <= 0:
-        return big
-    prev = [j if j <= k else big for j in range(lb + 1)]
-    for i in range(1, la + 1):
-        lo, hi = max(1, i - k), min(lb, i + k)
-        cur = [big] * (lb + 1)
-        if i <= k:
-            cur[0] = i
-        row_min = cur[0]
-        for j in range(lo, hi + 1):
-            cost = prev[j - 1] + (a[i - 1] != b[j - 1])
-            if prev[j] + 1 < cost:
-                cost = prev[j] + 1
-            if cur[j - 1] + 1 < cost:
-                cost = cur[j - 1] + 1
-            cur[j] = cost if cost < big else big
-            if cur[j] < row_min:
-                row_min = cur[j]
-        if row_min > k:
-            return big
-        prev = cur
-    return prev[lb]
 
 
 def _max_edits(m: int, delta: float) -> int:
@@ -253,8 +240,8 @@ def value_neighbours(values: Iterable[str], delta: float) -> dict[str, set[str]]
     Pairs are grouped by the longer value's length m, which fixes the edit
     budget k. Candidates come from an inverted index over the values whose
     length lies within k of m (deletion variants while k is small, partition
-    signatures beyond), and each candidate is confirmed with the banded
-    Levenshtein. Values without neighbours have no entry."""
+    signatures beyond), and each candidate is confirmed with its exact edit
+    distance. Values without neighbours have no entry."""
     by_len: dict[int, list[str]] = {}
     for v in set(values):
         by_len.setdefault(len(v), []).append(v)
@@ -269,7 +256,7 @@ def value_neighbours(values: Iterable[str], delta: float) -> dict[str, set[str]]
         for v, found in generate(longs, window, k):
             for w in found:
                 # a pair of two length-m values is seen from both ends; check it once
-                if (len(w) == m and w <= v) or _lev_within(v, w, k) > k:
+                if (len(w) == m and w <= v) or levenshtein(v, w) > k:
                     continue
                 neighbours.setdefault(v, set()).add(w)
                 neighbours.setdefault(w, set()).add(v)
@@ -349,6 +336,10 @@ DATATYPE_BONUS = 0.05
 TOP_TOKENS = 10
 
 
+def _lower_ratio(a: str, b: str) -> float:
+    return lev_ratio(a.lower(), b.lower())
+
+
 def _top_tokens(t: TableData, column: str) -> frozenset[str]:
     counts: dict[str, int] = {}
     for v in t.column_values(column):
@@ -378,6 +369,8 @@ def sf_match(
     epsilon: float = 1e-3,
     max_iters: int = 200,
     include_tokens: bool = False,
+    *,
+    header_sims: dict[tuple[str, str], float] | None = None,
 ) -> tuple[list[MatchPrediction], bool]:
     """Similarity-flooding fixpoint over the pairwise connectivity graph.
 
@@ -386,8 +379,11 @@ def sf_match(
     propagation coefficients are the inverse product of same-label edge
     multiplicities on both sides, applied along and against pair edges. The
     default graphs are schema-only; include_tokens adds one node per column
-    carrying its most frequent instance tokens.
+    carrying its most frequent instance tokens. match_corpus passes one
+    column-name similarity table for the whole corpus as header_sims.
     """
+    if header_sims is None:
+        header_sims = {}
     edges_a = _schema_graph(a, include_tokens)
     edges_b = _schema_graph(b, include_tokens)
     nodes_a = sorted({n for e in edges_a for n in (e[0], e[2])})
@@ -402,9 +398,9 @@ def sf_match(
             union = sets_a | sets_b
             return len(sets_a & sets_b) / len(union) if union else 0.0
         if kind == "table":
-            return lev_ratio(na[1].lower(), nb[1].lower())
-        sim = lev_ratio(na[1].lower(), nb[1].lower())
-        return sim  # datatype bonus added below, needs column objects
+            return _lower_ratio(na[1], nb[1])
+        # datatype bonus added below, needs column objects
+        return _memo_similarity(header_sims, na[1], nb[1], _lower_ratio)
 
     pairs: list[tuple[tuple, tuple]] = [
         (na, nb) for na in nodes_a for nb in nodes_b if na[0] == nb[0]
@@ -494,20 +490,25 @@ def hybrid_match(
     seed: int = 0,
     *,
     samples: dict[ColumnRef, frozenset[str]] | None = None,
+    header_sims: dict[tuple[str, str], float] | None = None,
 ) -> list[MatchPrediction]:
     """COMA-style blend: header similarity (max of normalized Levenshtein and
     token-set Jaccard) weighted against instance containment. match_corpus
-    passes the corpus-wide column samples; without them they are drawn here."""
+    passes the corpus-wide column samples and one name_similarity table as
+    header_sims; without them both are made here."""
     if w_name < 0 or w_instance < 0 or abs(w_name + w_instance - 1.0) > 1e-9:
         raise EvaluationError("hybrid weights must be non-negative and sum to 1")
     if samples is None:
         samples = column_samples((a, b), cap, seed)
+    if header_sims is None:
+        header_sims = {}
     preds = []
     for ca in a.schema.columns:
         va = samples[(a.name, ca.name)]
         for cb in b.schema.columns:
             containment = instance_containment(va, samples[(b.name, cb.name)])
-            score = w_name * name_similarity(ca.name, cb.name) + w_instance * containment
+            name = _memo_similarity(header_sims, ca.name, cb.name, name_similarity)
+            score = w_name * name + w_instance * containment
             preds.append(MatchPrediction((a.name, ca.name), (b.name, cb.name), score))
     return dedupe_predictions(preds)
 
@@ -521,9 +522,10 @@ def match_corpus(corpus: Corpus, matcher: str, jobs: int = 1, **params) -> list[
     """Run a built-in matcher over every cross-table column pair.
 
     The instance matchers share one value sample per column, drawn once; jl
-    also shares one neighbour map over all sampled values. Table pairs then
-    score on up to `jobs` threads; the combined prediction list is canonical
-    regardless of scheduling."""
+    also shares one neighbour map over all sampled values, and sf and hybrid
+    one header-similarity table. Table pairs then score on up to `jobs`
+    threads; the combined prediction list is canonical regardless of
+    scheduling."""
     if matcher not in ("jl", "sf", "hybrid"):
         raise EvaluationError(f"unknown matcher {matcher!r}")
     tables = sorted(corpus.tables, key=lambda t: t.name)
@@ -535,13 +537,15 @@ def match_corpus(corpus: Corpus, matcher: str, jobs: int = 1, **params) -> list[
         shared["neighbours"] = value_neighbours(
             frozenset().union(*shared["samples"].values()), params.get("delta", JL_DELTA)
         )
+    else:
+        shared["header_sims"] = {}
 
     def score_pair(pair: tuple[TableData, TableData]) -> list[MatchPrediction]:
         a, b = pair
         if matcher == "jl":
             return jl_match(a, b, seed=seed, **params, **shared)
         if matcher == "sf":
-            return sf_match(a, b, **params)[0]
+            return sf_match(a, b, **params, **shared)[0]
         return hybrid_match(a, b, seed=seed, **params, **shared)
 
     pairs = [
@@ -608,11 +612,24 @@ def external_match(
     corpus_dir: str, command_template: str, corpus: Corpus | None = None, timeout: float = 600.0
 ) -> list[MatchPrediction]:
     """Run an external matcher: the template's {corpus} placeholder is replaced
-    with the corpus directory; predictions are read from stdout (CSV)."""
+    with the corpus directory; predictions are read from stdout (CSV). A
+    command that cannot start or outlives `timeout` seconds is an
+    EvaluationError naming it."""
     import shlex
 
     cmd = [part.replace("{corpus}", str(corpus_dir)) for part in shlex.split(command_template)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+    if not cmd:
+        raise EvaluationError("external matcher command is empty")
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+    except OSError as exc:  # missing, not executable, not a program
+        raise EvaluationError(
+            f"external matcher could not start ({exc.strerror or exc}): {shlex.join(cmd)}"
+        ) from None
+    except subprocess.TimeoutExpired:
+        raise EvaluationError(
+            f"external matcher timed out after {timeout:g} s: {shlex.join(cmd)}"
+        ) from None
     if proc.returncode != 0:
         raise EvaluationError(
             f"external matcher exited {proc.returncode}: {proc.stderr.strip()[:500]}"

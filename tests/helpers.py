@@ -1,8 +1,9 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately use different algorithms from the package code
-they check: naive double loops for metrics, recursive backtracking for optimal
-fuzzy matching, exhaustive pairwise classification for ground truth.
+they check: naive double loops for metrics, the textbook dynamic program for
+edit distance, recursive backtracking for optimal fuzzy matching, exhaustive
+pairwise classification for ground truth.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import re
 from pathlib import Path
 
-from lakeforge.common import lev_ratio
 from lakeforge.ground_truth import classify_join
 from lakeforge.matchers import sample_values
 from lakeforge.model import Corpus
@@ -296,6 +296,23 @@ def topk_oracle(preds, truth: set, k: int) -> float:
     return hits / k
 
 
+def reference_levenshtein(a: str, b: str) -> int:
+    """Edit distance by the Wagner-Fischer table, one row per character of a."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+def reference_lev_ratio(a: str, b: str) -> float:
+    """1 - distance / longer length; 1.0 for two empty strings."""
+    longer = max(len(a), len(b))
+    return 1.0 - reference_levenshtein(a, b) / longer if longer else 1.0
+
+
 def optimal_fuzzy_jaccard(values_a, values_b, delta: float) -> float:
     """Exhaustive optimal fuzzy Jaccard for small sets: maximize the number of
     matched pairs (similarity >= delta) by backtracking."""
@@ -303,7 +320,7 @@ def optimal_fuzzy_jaccard(values_a, values_b, delta: float) -> float:
     if not sa or not sb:
         return 0.0
     admissible = [
-        [j for j, vb in enumerate(sb) if lev_ratio(va, vb) >= delta] for va in sa
+        [j for j, vb in enumerate(sb) if reference_lev_ratio(va, vb) >= delta] for va in sa
     ]
 
     best = 0
@@ -346,14 +363,15 @@ def _kuhn_matching(admissible: list[list[int]], n_right: int) -> int:
 
 def reference_jl_scores(corpus: Corpus, delta: float = 0.8) -> dict[tuple, float]:
     """jl by its definition, one column pair at a time: each column's
-    sample_values, every value pair with lev_ratio >= delta admissible, and a
-    maximum matching over them. Keys are canonical (left, right) pairs."""
+    sample_values, every value pair with reference_lev_ratio >= delta
+    admissible, and a maximum matching over them. Keys are canonical (left,
+    right) pairs."""
     ratio: dict[tuple[str, str], float] = {}
 
     def similar(a: str, b: str) -> bool:
         key = (a, b) if a <= b else (b, a)
         if key not in ratio:
-            ratio[key] = lev_ratio(a, b)
+            ratio[key] = reference_lev_ratio(a, b)
         return ratio[key] >= delta
 
     samples = {

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from helpers import FIXTURES, finance_ontology_text
+from helpers import FIXTURES, finance_ontology_text, scripted_completion
 
 from lakeforge.cli import main
 from lakeforge.model import load_corpus
@@ -210,6 +210,24 @@ def test_generate_replay_cache_miss_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_corrupt_cache_entry_exit_3(tmp_path, capsys, monkeypatch):
+    from lakeforge import cli
+    from lakeforge.gateway import LlmGateway
+
+    argv = ["generate", "--ontology", FIG1, "--seed", "1", "--backend", "llm",
+            "--cache-dir", str(tmp_path / "cache"), "--row-cap", "5"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "LlmGateway", lambda config: LlmGateway(
+            config, transport=lambda req: scripted_completion(req.prompt)))
+        assert run(argv + ["--out", str(tmp_path / "c"), "--mode", "record"]) == 0
+    entry = sorted((tmp_path / "cache").iterdir())[0]
+    entry.write_text("{truncated", encoding="utf-8")
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "d"), "--mode", "replay"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "corrupt cache entry" in err and str(entry) in err
+
+
 def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):
     run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
          "--row-cap", "5"])
@@ -229,3 +247,37 @@ def test_evaluate_bad_k_exit_5(tmp_path, capsys, ks, message):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+def _evaluate_external(tmp_path, command):
+    run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
+         "--row-cap", "5"])
+    return run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
+                "--matchers", f"external:{command}", "--tasks", "exact_joins"])
+
+
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file"), ("not-executable", "Permission denied")])
+def test_evaluate_external_cannot_start_exit_5(tmp_path, capsys, kind, reason):
+    matcher = tmp_path / "matcher.sh"
+    if kind == "not-executable":
+        matcher.write_text("#!/bin/sh\n")
+        matcher.chmod(0o644)
+    capsys.readouterr()
+    assert _evaluate_external(tmp_path, f"{matcher} {{corpus}}") == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and reason in err and str(matcher) in err
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
+def test_evaluate_external_timeout_exit_5(tmp_path, capsys, monkeypatch):
+    import functools
+
+    from lakeforge import cli, matchers
+
+    monkeypatch.setattr(cli, "external_match", functools.partial(matchers.external_match, timeout=0.5))
+    stub = tmp_path / "slow.py"
+    stub.write_text("import time; time.sleep(30)\n")
+    capsys.readouterr()
+    assert _evaluate_external(tmp_path, f"{sys.executable} {stub}") == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "timed out after 0.5 s" in err and str(stub) in err

@@ -154,3 +154,37 @@ def test_concurrent_completes_bounded_and_correct(tmp_path):
     assert results == [f"resp:{p}" for p in prompts]
     replay = LlmGateway(GatewayConfig(mode="replay", cache_dir=tmp_path))
     assert [replay.complete(CompletionRequest(prompt=p)) for p in prompts] == results
+
+
+def test_single_attempt_reported_truthfully():
+    attempts = []
+
+    def dead(req):
+        attempts.append(1)
+        raise ConnectionError("down")
+
+    gw = LlmGateway(GatewayConfig(mode="live", retries=0), transport=dead)
+    gw._sleep = lambda s: pytest.fail("slept with no attempt left")
+    with pytest.raises(GatewayError, match="after 1 attempt: down"):
+        gw.complete(CompletionRequest(prompt="p"))
+    assert len(attempts) == 1
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"{not json", "Expecting"), (b"\xff\xfe", "utf-8"), (b'{"key": "k"}', '"response"'),
+     (b'["response"]', '"response"'), (b'{"response": 7}', '"response"')],
+)
+def test_corrupt_cache_entry_names_file(tmp_path, content, reason):
+    req = CompletionRequest(prompt="rows please")
+    LlmGateway(GatewayConfig(mode="record", cache_dir=tmp_path), transport=lambda r: "ok").complete(req)
+    entry = tmp_path / f"{request_digest(req)}.json"
+    entry.write_bytes(content)
+    for mode in ("replay", "record"):
+        gw = LlmGateway(
+            GatewayConfig(mode=mode, cache_dir=tmp_path),
+            transport=lambda r: pytest.fail("a corrupt entry was re-fetched"),
+        )
+        with pytest.raises(GatewayError, match="corrupt cache entry") as err:
+            gw.complete(req)
+        assert str(entry) in str(err.value) and reason in str(err.value)

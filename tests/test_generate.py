@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from helpers import fig1_text, finance_ontology_text, scripted_completion
+from helpers import fig1_text, finance_ontology_text, reference_levenshtein, scripted_completion
 
-from lakeforge.common import GenerationError, levenshtein
+from lakeforge.common import GenerationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import (
     DepValues,
@@ -241,7 +241,7 @@ def test_text_dictionaries_cross_tag_disjoint_and_typo_safe():
         for tb in tags[i + 1 :]:
             for va in TEXT_DICTIONARIES[ta]:
                 for vb in TEXT_DICTIONARIES[tb]:
-                    d = levenshtein(va, vb)
+                    d = reference_levenshtein(va, vb)
                     assert d > 2, f"{ta}:{va!r} vs {tb}:{vb!r} distance {d}"
 
 

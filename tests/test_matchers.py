@@ -7,9 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import optimal_fuzzy_jaccard, reference_jl_scores
+from helpers import (
+    optimal_fuzzy_jaccard,
+    reference_jl_scores,
+    reference_lev_ratio,
+    reference_levenshtein,
+)
 
-from lakeforge.common import EvaluationError, lev_ratio
+from lakeforge.common import EvaluationError, levenshtein, token_jaccard
 from lakeforge.matchers import (
     MatchPrediction,
     _max_bipartite_matching,
@@ -178,6 +183,53 @@ def _with_edited_copies(base):
     return copies.map(lambda extra: base + extra)
 
 
+# few letters, so that strings share characters, plus non-ASCII and astral
+# code points (one Python character each, so one pattern bit each)
+_lev_chars = st.sampled_from("abc \u00e9\u00df\U0001d518\U0001f600")
+_lev_text = st.one_of(
+    st.text(_lev_chars, max_size=150),
+    st.builds(lambda ch, n: ch * n, _lev_chars, st.integers(0, 150)),
+    # a run past one 64-bit word, then a tail
+    st.builds(lambda ch, n, tail: ch * n + tail, _lev_chars, st.integers(60, 90), st.text(_lev_chars, max_size=20)),
+    st.text(max_size=70),
+)
+_lev_edits = st.lists(
+    st.tuples(st.sampled_from(["ins", "del", "sub"]), st.integers(0, 150), _lev_chars), max_size=6
+)
+
+
+def _lev_pair(a):
+    """a beside an unrelated string or beside a copy a few edits away."""
+    return st.tuples(st.just(a), st.one_of(_lev_text, st.builds(_edit, st.just(a), _lev_edits)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=_lev_text.flatmap(_lev_pair))
+@example(pair=("", ""))
+@example(pair=("", "\U0001f600" * 70))
+@example(pair=("a" * 64, "a" * 63 + "b"))
+@example(pair=("ab" * 40, "ba" * 40))
+def test_levenshtein_equals_reference_dp(pair):
+    a, b = pair
+    d = levenshtein(a, b)
+    assert d == reference_levenshtein(a, b)
+    assert levenshtein(b, a) == d
+
+
+_headers = st.one_of(
+    st.text(st.sampled_from("aAbBcC _"), max_size=24),
+    st.sampled_from(["Person ID", "PID", "person_id", "PersonId", "Account Number", "ACCOUNT NUMBER",
+                     "Valuation Date", "Date Valuation", "Straße", "STRASSE", "\U0001d518ser Name"]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=_headers, b=_headers)
+def test_name_similarity_equals_reference(a, b):
+    want = max(reference_lev_ratio(a.lower(), b.lower()), token_jaccard(a, b))
+    assert name_similarity(a, b) == want
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     values=st.lists(st.one_of(_digit_runs, _dates, _labels, _words), min_size=1, max_size=20).flatmap(
@@ -191,7 +243,7 @@ def test_value_neighbours_equal_brute_force(values, delta):
     want = {}
     for a in values:
         for b in values:
-            if a != b and lev_ratio(a, b) >= delta:
+            if a != b and reference_lev_ratio(a, b) >= delta:
                 want.setdefault(a, set()).add(b)
     assert value_neighbours(values, delta) == want
 
@@ -201,10 +253,14 @@ def test_match_corpus_jl_equals_per_pair_reference(small_finance_corpus):
     assert {p.key(): p.score for p in preds} == reference_jl_scores(small_finance_corpus)
 
 
-@pytest.mark.parametrize("matcher, pair_matcher", [("jl", jl_match), ("hybrid", hybrid_match)])
+@pytest.mark.parametrize(
+    "matcher, pair_matcher",
+    [("jl", jl_match), ("sf", lambda a, b, seed: sf_match(a, b)[0]), ("hybrid", hybrid_match)],
+)
 def test_pair_matcher_alone_equals_match_corpus(small_finance_corpus, matcher, pair_matcher):
     # alone, a pair matcher draws its own samples (and jl its own neighbour
-    # map); match_corpus shares corpus-wide ones
+    # map, sf and hybrid their own header similarities); match_corpus shares
+    # corpus-wide ones
     tables = sorted(small_finance_corpus.tables, key=lambda t: t.name)
     seed = small_finance_corpus.seed
     pairwise = [p for i, a in enumerate(tables) for b in tables[i + 1:]
@@ -297,7 +353,7 @@ def test_hybrid_cryptified_header_closed_form():
     expect = 0.5 * name_similarity("Person ID", "PID") + 0.5 * 1.0
     assert preds[0].score == pytest.approx(expect)
     assert name_similarity("Person ID", "PID") == pytest.approx(
-        max(lev_ratio("person id", "pid"), 0.0)
+        max(reference_lev_ratio("person id", "pid"), 0.0)
     )
 
 
@@ -375,6 +431,11 @@ def test_external_match_nonzero_exit(tmp_path):
         external_match(str(tmp_path), f"{sys.executable} {stub}")
 
 
+def test_external_match_empty_command(tmp_path):
+    with pytest.raises(EvaluationError, match="empty"):
+        external_match(str(tmp_path), "  ")
+
+
 def test_external_match_reference_validation(tmp_path, small_finance_corpus):
     stub = tmp_path / "stub.py"
     stub.write_text(
@@ -386,9 +447,16 @@ def test_external_match_reference_validation(tmp_path, small_finance_corpus):
 
 
 def test_match_corpus_parallel_matches_serial(small_finance_corpus):
-    serial = match_corpus(small_finance_corpus, "hybrid", jobs=1)
-    parallel = match_corpus(small_finance_corpus, "hybrid", jobs=4)
-    assert [(p.key(), p.score) for p in serial] == [(p.key(), p.score) for p in parallel]
+    for matcher in ("jl", "sf", "hybrid"):
+        serial = match_corpus(small_finance_corpus, matcher, jobs=1)
+        # more threads than cores, switching often, all filling one header table
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = match_corpus(small_finance_corpus, matcher, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(p.key(), p.score) for p in serial] == [(p.key(), p.score) for p in parallel], matcher
 
 
 def test_sf_instance_token_variant():

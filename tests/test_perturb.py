@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import uppercase_variant_transport
+from helpers import reference_levenshtein, uppercase_variant_transport
 
 from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
@@ -25,7 +25,6 @@ from lakeforge.perturb import (
     semantic_value_perturb,
     vertical_split,
 )
-from lakeforge.common import levenshtein
 
 
 def wide_table(n_cols=10, n_rows=20, name="Wide"):
@@ -154,7 +153,7 @@ def test_typo_noise_single_edit():
     out, vmap, _ = apply_value_noise(["Paris"], "text_noise", {"typo_rate": 1.0}, seed=3)
     assert len(vmap) == 1
     old, new = next(iter(vmap.items()))
-    assert levenshtein(old, new) == 1
+    assert reference_levenshtein(old, new) == 1
 
 
 def test_duplicates_increase_repetition():
@@ -228,7 +227,7 @@ def test_header_typos_rate():
     out, mapping = header_typos(schema, 0.3, seed=4)
     assert len(mapping) == 3
     for old, new in mapping.items():
-        assert levenshtein(old, new) == 1
+        assert reference_levenshtein(old, new) == 1
 
 
 # ---------------------------------------------------------------------------

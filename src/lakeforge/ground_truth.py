@@ -1,6 +1,6 @@
 """Join ground truth: classification of column pairs as exact / PK-FK /
-semantic, difficulty labeling, and mechanical propagation across perturbation
-lineage.
+semantic, difficulty labeling, and mechanical recomputation after
+perturbation (`recompute_ground_truth`).
 
 A pair is pkfk when one side is its table's primary key and the other side's
 non-empty value set is contained in it; exact when the raw value sets
@@ -9,6 +9,13 @@ sets (mapped intersection non-empty). Kinds are mutually exclusive, in that
 precedence order. "Semantic" deliberately requires a recorded mapping: the
 ground truth stays mechanical and auditable, open-world equivalence detection
 is the matcher's job.
+
+When several mappings connect a pair, the one with the smallest event id
+wins and becomes the pair's `mapping_id`. The classifier indexes every
+mapping's domain values (value -> mapping positions in event-id order), so a
+pair is tested only against the mappings whose domain meets one of its two
+value sets; any other mapping maps both sides to the empty set and could not
+have matched.
 """
 
 from __future__ import annotations
@@ -36,22 +43,42 @@ class Classification:
 
 
 class _Classifier:
-    """Corpus-wide classifier with memoized value sets and mapped value sets."""
+    """Corpus-wide classifier with memoized value sets and mapped value sets.
+
+    `_by_value` is an inverted index from each mapping's domain value to the
+    positions (in event-id order) of the mappings defined on it, so a pair is
+    tested only against the mappings that touch one of its columns.
+    """
 
     def __init__(self, corpus: Corpus):
         self.corpus = corpus
         self._values: dict[ColumnRef, set[str]] = {}
-        self._mapped: dict[tuple[str, ColumnRef], set[str]] = {}
+        self._mapped: dict[tuple[int, ColumnRef], set[str]] = {}
+        self._touching: dict[ColumnRef, set[int]] = {}
         self._mappings = sorted(corpus.mappings(), key=lambda ev: ev.event_id)
+        self._by_value: dict[str, list[int]] = {}
+        for pos, ev in enumerate(self._mappings):
+            for v in ev.value_map:
+                self._by_value.setdefault(v, []).append(pos)
 
     def values(self, ref: ColumnRef) -> set[str]:
         if ref not in self._values:
             self._values[ref] = self.corpus.table(ref[0]).value_set(ref[1])
         return self._values[ref]
 
-    def mapped(self, event_id: str, vm: dict[str, str], ref: ColumnRef) -> set[str]:
-        key = (event_id, ref)
+    def touching(self, ref: ColumnRef) -> set[int]:
+        """Positions of the mappings whose domain meets the column's values."""
+        if ref not in self._touching:
+            by_value = self._by_value
+            self._touching[ref] = {
+                pos for v in self.values(ref) if v in by_value for pos in by_value[v]
+            }
+        return self._touching[ref]
+
+    def mapped(self, pos: int, ref: ColumnRef) -> set[str]:
+        key = (pos, ref)
         if key not in self._mapped:
+            vm = self._mappings[pos].value_map
             self._mapped[key] = {vm[v] for v in self.values(ref) if v in vm}
         return self._mapped[key]
 
@@ -66,23 +93,19 @@ class _Classifier:
             return Classification(KIND_PKFK, key_side="right")
         if lv & rv:
             return Classification(KIND_EXACT)
-        for ev in self._mappings:
-            vm = ev.value_map or {}
-            if self.mapped(ev.event_id, vm, left) & rv:
-                return Classification(KIND_SEMANTIC, mapping_id=ev.event_id)
-            if self.mapped(ev.event_id, vm, right) & lv:
-                return Classification(KIND_SEMANTIC, mapping_id=ev.event_id)
+        # a mapping touching neither column maps both to empty sets, so
+        # skipping it leaves the first match, and its event id, unchanged
+        for pos in sorted(self.touching(left) | self.touching(right)):
+            if self.mapped(pos, left) & rv or self.mapped(pos, right) & lv:
+                return Classification(
+                    KIND_SEMANTIC, mapping_id=self._mappings[pos].event_id
+                )
         return Classification("none")
 
 
 def classify_join(corpus: Corpus, left: ColumnRef, right: ColumnRef) -> Classification:
     """Classify one cross-table column pair. Symmetric up to pkfk orientation."""
     return _Classifier(corpus).classify(left, right)
-
-
-def classify_difficulty(corpus: Corpus, left: ColumnRef, right: ColumnRef) -> str:
-    """easy iff the normalized (case-folded, whitespace-collapsed) headers match."""
-    return classify_pair_difficulty(left[1], right[1])
 
 
 def _type_candidates(corpus: Corpus) -> set[tuple[ColumnRef, ColumnRef]]:
@@ -120,26 +143,6 @@ def _lineage_candidates(corpus: Corpus) -> set[tuple[ColumnRef, ColumnRef]]:
             a, b = (st, sc), (rt, rc)
             out.add((a, b) if a <= b else (b, a))
     return out
-
-
-def infer_joins_from_types(corpus: Corpus) -> list[JoinPair]:
-    """Candidate pairs from shared semantic types, classified; non-joins dropped."""
-    clf = _Classifier(corpus)
-    pairs = []
-    for a, b in sorted(_type_candidates(corpus)):
-        c = clf.classify(a, b)
-        if c.kind != "none":
-            pairs.append(
-                JoinPair(
-                    left=a,
-                    right=b,
-                    kind=c.kind,
-                    difficulty=classify_pair_difficulty(a[1], b[1]),
-                    key_side=c.key_side,
-                    mapping_id=c.mapping_id,
-                )
-            )
-    return dedupe_pairs(pairs)
 
 
 def recompute_ground_truth(
@@ -181,19 +184,3 @@ def recompute_ground_truth(
                 )
             )
     return dedupe_pairs(pairs)
-
-
-def propagate_ground_truth(
-    corpus: Corpus, parent_pairs: list[JoinPair] | None = None
-) -> list[JoinPair]:
-    """Derive the current ground truth from parent pairs plus lineage.
-
-    Shared columns of splits classify exact, a fully value-mapped column
-    rewrites its pairs to semantic (with mapping_id), header-only changes
-    keep the kind but may flip difficulty, and exact joinability closes
-    transitively over copy lineage because copied value sets stay equal.
-    Mappings are never composed.
-    """
-    if parent_pairs is None:
-        parent_pairs = corpus.ground_truth
-    return recompute_ground_truth(corpus, parent_pairs=parent_pairs)

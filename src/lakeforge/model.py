@@ -246,6 +246,13 @@ def dedupe_pairs(pairs: list[JoinPair]) -> list[JoinPair]:
 
 @dataclass
 class Corpus:
+    """Tables, ground truth and lineage of one corpus.
+
+    The table list is fixed once the corpus is built: `__post_init__` sorts
+    it and indexes it by name, and `table`/`has_table` read that index. Build
+    a new `Corpus` rather than editing `tables` in place.
+    """
+
     tables: list[TableData]
     ground_truth: list[JoinPair] = field(default_factory=list)
     lineage: list[LineageEvent] = field(default_factory=list)
@@ -256,15 +263,19 @@ class Corpus:
         # canonical table order makes save/load the identity on the model
         self.tables = sorted(self.tables, key=lambda t: t.name)
         self.ground_truth = dedupe_pairs(self.ground_truth)
+        # the first table of a name wins; validate() rejects duplicates
+        self._by_name: dict[str, TableData] = {}
+        for t in self.tables:
+            self._by_name.setdefault(t.name, t)
 
     def table(self, name: str) -> TableData:
-        for t in self.tables:
-            if t.name == name:
-                return t
-        raise CorpusError(f"no table named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise CorpusError(f"no table named {name!r}") from None
 
     def has_table(self, name: str) -> bool:
-        return any(t.name == name for t in self.tables)
+        return name in self._by_name
 
     def table_names(self) -> list[str]:
         return [t.name for t in self.tables]
@@ -418,24 +429,41 @@ def load_corpus(directory: str | Path) -> Corpus:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no {MANIFEST_NAME} in {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorpusError(f"{manifest_path}: not a JSON manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{manifest_path}: not a JSON manifest: top level is not an object")
 
     tables: list[TableData] = []
     blobs: dict[str, bytes] = {}
-    for entry in manifest.get("tables", []):
-        schema = TableSchema(
-            name=entry["name"],
-            columns=[
-                Column(c["name"], c["semantic_type"], c["datatype"]) for c in entry["columns"]
-            ],
-            primary_key=entry.get("primary_key"),
-        )
-        path = directory / entry["file"]
+    for n, entry in enumerate(manifest.get("tables", []), start=1):
+        try:
+            schema = TableSchema(
+                name=entry["name"],
+                columns=[
+                    Column(c["name"], c["semantic_type"], c["datatype"])
+                    for c in entry["columns"]
+                ],
+                primary_key=entry.get("primary_key"),
+            )
+            path = directory / entry["file"]
+        except KeyError as exc:
+            raise CorpusError(
+                f"{manifest_path}: table entry {n} lacks key {exc.args[0]!r}"
+            ) from None
         if not path.exists():
             raise CorpusError(f"manifest references missing CSV {entry['file']!r}")
         blob = path.read_bytes()
         blobs[entry["file"]] = blob
-        reader = csv.reader(io.StringIO(blob.decode("utf-8"), newline=""))
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusError(
+                f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+        reader = csv.reader(io.StringIO(text, newline=""))
         rows = [tuple(r) for r in reader]
         if not rows:
             raise CorpusError(f"table {entry['name']!r}: empty CSV (missing header)")
@@ -452,10 +480,17 @@ def load_corpus(directory: str | Path) -> Corpus:
                 )
         tables.append(TableData(schema=schema, rows=rows[1:]))
 
+    try:
+        ground_truth = [JoinPair.from_dict(d) for d in manifest.get("ground_truth", [])]
+        lineage = [LineageEvent.from_dict(d) for d in manifest.get("lineage", [])]
+    except KeyError as exc:
+        raise CorpusError(
+            f"{manifest_path}: ground-truth or lineage entry lacks key {exc.args[0]!r}"
+        ) from None
     corpus = Corpus(
         tables=tables,
-        ground_truth=[JoinPair.from_dict(d) for d in manifest.get("ground_truth", [])],
-        lineage=[LineageEvent.from_dict(d) for d in manifest.get("lineage", [])],
+        ground_truth=ground_truth,
+        lineage=lineage,
         seed=manifest.get("seed", 0),
         stats=CorpusStats.from_dict(manifest.get("stats", {})),
     )

@@ -555,20 +555,27 @@ def semantic_value_perturb(
     backend: str = "offline",
     seed: int = 0,
     chunk_size: int = 100,
+    *,
+    participants: dict[str, set[str]] | None = None,
 ) -> tuple[list[str], dict[str, str]]:
     """Rewrite a joinable column's values into semantically equivalent ones.
 
     The column must participate in at least one exact or pkfk pair (perturbing
-    joinable columns is the point). Offline backend: built-in variant tables
+    joinable columns is the point). `participants` (table -> such columns),
+    when given, must be derived from `corpus.ground_truth`; it spares the scan
+    of the whole ground truth. Offline backend: built-in variant tables
     with a total injective fallback. LLM backend: chunked prompts with schema
     context; a chunk whose response does not line up is left unperturbed.
     Returns (new values, old->new mapping; unchanged values get no entry).
     """
-    ref = (table, column)
-    participates = any(
-        p.kind in (KIND_EXACT, KIND_PKFK) and ref in (p.left, p.right)
-        for p in corpus.ground_truth
-    )
+    if participants is not None:
+        participates = column in participants.get(table, ())
+    else:
+        ref = (table, column)
+        participates = any(
+            p.kind in (KIND_EXACT, KIND_PKFK) and ref in (p.left, p.right)
+            for p in corpus.ground_truth
+        )
     if not participates:
         raise PerturbationError(
             f"column {table}.{column} participates in no exact/pkfk pair"
@@ -918,6 +925,7 @@ def _run_step(
                         gateway=gateway,
                         backend=step.params.get("backend", "offline"),
                         seed=step_seed,
+                        participants=participants,
                     )
                     cell_changes = None
                 else:

@@ -3,7 +3,8 @@
 The oracles here deliberately use different algorithms from the package code
 they check: naive double loops for metrics, the textbook dynamic program for
 edit distance, recursive backtracking for optimal fuzzy matching, exhaustive
-pairwise classification for ground truth.
+pairwise classification for ground truth (its own classifier, written from
+the definition in `lakeforge.ground_truth` without importing that module).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import json
 import re
 from pathlib import Path
 
-from lakeforge.ground_truth import classify_join
 from lakeforge.matchers import sample_values
 from lakeforge.model import Corpus
 
@@ -239,8 +239,38 @@ def fig1_text() -> str:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_classify(values, pks, value_maps, left, right):
+    """(kind, key_side, mapping_id) of one pair, straight from the definition:
+    PK containment, then intersection, then the first value map in event-id
+    order whose image of either side meets the other side."""
+    lv, rv = values[left], values[right]
+    if pks.get(left[0]) == left[1] and rv and rv <= lv:
+        return "pkfk", "left", None
+    if pks.get(right[0]) == right[1] and lv and lv <= rv:
+        return "pkfk", "right", None
+    if lv & rv:
+        return "exact", None, None
+    for event_id, vm in value_maps:
+        left_image = {vm[v] for v in lv if v in vm}
+        right_image = {vm[v] for v in rv if v in vm}
+        if left_image & rv or right_image & lv:
+            return "semantic", None, event_id
+    return "none", None, None
+
+
 def brute_force_ground_truth(corpus: Corpus) -> set[tuple]:
-    """Exhaustive pairwise classification over all cross-table column pairs."""
+    """Exhaustive pairwise classification over all cross-table column pairs,
+    as (left, right, kind, key_side, mapping_id). Value sets are read from
+    the rows, and the classifier shares no code with the package's."""
+    values = {}
+    for t in corpus.tables:
+        for i, c in enumerate(t.schema.columns):
+            values[(t.name, c.name)] = {row[i] for row in t.rows if row[i] != ""}
+    pks = {t.name: t.schema.primary_key for t in corpus.tables}
+    value_maps = sorted(
+        ((ev.event_id, ev.value_map) for ev in corpus.lineage if ev.value_map),
+        key=lambda e: e[0],
+    )
     out = set()
     tables = corpus.tables
     for i in range(len(tables)):
@@ -251,14 +281,16 @@ def brute_force_ground_truth(corpus: Corpus) -> set[tuple]:
                     left, right = (a.name, ca), (b.name, cb)
                     if right < left:
                         left, right = right, left
-                    c = classify_join(corpus, left, right)
-                    if c.kind != "none":
-                        out.add((left, right, c.kind))
+                    kind, key_side, mapping_id = _oracle_classify(
+                        values, pks, value_maps, left, right
+                    )
+                    if kind != "none":
+                        out.add((left, right, kind, key_side, mapping_id))
     return out
 
 
 def pairs_as_set(pairs) -> set[tuple]:
-    return {(p.left, p.right, p.kind) for p in pairs}
+    return {(p.left, p.right, p.kind, p.key_side, p.mapping_id) for p in pairs}
 
 
 def confusion_oracle(preds, truth: set, threshold: float) -> tuple[float, float, float]:

@@ -281,3 +281,56 @@ def test_evaluate_external_timeout_exit_5(tmp_path, capsys, monkeypatch):
     assert _evaluate_external(tmp_path, f"{sys.executable} {stub}") == 5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "timed out after 0.5 s" in err and str(stub) in err
+
+
+def _drop_manifest_key(section, key):
+    def damage(corpus):
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        del manifest[section][0][key]
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return path, f"lacks key {key!r}"
+
+    return damage
+
+
+def _replace_manifest(text):
+    def damage(corpus):
+        (corpus / "manifest.json").write_text(text, encoding="utf-8")
+        return corpus / "manifest.json", "not a JSON manifest"
+
+    return damage
+
+
+def _break_csv_encoding(corpus):
+    csv_path = sorted(corpus.glob("*.csv"))[0]
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\xfe\r\n")
+    return csv_path, "not UTF-8"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        _drop_manifest_key("tables", "file"),
+        _drop_manifest_key("ground_truth", "kind"),
+        _replace_manifest("{not json"),
+        _replace_manifest("[]"),
+        _break_csv_encoding,
+    ],
+    ids=[
+        "table-entry-missing-key",
+        "pair-entry-missing-key",
+        "manifest-not-json",
+        "manifest-not-object",
+        "csv-not-utf8",
+    ],
+)
+def test_stats_damaged_corpus_exit_2(tmp_path, capsys, damage):
+    corpus = tmp_path / "c"
+    run(["generate", "--ontology", FIG1, "--out", str(corpus), "--seed", "5", "--row-cap", "5"])
+    path, message = damage(corpus)
+    capsys.readouterr()
+    assert run(["stats", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err and str(path) in err
+

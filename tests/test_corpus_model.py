@@ -50,6 +50,27 @@ def small_corpus() -> Corpus:
     return corpus
 
 
+def test_table_lookup_by_name():
+    corpus = small_corpus()
+    assert corpus.table("Payments").name == "Payments"
+    assert corpus.has_table("Accounts") and corpus.has_table("Payments")
+    assert not corpus.has_table("Ghost") and not corpus.has_table("accounts")
+    with pytest.raises(CorpusError, match="no table named 'Ghost'"):
+        corpus.table("Ghost")
+
+
+def test_duplicate_table_names_rejected():
+    first, second = (
+        TableData(schema=TableSchema(name="T", columns=[Column("c", "Tag")]), rows=rows)
+        for rows in ([("1",)], [("2",)])
+    )
+    corpus = Corpus(tables=[first, second])
+    corpus.refresh_stats()
+    assert corpus.table("T") is first  # the first table of a name wins
+    with pytest.raises(CorpusError, match="^duplicate table names in corpus$"):
+        corpus.validate()
+
+
 def test_join_pair_canonical_ordering():
     p = JoinPair(left=("B", "x"), right=("A", "y"), kind="pkfk", key_side="left")
     assert p.left == ("A", "y") and p.right == ("B", "x")

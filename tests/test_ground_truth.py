@@ -1,17 +1,15 @@
 from helpers import brute_force_ground_truth, pairs_as_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lakeforge.ground_truth import (
-    classify_difficulty,
-    classify_join,
-    infer_joins_from_types,
-    propagate_ground_truth,
-)
+from lakeforge.ground_truth import classify_join, recompute_ground_truth
 from lakeforge.model import (
     Column,
     Corpus,
     LineageEvent,
     TableData,
     TableSchema,
+    classify_pair_difficulty,
 )
 from lakeforge.perturb import apply_plan, parse_plan
 
@@ -47,7 +45,7 @@ PAYMENTS = table(
 
 def test_shared_semantic_type_yields_candidate_pair():
     corpus = corpus_of(ACCOUNTS, PAYMENTS)
-    pairs = infer_joins_from_types(corpus)
+    pairs = recompute_ground_truth(corpus)
     assert len(pairs) == 1
     p = pairs[0]
     assert p.key() == ((("Accounts", "Account Number")), ("Payments", "Account Number"))
@@ -56,14 +54,14 @@ def test_shared_semantic_type_yields_candidate_pair():
 def test_all_distinct_types_empty_set():
     a = table("A", [("x", "Tag One", "text")], [("1",)])
     b = table("B", [("y", "Tag Two", "text")], [("1",)])
-    assert infer_joins_from_types(corpus_of(a, b)) == []
+    assert recompute_ground_truth(corpus_of(a, b)) == []
 
 
 def test_three_tables_sharing_type_give_three_pairs():
     tables = [
         table(f"T{i}", [("c", "Shared Tag", "text")], [("v",), (f"u{i}",)]) for i in range(3)
     ]
-    pairs = infer_joins_from_types(corpus_of(*tables))
+    pairs = recompute_ground_truth(corpus_of(*tables))
     assert len(pairs) == 3  # C(3,2)
 
 
@@ -72,7 +70,7 @@ def test_classify_pkfk_with_containment():
     c = classify_join(corpus, ("Payments", "Account Number"), ("Accounts", "Account Number"))
     assert c.kind == "pkfk"
     # canonical left is ("Accounts", ...) so the key side is left
-    pairs = infer_joins_from_types(corpus)
+    pairs = recompute_ground_truth(corpus)
     assert pairs[0].kind == "pkfk"
     assert pairs[0].key_side == "left"
 
@@ -126,8 +124,10 @@ def test_difficulty_rules():
         table("B", [("currency ", "Currency", "text")], [("USD",)]),
         table("C", [("PID", "Person ID", "text")], [("1",)]),
     )
-    assert classify_difficulty(corpus, ("A", "Currency"), ("B", "currency ")) == "easy"
-    assert classify_difficulty(corpus, ("A", "Currency"), ("C", "PID")) == "difficult"
+    assert classify_pair_difficulty("Currency", "currency ") == "easy"
+    assert classify_pair_difficulty("Currency", "PID") == "difficult"
+    by_key = {p.key(): p for p in recompute_ground_truth(corpus)}
+    assert by_key[(("A", "Currency"), ("B", "currency "))].difficulty == "easy"
 
 
 def test_kinds_mutually_exclusive_per_pair(small_finance_corpus):
@@ -138,7 +138,9 @@ def test_kinds_mutually_exclusive_per_pair(small_finance_corpus):
 
 
 def test_propagation_without_lineage_reproduces_parents(small_finance_corpus):
-    pairs = propagate_ground_truth(small_finance_corpus)
+    pairs = recompute_ground_truth(
+        small_finance_corpus, parent_pairs=small_finance_corpus.ground_truth
+    )
     assert pairs_as_set(pairs) == pairs_as_set(small_finance_corpus.ground_truth)
 
 
@@ -227,5 +229,81 @@ def test_no_closure_across_composed_mappings():
     assert classify_join(corpus, ("Base", "c"), ("D1", "c")).kind == "semantic"
     assert classify_join(corpus, ("D1", "c"), ("D2", "c")).kind == "semantic"
     assert classify_join(corpus, ("Base", "c"), ("D2", "c")).kind == "none"
-    keys = {p.key() for p in propagate_ground_truth(corpus)}
+    keys = {p.key() for p in recompute_ground_truth(corpus)}
     assert (("Base", "c"), ("D2", "c")) not in keys
+
+
+def test_earliest_mapping_wins_across_sides():
+    # ev00002 connects the pair through the left column, ev00001 through the
+    # right one; the earlier event id is the pair's mapping, whatever the
+    # lineage order and whichever side is asked first
+    a = table("A", [("c", "Tag", "text")], [("x",), ("y",)])
+    b = table("B", [("c", "Tag", "text")], [("X",), ("Y",)])
+    events = [
+        LineageEvent(
+            event_id="ev00002", op="semantic_value_perturb",
+            source=("A", "c"), result=("B", "c"), value_map={"x": "X"},
+        ),
+        LineageEvent(
+            event_id="ev00001", op="semantic_value_perturb",
+            source=("B", "c"), result=("A", "c"), value_map={"Y": "y"},
+        ),
+    ]
+    corpus = corpus_of(a, b, lineage=events)
+    assert classify_join(corpus, ("A", "c"), ("B", "c")).mapping_id == "ev00001"
+    assert classify_join(corpus, ("B", "c"), ("A", "c")).mapping_id == "ev00001"
+    pairs = recompute_ground_truth(corpus)
+    assert [(p.kind, p.mapping_id) for p in pairs] == [("semantic", "ev00001")]
+    assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
+
+
+_VALUES = ["a", "b", "c", "d", "e", "f", "g"]
+
+
+@st.composite
+def _mapped_corpora(draw):
+    """2-4 small tables whose columns all share one semantic type, so every
+    cross-table pair is a candidate, plus 1-5 value maps over the same values
+    in a shuffled lineage order."""
+    tables = []
+    for i in range(draw(st.integers(2, 4))):
+        n_rows = draw(st.integers(1, 3))
+        cols = [
+            draw(st.lists(st.sampled_from([""] + _VALUES), min_size=n_rows, max_size=n_rows))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        pk = None
+        if draw(st.booleans()):
+            cols[0] = draw(
+                st.lists(st.sampled_from(_VALUES), min_size=n_rows, max_size=n_rows, unique=True)
+            )
+            pk = "c0"
+        tables.append(
+            table(
+                f"T{i}",
+                [(f"c{j}", "Tag", "text") for j in range(len(cols))],
+                list(zip(*cols)),
+                pk=pk,
+            )
+        )
+    maps = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(_VALUES), st.sampled_from(_VALUES), min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    events = [
+        LineageEvent(
+            event_id=f"ev{k + 1:05d}", op="semantic_value_perturb",
+            source=("T0", "c0"), result=("T1", "c0"), value_map=maps[k],
+        )
+        for k in draw(st.permutations(range(len(maps))))
+    ]
+    return corpus_of(*tables, lineage=events)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(corpus=_mapped_corpora())
+def test_ground_truth_equals_oracle_with_overlapping_mappings(corpus):
+    assert pairs_as_set(recompute_ground_truth(corpus)) == brute_force_ground_truth(corpus)

@@ -104,9 +104,7 @@ def cmd_generate(args) -> int:
     graph = build_dependency_graph(schema_set)
     plan = plan_generation(graph, row_caps=args.row_cap, backend=args.backend)
     gateway = _gateway(args) if args.backend == "llm" else None
-    corpus, report = generate_base_tables(
-        schema_set, plan, gateway=gateway, seed=args.seed, jobs=args.jobs
-    )
+    corpus, report = generate_base_tables(schema_set, plan, gateway=gateway, seed=args.seed)
     digest = save_corpus(corpus, args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -232,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--endpoint", default=None)
     p.add_argument("--model", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="derive tables via a perturbation plan")

@@ -31,12 +31,6 @@ class GenerationPlan:
     row_caps: dict[str, int]
     backend: str = "offline"  # offline | llm
 
-    def wave_of(self, table: str) -> int:
-        for i, wave in enumerate(self.waves):
-            if table in wave:
-                return i
-        raise GenerationError(f"table {table!r} missing from generation plan")
-
     def cap(self, table: str) -> int:
         return self.row_caps.get(table, DEFAULT_ROW_CAP)
 
@@ -46,27 +40,13 @@ def plan_generation(
     row_caps: dict[str, int] | int | None = None,
     backend: str = "offline",
 ) -> GenerationPlan:
-    """Layer tables so wave k holds tables whose dependencies all sit in waves < k.
-
-    Within a wave, tables are ordered lexicographically for determinism.
-    """
-    deps = {n: set(graph.dependencies(n)) for n in graph.nodes}
-    wave_index: dict[str, int] = {}
-    remaining = set(graph.nodes)
-    waves: list[list[str]] = []
-    while remaining:
-        ready = sorted(n for n in remaining if deps[n] <= set(wave_index))
-        if not ready:
-            raise GenerationError("dependency cycle: cannot layer tables")
-        for n in ready:
-            wave_index[n] = len(waves)
-        waves.append(ready)
-        remaining -= set(ready)
+    """Generate in the graph's waves: wave k holds tables whose dependencies
+    all sit in waves < k, ordered lexicographically for determinism."""
     if isinstance(row_caps, int):
         caps = {n: row_caps for n in graph.nodes}
     else:
         caps = dict(row_caps or {})
-    return GenerationPlan(waves=waves, row_caps=caps, backend=backend)
+    return GenerationPlan(waves=[list(w) for w in graph.waves], row_caps=caps, backend=backend)
 
 
 # --------------------------------------------------------------------------
@@ -362,16 +342,13 @@ def generate_base_tables(
     gateway: LlmGateway | None = None,
     seed: int = 0,
     template: PromptTemplate | None = None,
-    jobs: int = 1,
 ) -> tuple[Corpus, GenerationReport]:
     """Populate every table wave by wave and assemble the base corpus.
 
     After generation every declared FK's value set is contained in the
     referenced PK's value set (out-of-set LLM values are repaired by seeded
     replacement). Ground truth is seeded from the declared joins plus
-    semantic-type inference. Tables within one wave are mutually independent
-    and may generate on up to `jobs` worker threads; waves are a barrier and
-    the result does not depend on scheduling.
+    semantic-type inference.
     """
     schema_set.validate()
     if plan.backend == "llm" and gateway is None:
@@ -382,50 +359,40 @@ def generate_base_tables(
     tables: dict[str, TableData] = {}
     schemas = {t.name: t for t in schema_set.tables}
 
-    def produce(name: str) -> tuple[TableData, TableReport]:
-        schema = schemas[name]
-        treport = TableReport()
-        n = plan.cap(name)
-        joins = _deps_for(schema_set, name)
-        fk_pools: dict[str, list[str]] = {}
-        dep_values: list[DepValues] = []
-        for j in joins:
-            ref = tables[j.target_table]
-            pool = sorted(ref.value_set(j.target_column))
-            if not pool and n > 0:
-                raise GenerationError(
-                    f"cannot satisfy FK {name}.{j.source_column}: referenced table "
-                    f"{j.target_table!r} has no rows"
-                )
-            fk_pools[j.source_column] = pool
-            if pool:
-                dep_values.append(
-                    DepValues(j.source_column, j.target_table, j.target_column, pool)
-                )
-        if n <= 0:
-            rows: list[tuple[str, ...]] = []
-        elif plan.backend == "offline":
-            rows = _generate_offline(schema, n, seed, spaces, fk_pools)
-        else:
-            rows = _generate_llm(schema, n, seed, dep_values, gateway, template, treport)
-            rows, repaired = _repair_fk(rows, schema, fk_pools, seed)
-            treport.repaired = repaired
-        treport.rows = len(rows)
-        table = TableData(schema=schema, rows=rows)
-        table.validate()
-        return table, treport
-
     for wave in plan.waves:
-        if jobs > 1 and len(wave) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                produced = list(pool.map(produce, wave))
-        else:
-            produced = [produce(name) for name in wave]
-        for table, treport in produced:
-            tables[table.name] = table
-            report.tables[table.name] = treport
+        for name in wave:
+            schema = schemas[name]
+            treport = TableReport()
+            n = plan.cap(name)
+            joins = _deps_for(schema_set, name)
+            fk_pools: dict[str, list[str]] = {}
+            dep_values: list[DepValues] = []
+            for j in joins:
+                ref = tables[j.target_table]
+                pool = sorted(ref.value_set(j.target_column))
+                if not pool and n > 0:
+                    raise GenerationError(
+                        f"cannot satisfy FK {name}.{j.source_column}: referenced table "
+                        f"{j.target_table!r} has no rows"
+                    )
+                fk_pools[j.source_column] = pool
+                if pool:
+                    dep_values.append(
+                        DepValues(j.source_column, j.target_table, j.target_column, pool)
+                    )
+            if n <= 0:
+                rows: list[tuple[str, ...]] = []
+            elif plan.backend == "offline":
+                rows = _generate_offline(schema, n, seed, spaces, fk_pools)
+            else:
+                rows = _generate_llm(schema, n, seed, dep_values, gateway, template, treport)
+                rows, repaired = _repair_fk(rows, schema, fk_pools, seed)
+                treport.repaired = repaired
+            treport.rows = len(rows)
+            table = TableData(schema=schema, rows=rows)
+            table.validate()
+            tables[name] = table
+            report.tables[name] = treport
 
     corpus = Corpus(
         tables=[tables[t.name] for t in schema_set.tables],

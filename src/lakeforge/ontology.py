@@ -128,16 +128,17 @@ class GroupingConfig:
 
 @dataclass
 class DependencyGraph:
-    """Directed graph: edge A -> B means table A depends on table B."""
+    """Directed graph: edge A -> B means table A depends on table B.
+
+    waves: the Kahn layering; wave k holds, sorted by name, the tables whose
+    dependencies all sit in waves < k."""
 
     nodes: list[str]
     edges: set[tuple[str, str]]
+    waves: list[list[str]] = field(default_factory=list)
 
     def dependencies(self, name: str) -> list[str]:
         return sorted(b for (a, b) in self.edges if a == name)
-
-    def in_degree(self, name: str) -> int:
-        return sum(1 for (_a, b) in self.edges if b == name)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +528,8 @@ def ontology_to_schemas(
 
 
 def build_dependency_graph(schema_set: SchemaSet) -> DependencyGraph:
-    """One node per table, one edge per declared join (FK table -> PK table).
+    """One node per table, one edge per declared join (FK table -> PK table),
+    layered into generation waves.
 
     Raises on cycles: the generation order requires a DAG.
     """
@@ -539,17 +541,15 @@ def build_dependency_graph(schema_set: SchemaSet) -> DependencyGraph:
     # Kahn's algorithm over dependency edges; leftovers indicate a cycle.
     deps = {n: set(graph.dependencies(n)) for n in nodes}
     done: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for n in nodes:
-            if n not in done and deps[n] <= done:
-                done.add(n)
-                changed = True
-    leftover = [n for n in nodes if n not in done]
-    if leftover:
-        cycle = _find_cycle(leftover, deps)
-        raise OntologyError("dependency cycle detected: " + " -> ".join(cycle))
+    remaining = list(nodes)
+    while remaining:
+        ready = [n for n in remaining if deps[n] <= done]
+        if not ready:
+            cycle = _find_cycle(remaining, deps)
+            raise OntologyError("dependency cycle detected: " + " -> ".join(cycle))
+        graph.waves.append(ready)
+        done.update(ready)
+        remaining = [n for n in remaining if n not in done]
     return graph
 
 

@@ -1,27 +1,40 @@
 """Table perturbations: column-value noise, schema noise, and table-shape
 operations, each emitting lineage events sufficient to reconstruct ground
 truth mechanically. Derived tables are added next to their bases (originals
-retained), named `<base>__<op>_<k>`.
+retained unless the plan drops them), named `<base>__<op>_<k>`.
 
 Plan files are line-oriented:
 
     # optional desired total table count
     target 100
+    # keep (default) or drop the tables that served as perturbation sources
+    originals keep
     step <table_glob> <op[+op...]> [key=value ...]
 
 Common step parameters: col=<column glob>, scope=base|all (default base),
 seed_offset=<int>. Quoting works for names with spaces. A composite op chain
-("cryptify_headers+text_noise") builds a single derivative and may contain at
-most one value-level op.
+("cryptify_headers+text_noise") builds a single derivative; it may contain at
+most one value-level op and no table-shape op.
+
+Ops by kind, each kind in `OPS` order (README.md lists their parameters):
+
+    value:  numeric_jitter duplicates text_noise format_noise inject_nulls
+            semantic_value_perturb
+    schema: cryptify_headers header_typos
+    shape:  vertical_split horizontal_split remove_columns sample_rows
+
+A new op is one `OPS` entry plus its handler.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import logging
+import random
 import re
 import shlex
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .common import (
     NULL,
@@ -59,18 +72,6 @@ log = logging.getLogger(__name__)
 
 VOWELS = set("aeiouAEIOU")
 
-VALUE_OPS = (
-    "numeric_jitter",
-    "duplicates",
-    "text_noise",
-    "format_noise",
-    "inject_nulls",
-    "semantic_value_perturb",
-)
-SCHEMA_OPS = ("cryptify_headers", "header_typos")
-SHAPE_OPS = ("vertical_split", "horizontal_split", "remove_columns", "sample_rows")
-ALL_OPS = VALUE_OPS + SCHEMA_OPS + SHAPE_OPS
-
 DEFAULT_PLAN_TEXT = """\
 # Default derived-corpus plan: per base table, two vertical splits (one with a
 # unique-key side), one cryptified + typo-noised derivative and one
@@ -96,38 +97,52 @@ class PerturbStep:
 class PerturbationPlan:
     steps: list[PerturbStep] = field(default_factory=list)
     derived_table_target: int | None = None
-    keep_originals: bool = True  # drop tables that served as perturbation sources
+    # False ("originals drop") removes the tables that served as perturbation sources
+    keep_originals: bool = True
 
 
 def _parse_value(raw: str):
     low = raw.lower()
     if low in ("true", "false"):
         return low == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
     return raw
 
 
-_RATE_PARAMS = ("rate", "typo_rate", "fraction")
+# numeric parameter -> (its range as errors show it, membership test)
+_NUMERIC_PARAMS = {
+    "rate": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "typo_rate": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "fraction": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "overlap_ratio": ("(0, 1)", lambda x: 0.0 < x < 1.0),
+    # the horizontal overlap ladder starts at 0% (disjoint halves)
+    "row_overlap_ratio": ("[0, 1)", lambda x: 0.0 <= x < 1.0),
+    "rel_scale": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
+}
 
 
 def _validate_params(ops: list[str], params: dict, where: str) -> None:
-    for key in _RATE_PARAMS:
-        if key in params and not (0.0 <= float(params[key]) <= 1.0):
-            raise PerturbationError(f"{where}: {key} must be within [0, 1]")
-    if "overlap_ratio" in params and not (0.0 < float(params["overlap_ratio"]) < 1.0):
-        raise PerturbationError(f"{where}: overlap_ratio must be within (0, 1)")
-    # the horizontal overlap ladder starts at 0% (disjoint halves)
-    if "row_overlap_ratio" in params and not (0.0 <= float(params["row_overlap_ratio"]) < 1.0):
-        raise PerturbationError(f"{where}: row_overlap_ratio must be within [0, 1)")
-    if "rel_scale" in params and not (0.0 <= float(params["rel_scale"]) <= 1.0):
-        raise PerturbationError(f"{where}: rel_scale must be within [0, 1]")
+    """Numeric parameters must be numbers within their range; the string
+    parameters an op of the step declares (`OpSpec.choices`) must name a
+    known choice."""
+    for key, (bounds, within) in _NUMERIC_PARAMS.items():
+        if key not in params:
+            continue
+        if not isinstance(params[key], (int, float)):
+            raise PerturbationError(f"{where}: {key} must be a number, got {params[key]!r}")
+        if not within(params[key]):
+            raise PerturbationError(f"{where}: {key} must be within {bounds}")
+    for op in ops:
+        for key, allowed in OPS[op].choices.items():
+            if key in params and params[key] not in allowed:
+                raise PerturbationError(
+                    f"{where}: {op} {key} must be one of {'|'.join(allowed)}, "
+                    f"got {params[key]!r}"
+                )
 
 
 def parse_plan(text: str) -> PerturbationPlan:
@@ -158,14 +173,14 @@ def parse_plan(text: str) -> PerturbationPlan:
         table_glob, op_field = tokens[1], tokens[2]
         ops = op_field.split("+")
         for op in ops:
-            if op not in ALL_OPS:
+            if op not in OPS:
                 raise PerturbationError(f"line {lineno}: unknown op {op!r}")
         if len(ops) > 1:
-            if any(op in SHAPE_OPS for op in ops):
+            if any(OPS[op].kind == SHAPE for op in ops):
                 raise PerturbationError(
                     f"line {lineno}: table-shape ops cannot be part of a composite step"
                 )
-            if sum(op in VALUE_OPS for op in ops) > 1:
+            if sum(OPS[op].kind == VALUE for op in ops) > 1:
                 raise PerturbationError(
                     f"line {lineno}: at most one value-level op per composite step"
                 )
@@ -184,7 +199,12 @@ def parse_plan(text: str) -> PerturbationPlan:
                     raise PerturbationError(f"line {lineno}: scope must be base or all")
                 scope = val
             elif key == "seed_offset":
-                seed_offset = int(val)
+                try:
+                    seed_offset = int(val)
+                except ValueError:
+                    raise PerturbationError(
+                        f"line {lineno}: seed_offset must be an integer, got {val!r}"
+                    ) from None
             elif key == "keep":
                 params["keep"] = val.split(",")
             else:
@@ -212,6 +232,27 @@ def default_plan() -> PerturbationPlan:
 # --------------------------------------------------------------------------
 
 
+def _schema_as(t: TableData, name: str, keep: set[str] | list[str] | None = None) -> TableSchema:
+    """A copy of t's schema under a new name, cut to the columns in `keep`
+    if given; the primary key survives only if kept."""
+    pk = t.schema.primary_key
+    return TableSchema(
+        name=name,
+        columns=[
+            Column(c.name, c.semantic_type, c.datatype)
+            for c in t.schema.columns
+            if keep is None or c.name in keep
+        ],
+        primary_key=pk if keep is None or pk in keep else None,
+    )
+
+
+def _project(t: TableData, keep: set[str] | list[str], name: str) -> TableData:
+    schema = _schema_as(t, name, keep)
+    idxs = [t.schema.column_index(c) for c in schema.column_names()]
+    return TableData(schema=schema, rows=[tuple(r[i] for i in idxs) for r in t.rows])
+
+
 def vertical_split(
     t: TableData,
     overlap_ratio: float,
@@ -236,31 +277,14 @@ def vertical_split(
     half = (len(rest) + 1) // 2
     a_only, b_only = set(rest[:half]), set(rest[half:])
 
-    def project(keep: set[str], name: str, dedupe: bool) -> TableData:
-        keep_cols = [c for c in t.schema.columns if c.name in keep]
-        idxs = [t.schema.column_index(c.name) for c in keep_cols]
-        pk = t.schema.primary_key if t.schema.primary_key in keep else None
-        rows = [tuple(r[i] for i in idxs) for r in t.rows]
-        if dedupe:
-            key_idx = [i for i, c in enumerate(keep_cols) if c.name in shared]
-            seen: set[tuple] = set()
-            uniq = []
-            for r in rows:
-                k = tuple(r[i] for i in key_idx)
-                if k in seen:
-                    continue
-                seen.add(k)
-                uniq.append(r)
-            rows = uniq
-        schema = TableSchema(
-            name=name,
-            columns=[Column(c.name, c.semantic_type, c.datatype) for c in keep_cols],
-            primary_key=pk,
-        )
-        return TableData(schema=schema, rows=rows)
-
-    a = project(shared | a_only, name_a or f"{t.name}__vertical_split_0_a", unique_key)
-    b = project(shared | b_only, name_b or f"{t.name}__vertical_split_0_b", False)
+    a = _project(t, shared | a_only, name_a or f"{t.name}__vertical_split_0_a")
+    b = _project(t, shared | b_only, name_b or f"{t.name}__vertical_split_0_b")
+    if unique_key:
+        key_idx = [i for i, c in enumerate(a.schema.column_names()) if c in shared]
+        first: dict[tuple, tuple] = {}
+        for r in a.rows:
+            first.setdefault(tuple(r[i] for i in key_idx), r)
+        a = TableData(schema=a.schema, rows=list(first.values()))
     return a, b, shared
 
 
@@ -286,17 +310,12 @@ def horizontal_split(
     a_idx = sorted(shared | set(rest[:half]))
     b_idx = sorted(shared | set(rest[half:]))
 
-    def child(idxs: list[int], name: str) -> TableData:
-        schema = TableSchema(
-            name=name,
-            columns=[Column(c.name, c.semantic_type, c.datatype) for c in t.schema.columns],
-            primary_key=t.schema.primary_key,
-        )
-        return TableData(schema=schema, rows=[t.rows[i] for i in idxs])
-
-    a = child(a_idx, name_a or f"{t.name}__horizontal_split_0_a")
-    b = child(b_idx, name_b or f"{t.name}__horizontal_split_0_b")
-    return a, b
+    a = _schema_as(t, name_a or f"{t.name}__horizontal_split_0_a")
+    b = _schema_as(t, name_b or f"{t.name}__horizontal_split_0_b")
+    return (
+        TableData(schema=a, rows=[t.rows[i] for i in a_idx]),
+        TableData(schema=b, rows=[t.rows[i] for i in b_idx]),
+    )
 
 
 def remove_columns(t: TableData, keep: list[str], name: str | None = None) -> TableData:
@@ -308,28 +327,14 @@ def remove_columns(t: TableData, keep: list[str], name: str | None = None) -> Ta
     ]
     if not keep_names:
         raise PerturbationError(f"remove_columns keeps nothing of table {t.name!r}")
-    idxs = [t.schema.column_index(c) for c in keep_names]
-    schema = TableSchema(
-        name=name or f"{t.name}__remove_columns_0",
-        columns=[
-            Column(c.name, c.semantic_type, c.datatype)
-            for c in t.schema.columns
-            if c.name in keep_names
-        ],
-        primary_key=t.schema.primary_key if t.schema.primary_key in keep_names else None,
-    )
-    return TableData(schema=schema, rows=[tuple(r[i] for i in idxs) for r in t.rows])
+    return _project(t, keep_names, name or f"{t.name}__remove_columns_0")
 
 
 def sample_rows(t: TableData, fraction: float, seed: int = 0, name: str | None = None) -> TableData:
     count = min(len(t.rows), round_half_up(fraction * len(t.rows)))
     rng = seeded_rng("sample", seed, t.name)
     idxs = sorted(rng.sample(range(len(t.rows)), count))
-    schema = TableSchema(
-        name=name or f"{t.name}__sample_rows_0",
-        columns=[Column(c.name, c.semantic_type, c.datatype) for c in t.schema.columns],
-        primary_key=t.schema.primary_key,
-    )
+    schema = _schema_as(t, name or f"{t.name}__sample_rows_0")
     return TableData(schema=schema, rows=[t.rows[i] for i in idxs])
 
 
@@ -349,6 +354,26 @@ def _initialism(header: str) -> str:
     return kept[:3].upper()
 
 
+def _renamed(schema: TableSchema, mapping: dict[str, str]) -> TableSchema:
+    return TableSchema(
+        name=schema.name,
+        columns=[Column(mapping[c.name], c.semantic_type, c.datatype) for c in schema.columns],
+        primary_key=mapping.get(schema.primary_key) if schema.primary_key else None,
+    )
+
+
+def _fresh_typo(value: str, rng: random.Random, taken: set[str]) -> str:
+    """A typo variant of value, redrawn up to 8 times while it is in `taken`;
+    the result joins `taken`."""
+    new = typo_variant(value, rng)
+    tries = 0
+    while new in taken and tries < 8:
+        new = typo_variant(value, rng)
+        tries += 1
+    taken.add(new)
+    return new
+
+
 def cryptify_headers(schema: TableSchema) -> tuple[TableSchema, dict[str, str]]:
     """Rewrite headers to cryptic short forms; collisions get numeric suffixes.
 
@@ -364,12 +389,7 @@ def cryptify_headers(schema: TableSchema) -> tuple[TableSchema, dict[str, str]]:
             new = f"{new}{k}"
         used.add(new)
         mapping[c.name] = new
-    new_schema = TableSchema(
-        name=schema.name,
-        columns=[Column(mapping[c.name], c.semantic_type, c.datatype) for c in schema.columns],
-        primary_key=mapping.get(schema.primary_key) if schema.primary_key else None,
-    )
-    return new_schema, mapping
+    return _renamed(schema, mapping), mapping
 
 
 def header_typos(schema: TableSchema, rate: float, seed: int = 0) -> tuple[TableSchema, dict[str, str]]:
@@ -377,25 +397,9 @@ def header_typos(schema: TableSchema, rate: float, seed: int = 0) -> tuple[Table
     names = schema.column_names()
     count = min(len(names), round_half_up(rate * len(names)))
     chosen = set(rng.sample(names, count))
-    mapping: dict[str, str] = {}
     used = set(names)
-    for name in names:
-        if name not in chosen:
-            mapping[name] = name
-            continue
-        new = typo_variant(name, rng)
-        tries = 0
-        while new in used and tries < 8:
-            new = typo_variant(name, rng)
-            tries += 1
-        used.add(new)
-        mapping[name] = new
-    new_schema = TableSchema(
-        name=schema.name,
-        columns=[Column(mapping[c.name], c.semantic_type, c.datatype) for c in schema.columns],
-        primary_key=mapping.get(schema.primary_key) if schema.primary_key else None,
-    )
-    return new_schema, {k: v for k, v in mapping.items() if k != v}
+    mapping = {name: _fresh_typo(name, rng, used) if name in chosen else name for name in names}
+    return _renamed(schema, mapping), {k: v for k, v in mapping.items() if k != v}
 
 
 # --------------------------------------------------------------------------
@@ -412,6 +416,145 @@ def _decimals_of(v: str) -> int | None:
     return None
 
 
+def _distinct(values: list[str]) -> list[str]:
+    return sorted({v for v in values if v != NULL})
+
+
+def _map_distinct(distinct: list[str], fn: Callable[[str], str]) -> dict[str, str]:
+    """old -> fn(old) for every value fn changes."""
+    return {v: new for v in distinct if (new := fn(v)) != v}
+
+
+def _by_map(values: list[str], value_map: dict[str, str]):
+    """A value-consistent op's result: every occurrence of a value maps alike."""
+    return [value_map.get(v, v) for v in values], value_map or None, None
+
+
+def _numeric_jitter(values, params, rng, source):
+    scale = float(params.get("rel_scale", 0.01))
+    value_map: dict[str, str] = {}
+    for v in _distinct(values):
+        dec = _decimals_of(v)
+        if dec is None:
+            raise PerturbationError(f"numeric_jitter on non-numeric value {v!r}")
+        x = float(v) * (1.0 + rng.uniform(-scale, scale))
+        new = str(int(round(x))) if dec == 0 else f"{x:.{dec}f}"
+        if new != v:
+            value_map[v] = new
+    return _by_map(values, value_map)
+
+
+def _cell_op(replacement: Callable[[random.Random, list[str]], str]):
+    """A cell-level op: round(rate * rows) random non-null cells each take
+    replacement(rng, distinct values); unchanged cells are not recorded."""
+
+    def handler(values, params, rng, source):
+        rate = float(params.get("rate", 0.1))
+        candidates = [i for i, v in enumerate(values) if v != NULL]
+        count = min(len(candidates), round_half_up(rate * len(values)))
+        chosen = sorted(rng.sample(candidates, count))
+        distinct = _distinct(values)
+        out = list(values)
+        cells: list[tuple[int, str, str]] = []
+        for i in chosen:
+            new = replacement(rng, distinct)
+            if new != out[i]:
+                cells.append((i, out[i], new))
+                out[i] = new
+        return out, None, cells or None
+
+    return handler
+
+
+def _typo_map(distinct: list[str], params: dict, rng: random.Random) -> dict[str, str]:
+    rate = float(params.get("typo_rate", 1.0))
+    count = min(len(distinct), round_half_up(rate * len(distinct)))
+    chosen = rng.sample(distinct, count)
+    taken = set(distinct)
+    value_map = {}
+    for v in sorted(chosen):
+        new = _fresh_typo(v, rng, taken)
+        if new != v:
+            value_map[v] = new
+    return value_map
+
+
+def _word_removal_map(distinct: list[str], params: dict, rng: random.Random) -> dict[str, str]:
+    taken = set(distinct)
+    value_map = {}
+    for v in distinct:
+        new = remove_word(v, rng)
+        if new != v and new not in taken:
+            taken.add(new)
+            value_map[v] = new
+    return value_map
+
+
+# text_noise mode -> builder of its value map; the first is the default
+_TEXT_MODES = {
+    "typos": _typo_map,
+    "synonyms": lambda distinct, params, rng: _map_distinct(
+        distinct, lambda v: substitute_words(v, SYNONYM_WORDS)
+    ),
+    "abbreviations": lambda distinct, params, rng: _map_distinct(
+        distinct, lambda v: substitute_words(v, ABBREVIATION_WORDS)
+    ),
+    "word_removal": _word_removal_map,
+}
+
+
+def _text_noise(values, params, rng, source):
+    mode = params.get("mode", "typos")
+    if mode not in _TEXT_MODES:
+        raise PerturbationError(f"unknown text_noise mode {mode!r}")
+    return _by_map(values, _TEXT_MODES[mode](_distinct(values), params, rng))
+
+
+# format_noise kind -> (reformatter, the columns it applies to); the first is
+# the default
+_FORMAT_KINDS = {
+    "dates": (reformat_date, lambda col: col.datatype == "date"),
+    "addresses": (reformat_address, lambda col: norm_header(col.semantic_type) == "street address"),
+    "names": (reformat_name, lambda col: norm_header(col.semantic_type) == "person name"),
+}
+
+
+def _format_kind(params: dict):
+    kind = params.get("kind", "dates")
+    if kind not in _FORMAT_KINDS:
+        raise PerturbationError(f"unknown format_noise kind {kind!r}")
+    return _FORMAT_KINDS[kind]
+
+
+def _format_noise(values, params, rng, source):
+    reformat, _applies = _format_kind(params)
+    return _by_map(values, _map_distinct(_distinct(values), reformat))
+
+
+@dataclass(frozen=True)
+class _Source:
+    """The source column of a derivative's value op, with the step's
+    ground-truth snapshot that semantic_value_perturb reads."""
+
+    corpus: Corpus | None
+    participants: dict[str, set[str]]
+    table: str
+    column: str
+    gateway: LlmGateway | None
+
+
+def _semantic_value_perturb(values, params, rng, source):
+    new_values, mapping = semantic_value_perturb(
+        source.corpus,
+        source.table,
+        source.column,
+        gateway=source.gateway,
+        backend=params.get("backend", "offline"),
+        participants=source.participants,
+    )
+    return new_values, mapping, None
+
+
 def apply_value_noise(
     values: list[str], op: str, params: dict, seed: int
 ) -> tuple[list[str], dict[str, str] | None, list[tuple[int, str, str]] | None]:
@@ -420,103 +563,13 @@ def apply_value_noise(
     Returns (new values, value_map, cell_changes): value-consistent ops
     (jitter, text, format) fill value_map, cell-level ops (nulls, duplicates)
     fill cell_changes. Replaying the returned mapping over the input
-    reproduces the output byte-for-byte.
+    reproduces the output byte-for-byte. semantic_value_perturb, which reads
+    the corpus, is not a noise op.
     """
-    rng = seeded_rng("noise", seed, op)
-    distinct = sorted({v for v in values if v != NULL})
-
-    if op == "numeric_jitter":
-        scale = float(params.get("rel_scale", 0.01))
-        value_map: dict[str, str] = {}
-        for v in distinct:
-            dec = _decimals_of(v)
-            if dec is None:
-                raise PerturbationError(f"numeric_jitter on non-numeric value {v!r}")
-            x = float(v) * (1.0 + rng.uniform(-scale, scale))
-            new = str(int(round(x))) if dec == 0 else f"{x:.{dec}f}"
-            if new != v:
-                value_map[v] = new
-        return [value_map.get(v, v) for v in values], value_map or None, None
-
-    if op == "duplicates":
-        rate = float(params.get("rate", 0.1))
-        candidates = [i for i, v in enumerate(values) if v != NULL]
-        count = min(len(candidates), round_half_up(rate * len(values)))
-        chosen = sorted(rng.sample(candidates, count))
-        out = list(values)
-        cells: list[tuple[int, str, str]] = []
-        for i in chosen:
-            new = rng.choice(distinct)
-            if new != out[i]:
-                cells.append((i, out[i], new))
-                out[i] = new
-        return out, None, cells or None
-
-    if op == "inject_nulls":
-        rate = float(params.get("rate", 0.1))
-        candidates = [i for i, v in enumerate(values) if v != NULL]
-        count = min(len(candidates), round_half_up(rate * len(values)))
-        chosen = sorted(rng.sample(candidates, count))
-        out = list(values)
-        cells = []
-        for i in chosen:
-            cells.append((i, out[i], NULL))
-            out[i] = NULL
-        return out, None, cells or None
-
-    if op == "text_noise":
-        mode = params.get("mode", "typos")
-        value_map = {}
-        if mode == "typos":
-            rate = float(params.get("typo_rate", 1.0))
-            count = min(len(distinct), round_half_up(rate * len(distinct)))
-            chosen = rng.sample(distinct, count)
-            taken = set(distinct)
-            for v in sorted(chosen):
-                new = typo_variant(v, rng)
-                tries = 0
-                while new in taken and tries < 8:
-                    new = typo_variant(v, rng)
-                    tries += 1
-                taken.add(new)
-                if new != v:
-                    value_map[v] = new
-        elif mode == "synonyms":
-            for v in distinct:
-                new = substitute_words(v, SYNONYM_WORDS)
-                if new != v:
-                    value_map[v] = new
-        elif mode == "abbreviations":
-            for v in distinct:
-                new = substitute_words(v, ABBREVIATION_WORDS)
-                if new != v:
-                    value_map[v] = new
-        elif mode == "word_removal":
-            taken = set(distinct)
-            for v in distinct:
-                new = remove_word(v, rng)
-                if new != v and new not in taken:
-                    taken.add(new)
-                    value_map[v] = new
-        else:
-            raise PerturbationError(f"unknown text_noise mode {mode!r}")
-        return [value_map.get(v, v) for v in values], value_map or None, None
-
-    if op == "format_noise":
-        kind = params.get("kind", "dates")
-        fn = {"dates": reformat_date, "addresses": reformat_address, "names": reformat_name}.get(
-            kind
-        )
-        if fn is None:
-            raise PerturbationError(f"unknown format_noise kind {kind!r}")
-        value_map = {}
-        for v in distinct:
-            new = fn(v)
-            if new != v:
-                value_map[v] = new
-        return [value_map.get(v, v) for v in values], value_map or None, None
-
-    raise PerturbationError(f"unknown value op {op!r}")
+    spec = OPS.get(op)
+    if spec is None or spec.kind != VALUE or spec.snapshot:
+        raise PerturbationError(f"unknown value op {op!r}")
+    return spec.handler(values, params, seeded_rng("noise", seed, op), None)
 
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
@@ -613,49 +666,133 @@ def semantic_value_perturb(
 
 
 # --------------------------------------------------------------------------
-# plan execution
+# the op table
 # --------------------------------------------------------------------------
 
 
-def _is_numeric_column(t: TableData, col: Column) -> bool:
+def _vertical_split_step(t: TableData, params: dict, seed: int, prefix: str):
+    overlap_ratio = params.get("overlap_ratio", 0.2)
+    unique_key = bool(params.get("unique_key", False))
+    a, b, shared = vertical_split(
+        t, float(overlap_ratio), unique_key, seed=seed, name_a=f"{prefix}_a", name_b=f"{prefix}_b"
+    )
+    event = {"shared": sorted(shared), "overlap_ratio": overlap_ratio, "unique_key": unique_key}
+    return [a, b], event
+
+
+def _horizontal_split_step(t: TableData, params: dict, seed: int, prefix: str):
+    row_overlap_ratio = params.get("row_overlap_ratio", 0.1)
+    a, b = horizontal_split(
+        t, float(row_overlap_ratio), seed=seed, name_a=f"{prefix}_a", name_b=f"{prefix}_b"
+    )
+    event = {
+        "row_overlap_ratio": row_overlap_ratio,
+        "shared_rows": len(set(a.rows) & set(b.rows)),
+        "union_task": True,  # unionability ground truth, emitted only
+    }
+    return [a, b], event
+
+
+def _remove_columns_step(t: TableData, params: dict, seed: int, prefix: str):
+    child = remove_columns(t, params.get("keep", ["*"]), name=prefix)
+    return [child], {"kept": child.schema.column_names()}
+
+
+def _sample_rows_step(t: TableData, params: dict, seed: int, prefix: str):
+    fraction = params.get("fraction", 0.5)
+    child = sample_rows(t, float(fraction), seed=seed, name=prefix)
+    return [child], {"fraction": fraction, "rows": len(child.rows)}
+
+
+def _is_numeric(t: TableData, col: Column, params: dict, joinable: set[str]) -> bool:
     if col.datatype not in ("integer", "decimal"):
         return False
     return all(_decimals_of(v) is not None for v in t.value_set(col.name))
 
 
-def _eligible_columns(t: TableData, op: str, params: dict, exact_cols: set[str]) -> list[str]:
+def _is_text(t: TableData, col: Column, params: dict, joinable: set[str]) -> bool:
+    return col.datatype in ("text", "categorical")
+
+
+def _is_formattable(t: TableData, col: Column, params: dict, joinable: set[str]) -> bool:
+    _reformat, applies = _format_kind(params)
+    return applies(col)
+
+
+def _is_joinable(t: TableData, col: Column, params: dict, joinable: set[str]) -> bool:
+    return col.name in joinable
+
+
+SHAPE, SCHEMA, VALUE = "shape", "schema", "value"
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """One perturbation op. Handlers by kind:
+
+    shape:  (table, params, seed, child name) -> (children, lineage params)
+    schema: (schema, params, seed) -> (schema, old -> new header map)
+    value:  (values, params, rng, _Source) -> (values, value_map, cell_changes)
+
+    eligible(table, column, params, joinable columns) picks a value op's
+    columns when the step has no col= (None: every non-key column); choices
+    lists the values of its string parameters; snapshot says it reads the
+    ground truth of the tables derived so far."""
+
+    kind: str
+    handler: Callable
+    eligible: Callable[[TableData, Column, dict, set[str]], bool] | None = None
+    choices: dict[str, tuple] = field(default_factory=dict)
+    snapshot: bool = False
+
+
+OPS: dict[str, OpSpec] = {
+    "numeric_jitter": OpSpec(VALUE, _numeric_jitter, _is_numeric),
+    "duplicates": OpSpec(VALUE, _cell_op(lambda rng, distinct: rng.choice(distinct))),
+    "text_noise": OpSpec(VALUE, _text_noise, _is_text, {"mode": tuple(_TEXT_MODES)}),
+    "format_noise": OpSpec(VALUE, _format_noise, _is_formattable, {"kind": tuple(_FORMAT_KINDS)}),
+    "inject_nulls": OpSpec(VALUE, _cell_op(lambda rng, distinct: NULL)),
+    "semantic_value_perturb": OpSpec(
+        VALUE, _semantic_value_perturb, _is_joinable, {"backend": ("offline", "llm")}, snapshot=True
+    ),
+    "cryptify_headers": OpSpec(SCHEMA, lambda schema, params, seed: cryptify_headers(schema)),
+    "header_typos": OpSpec(
+        SCHEMA,
+        lambda schema, params, seed: header_typos(
+            schema, float(params.get("rate", 0.3)), seed=seed
+        ),
+    ),
+    "vertical_split": OpSpec(SHAPE, _vertical_split_step),
+    "horizontal_split": OpSpec(SHAPE, _horizontal_split_step),
+    "remove_columns": OpSpec(SHAPE, _remove_columns_step),
+    "sample_rows": OpSpec(SHAPE, _sample_rows_step),
+}
+
+VALUE_OPS = tuple(op for op, spec in OPS.items() if spec.kind == VALUE)
+SCHEMA_OPS = tuple(op for op, spec in OPS.items() if spec.kind == SCHEMA)
+SHAPE_OPS = tuple(op for op, spec in OPS.items() if spec.kind == SHAPE)
+ALL_OPS = tuple(OPS)
+
+
+# --------------------------------------------------------------------------
+# plan execution
+# --------------------------------------------------------------------------
+
+
+def _eligible_columns(t: TableData, op: str, params: dict, joinable: set[str]) -> list[str]:
+    eligible = OPS[op].eligible
     pk = t.schema.primary_key
-    out = []
-    for col in t.schema.columns:
-        if col.name == pk:
-            continue
-        if op == "numeric_jitter":
-            ok = _is_numeric_column(t, col)
-        elif op == "text_noise":
-            ok = col.datatype in ("text", "categorical")
-        elif op == "format_noise":
-            kind = params.get("kind", "dates")
-            ok = (
-                (kind == "dates" and col.datatype == "date")
-                or (kind == "addresses" and norm_header(col.semantic_type) == "street address")
-                or (kind == "names" and norm_header(col.semantic_type) == "person name")
-            )
-        elif op == "semantic_value_perturb":
-            ok = col.name in exact_cols
-        else:  # duplicates, inject_nulls
-            ok = True
-        if ok:
-            out.append(col.name)
-    return out
+    return [
+        col.name
+        for col in t.schema.columns
+        if col.name != pk and (eligible is None or eligible(t, col, params, joinable))
+    ]
 
 
-def _copy_table(t: TableData, name: str) -> TableData:
-    schema = TableSchema(
-        name=name,
-        columns=[Column(c.name, c.semantic_type, c.datatype) for c in t.schema.columns],
-        primary_key=t.schema.primary_key,
-    )
-    return TableData(schema=schema, rows=list(t.rows))
+def _record(lineage: list[LineageEvent], ev: LineageEvent) -> None:
+    """Append ev to the lineage under the next event id."""
+    ev.event_id = f"ev{len(lineage) + 1:05d}"
+    lineage.append(ev)
 
 
 def apply_plan(
@@ -674,19 +811,8 @@ def apply_plan(
     base_names = set(corpus.base_table_names())
     lineage = list(corpus.lineage)
     consumed: set[str] = set()
-    event_n = len(lineage)
-
-    def next_event_id() -> str:
-        nonlocal event_n
-        event_n += 1
-        return f"ev{event_n:05d}"
-
     if not plan.steps:
-        lineage.append(
-            LineageEvent(
-                event_id=next_event_id(), op="noop", source=("", None), result=("", None)
-            )
-        )
+        _record(lineage, LineageEvent(event_id="", op="noop", source=("", None), result=("", None)))
 
     def current_snapshot() -> tuple[Corpus, dict[str, set[str]]]:
         """Corpus view of the evolving table set with recomputed ground truth,
@@ -714,7 +840,7 @@ def apply_plan(
         for step in steps:
             try:
                 k = _run_step(
-                    step, k, tables, base_names, lineage, next_event_id, warnings,
+                    step, k, tables, base_names, lineage, warnings,
                     corpus, gateway, current_snapshot, consumed,
                 )
             except PerturbationError:
@@ -753,7 +879,6 @@ def _run_step(
     tables: dict[str, TableData],
     base_names: set[str],
     lineage: list[LineageEvent],
-    next_event_id,
     warnings: list[str],
     corpus: Corpus,
     gateway: LlmGateway | None,
@@ -769,10 +894,11 @@ def _run_step(
     if not pool:
         warnings.append(f"step {k}: selector {step.table_glob!r} matched no table")
         return k + 1
-    sem_corpus: Corpus | None = None
+    specs = [OPS[op] for op in step.ops]
+    snapshot: Corpus | None = None
     participants: dict[str, set[str]] = {}
-    if "semantic_value_perturb" in step.ops:
-        sem_corpus, participants = current_snapshot()
+    if any(spec.snapshot for spec in specs):
+        snapshot, participants = current_snapshot()
     label = "_".join(step.ops)
     seed_base = corpus.seed + step.seed_offset
 
@@ -780,109 +906,33 @@ def _run_step(
         src = tables[name]
         consumed.add(name)
         step_seed = seed_base + k
-
-        if step.ops == ["vertical_split"]:
-            a, b, shared = vertical_split(
-                src,
-                float(step.params.get("overlap_ratio", 0.2)),
-                bool(step.params.get("unique_key", False)),
-                seed=step_seed,
-                name_a=f"{name}__{label}_{k}_a",
-                name_b=f"{name}__{label}_{k}_b",
-            )
-            for child in (a, b):
-                tables[child.name] = child
-                lineage.append(
-                    LineageEvent(
-                        event_id=next_event_id(),
-                        op="vertical_split",
-                        source=(name, None),
-                        result=(child.name, None),
-                        params={
-                            "shared": sorted(shared),
-                            "overlap_ratio": step.params.get("overlap_ratio", 0.2),
-                            "unique_key": bool(step.params.get("unique_key", False)),
-                        },
-                    )
-                )
-            continue
-
-        if step.ops == ["horizontal_split"]:
-            a, b = horizontal_split(
-                src,
-                float(step.params.get("row_overlap_ratio", 0.1)),
-                seed=step_seed,
-                name_a=f"{name}__{label}_{k}_a",
-                name_b=f"{name}__{label}_{k}_b",
-            )
-            overlap = len({r for r in a.rows} & {r for r in b.rows})
-            for child in (a, b):
-                tables[child.name] = child
-                lineage.append(
-                    LineageEvent(
-                        event_id=next_event_id(),
-                        op="horizontal_split",
-                        source=(name, None),
-                        result=(child.name, None),
-                        params={
-                            "row_overlap_ratio": step.params.get("row_overlap_ratio", 0.1),
-                            "shared_rows": overlap,
-                            "union_task": True,  # unionability ground truth, emitted only
-                        },
-                    )
-                )
-            continue
-
-        if step.ops == ["remove_columns"]:
-            child = remove_columns(
-                src, step.params.get("keep", ["*"]), name=f"{name}__{label}_{k}"
-            )
-            tables[child.name] = child
-            lineage.append(
-                LineageEvent(
-                    event_id=next_event_id(),
-                    op="remove_columns",
-                    source=(name, None),
-                    result=(child.name, None),
-                    params={"kept": child.schema.column_names()},
-                )
-            )
-            continue
-
-        if step.ops == ["sample_rows"]:
-            child = sample_rows(
-                src,
-                float(step.params.get("fraction", 0.5)),
-                seed=step_seed,
-                name=f"{name}__{label}_{k}",
-            )
-            tables[child.name] = child
-            lineage.append(
-                LineageEvent(
-                    event_id=next_event_id(),
-                    op="sample_rows",
-                    source=(name, None),
-                    result=(child.name, None),
-                    params={"fraction": step.params.get("fraction", 0.5), "rows": len(child.rows)},
-                )
-            )
-            continue
-
-        # composite / schema / value step building one derivative
         child_name = f"{name}__{label}_{k}"
-        child = _copy_table(src, child_name)
+
+        if specs[0].kind == SHAPE:
+            # parse_plan keeps shape ops out of composites: one op, its children
+            children, params = specs[0].handler(src, step.params, step_seed, child_name)
+            for child in children:
+                tables[child.name] = child
+                _record(
+                    lineage,
+                    LineageEvent(
+                        event_id="",
+                        op=step.ops[0],
+                        source=(name, None),
+                        result=(child.name, None),
+                        params=dict(params),
+                    ),
+                )
+            continue
+
+        # composite of schema and value ops building one derivative
+        child = TableData(schema=_schema_as(src, child_name), rows=list(src.rows))
         original_name = {c: c for c in child.schema.column_names()}
         pending: list[LineageEvent] = []
 
-        for op in step.ops:
-            if op in SCHEMA_OPS:
-                if op == "cryptify_headers":
-                    new_schema, hmap = cryptify_headers(child.schema)
-                else:
-                    new_schema, hmap = header_typos(
-                        child.schema, float(step.params.get("rate", 0.3)), seed=step_seed
-                    )
-                new_schema.name = child_name
+        for op, spec in zip(step.ops, specs):
+            if spec.kind == SCHEMA:
+                new_schema, hmap = spec.handler(child.schema, step.params, step_seed)
                 original_name = {
                     hmap.get(cur, cur): orig for cur, orig in original_name.items()
                 }
@@ -907,8 +957,8 @@ def _run_step(
                     or fnmatch.fnmatchcase(c, step.col_glob)
                 ]
             else:
-                exact_cols = participants.get(name, set())
-                cols = _eligible_columns(src, op, step.params, exact_cols)
+                joinable = participants.get(name, set())
+                cols = _eligible_columns(src, op, step.params, joinable)
                 cols = [c for c in child.schema.column_names() if original_name[c] in cols]
             if not cols:
                 warnings.append(
@@ -916,28 +966,16 @@ def _run_step(
                 )
             for cname in cols:
                 idx = child.schema.column_index(cname)
-                col_values = [r[idx] for r in child.rows]
-                if op == "semantic_value_perturb":
-                    new_values, vmap = semantic_value_perturb(
-                        sem_corpus,
-                        name,
-                        original_name[cname],
-                        gateway=gateway,
-                        backend=step.params.get("backend", "offline"),
-                        seed=step_seed,
-                        participants=participants,
-                    )
-                    cell_changes = None
-                else:
-                    new_values, vmap, cell_changes = apply_value_noise(
-                        col_values, op, step.params, stable_hash(step_seed, name, cname)
-                    )
+                source = _Source(snapshot, participants, name, original_name[cname], gateway)
+                # the same draws as apply_value_noise with this column's seed
+                rng = seeded_rng("noise", stable_hash(step_seed, name, cname), op)
+                new_values, vmap, cell_changes = spec.handler(
+                    [r[idx] for r in child.rows], step.params, rng, source
+                )
                 if not vmap and not cell_changes:
                     continue
-                rows = [list(r) for r in child.rows]
-                for i, v in enumerate(new_values):
-                    rows[i][idx] = v
-                child = TableData(schema=child.schema, rows=[tuple(r) for r in rows])
+                rows = [r[:idx] + (v,) + r[idx + 1 :] for r, v in zip(child.rows, new_values)]
+                child = TableData(schema=child.schema, rows=rows)
                 pending.append(
                     LineageEvent(
                         event_id="",
@@ -959,8 +997,5 @@ def _run_step(
             src_col = ev.source[1]
             if src_col is not None:
                 ev.result = (child_name, orig_to_final.get(src_col, ev.result[1]))
-            ev.event_id = next_event_id()
-            lineage.append(ev)
+            _record(lineage, ev)
     return k + 1
-
-

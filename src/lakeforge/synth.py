@@ -11,7 +11,6 @@ brute-force classifier on offline corpora.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date, timedelta
 
 from .common import norm_header, seeded_rng, stable_hash
@@ -176,11 +175,6 @@ def _decimal_base(idx: int) -> int:
 
 def _date_start(idx: int) -> date:
     return _DATE_EPOCH + timedelta(days=DATE_SPAN_DAYS * idx)
-
-
-@dataclass
-class SynthReport:
-    known_tag: bool
 
 
 def synthesize_offline(

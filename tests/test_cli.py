@@ -111,6 +111,40 @@ def test_perturb_bad_plan_exit_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def fig1_base(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fig1") / "base"
+    assert run(["generate", "--ontology", FIG1, "--out", str(base), "--seed", "3",
+                "--row-cap", "10"]) == 0
+    return base
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("vertical_split seed_offset=abc", "seed_offset must be an integer, got 'abc'"),
+        ("sample_rows fraction=abc", "fraction must be a number, got 'abc'"),
+        ("vertical_split overlap_ratio=x", "overlap_ratio must be a number, got 'x'"),
+        ("numeric_jitter rel_scale=x", "rel_scale must be a number, got 'x'"),
+        ("format_noise kind=bogus", "format_noise kind must be one of dates|addresses|names"),
+        ("cryptify_headers+text_noise mode=bogus", "text_noise mode must be one of typos|"),
+        ("semantic_value_perturb backend=bogus", "backend must be one of offline|llm"),
+    ],
+    ids=["seed_offset", "fraction", "overlap_ratio", "rel_scale", "kind", "mode", "backend"],
+)
+def test_perturb_bad_plan_parameter_exit_4(tmp_path, capsys, fig1_base, step, message):
+    plan = tmp_path / "bad.plan"
+    plan.write_text(f"step * vertical_split overlap_ratio=0.2\nstep * {step}\n")
+    code = run(
+        ["perturb", "--corpus", str(fig1_base), "--out", str(tmp_path / "drv"),
+         "--plan", str(plan)]
+    )
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and message in err
+    assert not (tmp_path / "drv").exists()
+
+
 def test_evaluate_three_matchers_two_tasks(tmp_path, capsys):
     run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
          "--row-cap", "15"])

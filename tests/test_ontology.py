@@ -179,7 +179,11 @@ def test_min_props_changes_merge_outcome():
 def test_dependency_graph_fig1(fig1_schema_set):
     graph = build_dependency_graph(fig1_schema_set)
     assert ("Listed Security", "Organization") in graph.edges
-    assert graph.in_degree("Organization") == 2  # Listed Security + Postal Address
+    # Listed Security and Postal Address depend on Organization
+    assert sorted(a for a, b in graph.edges if b == "Organization") == [
+        "Listed Security",
+        "Postal Address",
+    ]
     # edges equal declared joins exactly
     expect = {(j.source_table, j.target_table) for j in fig1_schema_set.relationships}
     assert graph.edges == expect
@@ -190,7 +194,8 @@ def test_dependency_graph_edgeless():
     schema_set, _ = ontology_to_schemas(parse_ontology(text))
     graph = build_dependency_graph(schema_set)
     assert graph.edges == set()
-    assert all(graph.in_degree(n) == 0 for n in graph.nodes)
+    assert all(graph.dependencies(n) == [] for n in graph.nodes)
+    assert graph.waves == [["A", "B"]]
 
 
 def test_cycle_detected():

@@ -1,3 +1,7 @@
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
 from helpers import reference_levenshtein, uppercase_variant_transport
@@ -12,7 +16,10 @@ from lakeforge.model import (
     replay_mapping,
     save_corpus,
 )
+import lakeforge.perturb as perturb_module
 from lakeforge.perturb import (
+    ALL_OPS,
+    OPS,
     apply_plan,
     apply_value_noise,
     cryptify_headers,
@@ -435,3 +442,75 @@ def test_composite_value_op_before_header_op(small_finance_corpus):
     # ground truth recompute works (would raise on a dangling column)
     from helpers import brute_force_ground_truth, pairs_as_set
     assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
+
+
+# Every op, both composite orders (a header op before and after a value op),
+# col=, seed_offset= and quoted selectors. Shared by the two golden plans.
+_GOLDEN_STEPS = """\
+step "Organization" vertical_split overlap_ratio=0.4 unique_key=true
+step "Currency Name" horizontal_split row_overlap_ratio=0.2
+step "Postal Address" remove_columns keep=postal_address_id,City,Zip*
+step "Monetary Amount" sample_rows fraction=0.5 seed_offset=3
+step "Listed Security" numeric_jitter rel_scale=0.05
+step "Listed Security" duplicates rate=0.2 col=Legal*
+step "Postal Address" inject_nulls rate=0.1 col=Zipcode
+step "Postal Address" format_noise kind=addresses
+step "Financial Service Account" format_noise kind=dates
+step "Currency Name" text_noise mode=synonyms
+step "Organization" text_noise mode=word_removal
+step * cryptify_headers+text_noise typo_rate=0.3
+step "Listed Security" numeric_jitter+header_typos rate=0.5 rel_scale=0.02
+step "Monetary Amount" header_typos rate=0.5
+step "Currency Name" semantic_value_perturb backend=offline
+"""
+
+
+@pytest.mark.parametrize(
+    "plan_text, manifest_sha256",
+    [
+        (
+            # repeated rounds, plus a step that reads derived tables
+            "target 40\n"
+            + _GOLDEN_STEPS
+            + 'step "Organization__vertical_split_*" semantic_value_perturb scope=all\n',
+            "cf5faea97092b29a5c35a4e35e01e2d161bc085ca82e6f6773c4daccb4d5a303",
+        ),
+        (
+            "originals drop\n" + _GOLDEN_STEPS,
+            "ce8938fdfb1ffcc3d3988ea1dfa8687e520b83049ae4c9655c247e96dee1068d",
+        ),
+    ],
+    ids=["target-scope-all", "originals-drop"],
+)
+def test_golden_manifest_every_op(small_finance_corpus, tmp_path, plan_text, manifest_sha256):
+    # pins the whole derived corpus (tables, lineage params, value maps, cell
+    # changes, ground truth) so a change to op dispatch shows as a new digest
+    derived, _ = apply_plan(small_finance_corpus, parse_plan(plan_text))
+    assert {ev.op for ev in derived.lineage} == set(ALL_OPS)
+    save_corpus(derived, tmp_path)
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == manifest_sha256
+
+
+def test_op_lists_in_docs_follow_the_op_table():
+    # the module docstring names each kind's ops in table order
+    block = perturb_module.__doc__.split("Ops by kind", 1)[1].split("\n\n")[1]
+    by_kind = {}
+    for line in block.splitlines():
+        if ":" in line:
+            kind, line = line.split(":")
+            kind = kind.strip()
+        by_kind.setdefault(kind, []).extend(line.split())
+    assert by_kind == {
+        kind: [op for op, spec in OPS.items() if spec.kind == kind]
+        for kind in ("value", "schema", "shape")
+    }
+
+    # the README table has one row per op in table order, with kind and choices
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    documented = []
+    for op, kind, params in re.findall(r"^\| `(\w+)` \| (\w+) \|(.*)\|$", readme, flags=re.M):
+        params = params.replace("\\|", "|")
+        choices = dict(p.split("=") for p in re.findall(r"`(\w+=\w+(?:\|\w+)+)`", params))
+        documented.append((op, kind, {k: tuple(v.split("|")) for k, v in choices.items()}))
+    assert documented == [(op, spec.kind, spec.choices) for op, spec in OPS.items()]

@@ -165,7 +165,7 @@ def cmd_evaluate(args) -> int:
         if spec.startswith("external:"):
             name, preds = "external", external_match(args.corpus, spec[len("external:"):], corpus)
         elif spec in ("jl", "sf", "hybrid"):
-            name, preds = spec, match_corpus(corpus, spec, jobs=args.jobs)
+            name, preds = spec, match_corpus(corpus, spec)
         else:
             raise EvaluationError(f"unknown matcher {spec!r}")
         (out / f"predictions_{name}.csv").write_text(
@@ -250,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", default="exact_joins,semantic_joins")
     p.add_argument("--k", default=",".join(str(k) for k in DEFAULT_KS))
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("stats", help="print corpus statistics")

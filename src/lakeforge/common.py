@@ -101,9 +101,19 @@ def levenshtein(a: str, b: str) -> int:
     (2003). Over the DP table D of the shorter string b against the longer a,
     bit i of pv (mv) says D[i + 1][j] - D[i][j] is +1 (-1) in the current
     column j. One big-int step per character of a updates the whole column,
-    and `dist` follows its last cell, D[len(b)][j]."""
+    and `dist` follows its last cell, D[len(b)][j]. A common prefix and
+    suffix never change the distance, so they are stripped first."""
     if a == b:
         return 0
+    n = min(len(a), len(b))
+    start = 0
+    while start < n and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < n - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    if start or end:
+        a, b = a[start:len(a) - end], b[start:len(b) - end]
     if len(a) < len(b):
         a, b = b, a
     m = len(b)

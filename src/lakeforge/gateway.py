@@ -74,6 +74,20 @@ class GatewayConfig:
         return self.api_key or os.environ.get(ENV_API_KEY)
 
 
+class HttpStatusError(GatewayError):
+    def __init__(self, status: int, text: str):
+        self.status = status
+        super().__init__(f"endpoint returned HTTP {status}: {text[:200]}")
+
+
+def _retryable(exc: Exception) -> bool:
+    """Timeouts, connection errors, HTTP 429 and 5xx may pass on another
+    attempt; any other failure, a 4xx included, will not."""
+    if isinstance(exc, HttpStatusError):
+        return exc.status == 429 or exc.status >= 500
+    return isinstance(exc, (ConnectionError, TimeoutError))
+
+
 class LlmGateway:
     """Shareable completion client; concurrent complete() calls are bounded by
     max_inflight and cache writes are atomic (write-temp-then-rename)."""
@@ -138,9 +152,14 @@ class LlmGateway:
             "max_tokens": req.max_tokens,
             "temperature": req.temperature,
         }
-        resp = requests.post(endpoint, json=payload, headers=headers, timeout=self.config.timeout)
+        try:
+            resp = requests.post(endpoint, json=payload, headers=headers, timeout=self.config.timeout)
+        except requests.Timeout as exc:
+            raise TimeoutError(str(exc)) from exc
+        except requests.ConnectionError as exc:
+            raise ConnectionError(str(exc)) from exc
         if resp.status_code != 200:
-            raise GatewayError(f"endpoint returned HTTP {resp.status_code}: {resp.text[:200]}")
+            raise HttpStatusError(resp.status_code, resp.text)
         body = resp.json()
         if isinstance(body, dict):
             choices = body.get("choices")
@@ -153,19 +172,17 @@ class LlmGateway:
 
     def _call_with_retries(self, req: CompletionRequest) -> str:
         """Call the endpoint up to `retries` times (at least once), backing off
-        between attempts."""
+        between attempts; only a retryable failure earns another attempt."""
         attempts = max(1, self.config.retries)
-        last: Exception | None = None
-        for attempt in range(attempts):
+        for attempt in range(1, attempts + 1):
             try:
                 with self._sem:
                     return self._call_endpoint(req)
             except Exception as exc:  # noqa: BLE001 - network layer
-                last = exc
-                if attempt + 1 < attempts:
-                    self._sleep(0.5 * (2**attempt))
-        noun = "attempt" if attempts == 1 else "attempts"
-        raise GatewayError(f"completion failed after {attempts} {noun}: {last}")
+                if attempt == attempts or not _retryable(exc):
+                    noun = "attempt" if attempt == 1 else "attempts"
+                    raise GatewayError(f"completion failed after {attempt} {noun}: {exc}") from None
+                self._sleep(0.5 * (2 ** (attempt - 1)))
 
     def complete(self, req: CompletionRequest, mode: str | None = None) -> str:
         req.validate()

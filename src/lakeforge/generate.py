@@ -129,13 +129,6 @@ def render_prompt(
     return "\n".join(parts)
 
 
-def chunk_dep_values(values: list[str], budget: int = DEP_CHUNK_BUDGET) -> list[list[str]]:
-    """Contiguous chunks of at most `budget` values; chunks partition the input."""
-    if budget <= 0:
-        raise GenerationError("chunk budget must be positive")
-    return [values[i : i + budget] for i in range(0, len(values), budget)] or [[]]
-
-
 _EXAMPLE_MARK = re.compile(r"Example\s+\d+\s*:")
 
 
@@ -180,13 +173,6 @@ def parse_completion(text: str, schema: TableSchema) -> tuple[list[tuple[str, ..
             f"no parseable rows for table {schema.name!r}; raw completion:\n{text}"
         )
     return rows, skipped
-
-
-def format_rows_as_completion(rows: list[tuple[str, ...]]) -> str:
-    """Inverse of parse_completion for well-formed rows (used by test doubles)."""
-    return "\n".join(
-        f"Example {i}: " + "; ".join(row) for i, row in enumerate(rows, start=1)
-    )
 
 
 # --------------------------------------------------------------------------

@@ -15,9 +15,11 @@ sf_match     similarity flooding: build typed schema graphs, form the pairwise
 hybrid_match weighted blend of header similarity and instance containment.
 external_match  run an external matcher process and read its predictions CSV.
 
-sf and hybrid read their column-header similarities from one table per
-match_corpus call (header_sims), filled on first use of each header pair:
-a corpus has far fewer distinct header pairs than column pairs.
+match_corpus profiles the corpus once for all table pairs: column samples,
+jl's neighbour map and reach sets, hybrid's share sets (reachable_columns),
+one schema graph per table for sf, and one header-similarity table for sf
+and hybrid, filled on first use of each header pair. A per-pair matcher
+called alone builds its own profiles over its two tables.
 
 All matchers are stateless and symmetric; scores live in [0, 1].
 """
@@ -27,10 +29,11 @@ from __future__ import annotations
 import csv
 import io
 import subprocess
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from operator import sub
 
 from .common import EvaluationError, lev_ratio, levenshtein, seeded_rng, token_jaccard
 from .model import ColumnRef, Corpus, TableData
@@ -85,11 +88,30 @@ def column_samples(
     }
 
 
+def reachable_columns(
+    samples: dict[ColumnRef, frozenset[str]], neighbours: dict[str, set[str]] | None = None
+) -> dict[ColumnRef, frozenset[ColumnRef]]:
+    """Each column's share set: the columns whose samples hold one of its
+    sampled values, read off a value -> columns posting index. Given the
+    neighbour map, its reach set instead: the share set plus the columns
+    holding a neighbour of one of its values. A column pair outside these
+    sets has no equal (no admissible) value pair."""
+    postings: dict[str, list[ColumnRef]] = {}
+    for ref, values in samples.items():
+        for v in values:
+            postings.setdefault(v, []).append(ref)
+    reach = {}
+    for ref, values in samples.items():
+        if neighbours is not None:
+            values = values.union(*(neighbours[v] for v in values & neighbours.keys()))
+        reach[ref] = frozenset(chain.from_iterable(map(postings.__getitem__, values)))
+    return reach
+
+
 def _memo_similarity(memo: dict[tuple[str, str], float], x: str, y: str, similarity) -> float:
     """similarity of two headers through memo, keyed by the unordered pair:
     the header similarities are symmetric, so both orders share one entry,
-    computed in the key's order. Threads may race to fill an entry; they
-    store the same value."""
+    computed in the key's order."""
     key = (x, y) if x <= y else (y, x)
     sim = memo.get(key)
     if sim is None:
@@ -302,6 +324,16 @@ def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> flo
     return _fuzzy_jaccard_indexed(sa, sb, value_neighbours(sa | sb, delta))
 
 
+def _canonical(a: TableData, b: TableData, preds: list[MatchPrediction]) -> list[MatchPrediction]:
+    """Predictions built over the two tables' columns sorted by name are
+    already canonical when a's name sorts first; otherwise sort them."""
+    return preds if a.name < b.name else dedupe_predictions(preds)
+
+
+def _sorted_columns(t: TableData) -> list[ColumnRef]:
+    return [(t.name, c) for c in sorted(t.schema.column_names())]
+
+
 def jl_match(
     a: TableData,
     b: TableData,
@@ -311,21 +343,26 @@ def jl_match(
     *,
     samples: dict[ColumnRef, frozenset[str]] | None = None,
     neighbours: dict[str, set[str]] | None = None,
+    reach: dict[ColumnRef, frozenset[ColumnRef]] | None = None,
 ) -> list[MatchPrediction]:
-    """fuzzy_jaccard over every column pair. match_corpus passes the
-    corpus-wide column samples and their neighbour map; without them both
-    are built over the two tables."""
+    """fuzzy_jaccard over every column pair; a pair outside the reach sets
+    scores exactly 0.0 without being looked at. match_corpus passes the
+    corpus-wide column samples, their neighbour map and reach sets; without
+    them all three are built over the two tables."""
     if samples is None:
         samples = column_samples((a, b), cap, seed)
     if neighbours is None:
         neighbours = value_neighbours(frozenset().union(*samples.values()), delta)
+    if reach is None:
+        reach = reachable_columns(samples, neighbours)
+    cols_b = _sorted_columns(b)
     preds = []
-    for ca in a.schema.columns:
-        va = samples[(a.name, ca.name)]
-        for cb in b.schema.columns:
-            score = _fuzzy_jaccard_indexed(va, samples[(b.name, cb.name)], neighbours)
-            preds.append(MatchPrediction((a.name, ca.name), (b.name, cb.name), score))
-    return dedupe_predictions(preds)
+    for ref_a in _sorted_columns(a):
+        va, reach_a = samples[ref_a], reach[ref_a]
+        for ref_b in cols_b:
+            score = _fuzzy_jaccard_indexed(va, samples[ref_b], neighbours) if ref_b in reach_a else 0.0
+            preds.append(MatchPrediction(ref_a, ref_b, score))
+    return _canonical(a, b, preds)
 
 
 # --------------------------------------------------------------------------
@@ -349,7 +386,7 @@ def _top_tokens(t: TableData, column: str) -> frozenset[str]:
     return frozenset(tok for tok, _n in ranked[:TOP_TOKENS])
 
 
-def _schema_graph(t: TableData, include_tokens: bool) -> list[tuple[tuple, str, tuple]]:
+def _schema_edges(t: TableData, include_tokens: bool) -> list[tuple[tuple, str, tuple]]:
     """Typed edges: table -column-> column nodes, column -type-> datatype nodes,
     optionally column -tokens-> a frequent-instance-token node."""
     edges = []
@@ -363,6 +400,37 @@ def _schema_graph(t: TableData, include_tokens: bool) -> list[tuple[tuple, str, 
     return edges
 
 
+# the kinds of an edge's source and target nodes, by edge label
+_EDGE_ENDS = {"column": ("table", "column"), "type": ("column", "datatype"), "tokens": ("column", "tokens")}
+
+
+@dataclass
+class SchemaGraph:
+    """One table's schema graph as sf_match reads it. nodes: each kind's
+    nodes, kinds and nodes sorted. edges: per label, in edge order, (source
+    position, target position, source out-multiplicity, target
+    in-multiplicity), where a position indexes the node's kind list and a
+    multiplicity counts the node's edges of that label."""
+
+    nodes: dict[str, list[tuple]]
+    edges: dict[str, list[tuple[int, int, int, int]]]
+    datatypes: dict[str, str]  # column name -> datatype
+
+
+def schema_graph(t: TableData, include_tokens: bool = False) -> SchemaGraph:
+    edges = _schema_edges(t, include_tokens)
+    nodes: dict[str, list[tuple]] = {}
+    for n in sorted({n for e in edges for n in (e[0], e[2])}):
+        nodes.setdefault(n[0], []).append(n)
+    pos = {n: i for group in nodes.values() for i, n in enumerate(group)}
+    out_mult = Counter((s, l) for s, l, _d in edges)
+    in_mult = Counter((d, l) for _s, l, d in edges)
+    by_label: dict[str, list[tuple[int, int, int, int]]] = {}
+    for s, l, d in edges:
+        by_label.setdefault(l, []).append((pos[s], pos[d], out_mult[(s, l)], in_mult[(d, l)]))
+    return SchemaGraph(nodes, by_label, {c.name: c.datatype for c in t.schema.columns})
+
+
 def sf_match(
     a: TableData,
     b: TableData,
@@ -371,6 +439,7 @@ def sf_match(
     include_tokens: bool = False,
     *,
     header_sims: dict[tuple[str, str], float] | None = None,
+    graphs: dict[str, SchemaGraph] | None = None,
 ) -> tuple[list[MatchPrediction], bool]:
     """Similarity-flooding fixpoint over the pairwise connectivity graph.
 
@@ -380,14 +449,15 @@ def sf_match(
     multiplicities on both sides, applied along and against pair edges. The
     default graphs are schema-only; include_tokens adds one node per column
     carrying its most frequent instance tokens. match_corpus passes one
-    column-name similarity table for the whole corpus as header_sims.
+    column-name similarity table for the whole corpus as header_sims, and
+    every table's schema graph as graphs.
     """
     if header_sims is None:
         header_sims = {}
-    edges_a = _schema_graph(a, include_tokens)
-    edges_b = _schema_graph(b, include_tokens)
-    nodes_a = sorted({n for e in edges_a for n in (e[0], e[2])})
-    nodes_b = sorted({n for e in edges_b for n in (e[0], e[2])})
+    if graphs is None:
+        ga, gb = schema_graph(a, include_tokens), schema_graph(b, include_tokens)
+    else:
+        ga, gb = graphs[a.name], graphs[b.name]
 
     def initial(na: tuple, nb: tuple) -> float:
         kind = na[0]
@@ -402,67 +472,58 @@ def sf_match(
         # datatype bonus added below, needs column objects
         return _memo_similarity(header_sims, na[1], nb[1], _lower_ratio)
 
-    pairs: list[tuple[tuple, tuple]] = [
-        (na, nb) for na in nodes_a for nb in nodes_b if na[0] == nb[0]
-    ]
-    index = {p: i for i, p in enumerate(pairs)}
+    # same-kind node pairs in sorted order; pair (i, j) of a kind sits at
+    # offset[kind] + i * len(gb.nodes[kind]) + j
+    pairs: list[tuple[tuple, tuple]] = []
+    offset: dict[str, int] = {}
+    for kind, group_a in ga.nodes.items():
+        offset[kind] = len(pairs)
+        pairs.extend((na, nb) for na in group_a for nb in gb.nodes.get(kind, ()))
     sigma0 = []
-    dtype_a = {c.name: c.datatype for c in a.schema.columns}
-    dtype_b = {c.name: c.datatype for c in b.schema.columns}
     for na, nb in pairs:
         s = initial(na, nb)
-        if na[0] == "column" and dtype_a[na[1]] == dtype_b[nb[1]]:
+        if na[0] == "column" and ga.datatypes[na[1]] == gb.datatypes[nb[1]]:
             s = min(1.0, s + DATATYPE_BONUS)
         sigma0.append(s)
 
     # pair graph edges with propagation coefficients (both directions)
-    out_mult_a: dict[tuple[tuple, str], int] = {}
-    in_mult_a: dict[tuple[tuple, str], int] = {}
-    for s, l, d in edges_a:
-        out_mult_a[(s, l)] = out_mult_a.get((s, l), 0) + 1
-        in_mult_a[(d, l)] = in_mult_a.get((d, l), 0) + 1
-    out_mult_b: dict[tuple[tuple, str], int] = {}
-    in_mult_b: dict[tuple[tuple, str], int] = {}
-    for s, l, d in edges_b:
-        out_mult_b[(s, l)] = out_mult_b.get((s, l), 0) + 1
-        in_mult_b[(d, l)] = in_mult_b.get((d, l), 0) + 1
-
     prop: list[list[tuple[int, float]]] = [[] for _ in pairs]
-    for sa, la, da in edges_a:
-        for sb, lb, db in edges_b:
-            if la != lb:
-                continue
-            if (sa, sb) not in index or (da, db) not in index:
-                continue
-            src, dst = index[(sa, sb)], index[(da, db)]
-            w_fwd = 1.0 / (out_mult_a[(sa, la)] * out_mult_b[(sb, lb)])
-            w_bwd = 1.0 / (in_mult_a[(da, la)] * in_mult_b[(db, lb)])
-            prop[dst].append((src, w_fwd))
-            prop[src].append((dst, w_bwd))
+    for label, edges_a in ga.edges.items():
+        if label not in gb.edges:
+            continue
+        src_kind, dst_kind = _EDGE_ENDS[label]
+        src_off, src_n = offset[src_kind], len(gb.nodes[src_kind])
+        dst_off, dst_n = offset[dst_kind], len(gb.nodes[dst_kind])
+        for sa, da, out_a, in_a in edges_a:
+            for sb, db, out_b, in_b in gb.edges[label]:
+                src, dst = src_off + sa * src_n + sb, dst_off + da * dst_n + db
+                prop[dst].append((src, 1.0 / (out_a * out_b)))
+                prop[src].append((dst, 1.0 / (in_a * in_b)))
 
     sigma = list(sigma0)
     converged = False
     for _ in range(max_iters):
         nxt = []
-        for i in range(len(pairs)):
-            flow = sum(w * sigma[j] for j, w in prop[i])
-            nxt.append(sigma0[i] + sigma[i] + flow)
+        for s0, s, feeds in zip(sigma0, sigma, prop):
+            flow = 0
+            for j, w in feeds:
+                flow += w * sigma[j]
+            nxt.append(s0 + s + flow)
         peak = max(nxt) if nxt else 1.0
         if peak > 0:
             nxt = [x / peak for x in nxt]
-        residual = max((abs(x - y) for x, y in zip(nxt, sigma)), default=0.0)
+        residual = max(map(abs, map(sub, nxt, sigma)), default=0.0)
         sigma = nxt
         if residual < epsilon:
             converged = True
             break
 
-    preds = []
-    for (na, nb), s in zip(pairs, sigma):
-        if na[0] == "column":
-            preds.append(
-                MatchPrediction((a.name, na[1]), (b.name, nb[1]), max(0.0, min(1.0, s)))
-            )
-    return dedupe_predictions(preds), converged
+    preds = [
+        MatchPrediction((a.name, na[1]), (b.name, nb[1]), max(0.0, min(1.0, s)))
+        for (na, nb), s in zip(pairs, sigma)
+        if na[0] == "column"
+    ]
+    return _canonical(a, b, preds), converged
 
 
 # --------------------------------------------------------------------------
@@ -491,26 +552,31 @@ def hybrid_match(
     *,
     samples: dict[ColumnRef, frozenset[str]] | None = None,
     header_sims: dict[tuple[str, str], float] | None = None,
+    share: dict[ColumnRef, frozenset[ColumnRef]] | None = None,
 ) -> list[MatchPrediction]:
     """COMA-style blend: header similarity (max of normalized Levenshtein and
-    token-set Jaccard) weighted against instance containment. match_corpus
-    passes the corpus-wide column samples and one name_similarity table as
-    header_sims; without them both are made here."""
+    token-set Jaccard) weighted against instance containment, which is 0.0
+    for a pair outside the share sets. match_corpus passes the corpus-wide
+    column samples, their share sets and one name_similarity table as
+    header_sims; without them all three are made here."""
     if w_name < 0 or w_instance < 0 or abs(w_name + w_instance - 1.0) > 1e-9:
         raise EvaluationError("hybrid weights must be non-negative and sum to 1")
     if samples is None:
         samples = column_samples((a, b), cap, seed)
     if header_sims is None:
         header_sims = {}
+    if share is None:
+        share = reachable_columns(samples)
+    cols_b = _sorted_columns(b)
     preds = []
-    for ca in a.schema.columns:
-        va = samples[(a.name, ca.name)]
-        for cb in b.schema.columns:
-            containment = instance_containment(va, samples[(b.name, cb.name)])
-            name = _memo_similarity(header_sims, ca.name, cb.name, name_similarity)
+    for ref_a in _sorted_columns(a):
+        va, share_a = samples[ref_a], share[ref_a]
+        for ref_b in cols_b:
+            containment = instance_containment(va, samples[ref_b]) if ref_b in share_a else 0.0
+            name = _memo_similarity(header_sims, ref_a[1], ref_b[1], name_similarity)
             score = w_name * name + w_instance * containment
-            preds.append(MatchPrediction((a.name, ca.name), (b.name, cb.name), score))
-    return dedupe_predictions(preds)
+            preds.append(MatchPrediction(ref_a, ref_b, score))
+    return _canonical(a, b, preds)
 
 
 # --------------------------------------------------------------------------
@@ -518,51 +584,40 @@ def hybrid_match(
 # --------------------------------------------------------------------------
 
 
-def match_corpus(corpus: Corpus, matcher: str, jobs: int = 1, **params) -> list[MatchPrediction]:
+def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction]:
     """Run a built-in matcher over every cross-table column pair.
 
-    The instance matchers share one value sample per column, drawn once; jl
-    also shares one neighbour map over all sampled values, and sf and hybrid
-    one header-similarity table. Table pairs then score on up to `jobs`
-    threads; the combined prediction list is canonical regardless of
-    scheduling."""
+    The corpus is profiled once: the instance matchers share one value
+    sample per column, jl one neighbour map over all sampled values and the
+    reach sets, hybrid the share sets, sf one schema graph per table, and sf
+    and hybrid one header-similarity table. Each table pair is then scored
+    through the module's jl_match, sf_match or hybrid_match."""
     if matcher not in ("jl", "sf", "hybrid"):
         raise EvaluationError(f"unknown matcher {matcher!r}")
     tables = sorted(corpus.tables, key=lambda t: t.name)
     seed = corpus.seed
-    shared: dict = {}
-    if matcher != "sf":
-        shared["samples"] = column_samples(tables, params.get("cap", VALUE_SAMPLE_CAP), seed)
-    if matcher == "jl":
-        shared["neighbours"] = value_neighbours(
-            frozenset().union(*shared["samples"].values()), params.get("delta", JL_DELTA)
-        )
+    if matcher == "sf":
+        include_tokens = params.get("include_tokens", False)
+        graphs = {t.name: schema_graph(t, include_tokens) for t in tables}
+        shared = {"graphs": graphs, "header_sims": {}}
     else:
-        shared["header_sims"] = {}
-
-    def score_pair(pair: tuple[TableData, TableData]) -> list[MatchPrediction]:
-        a, b = pair
+        samples = column_samples(tables, params.get("cap", VALUE_SAMPLE_CAP), seed)
         if matcher == "jl":
-            return jl_match(a, b, seed=seed, **params, **shared)
-        if matcher == "sf":
-            return sf_match(a, b, **params, **shared)[0]
-        return hybrid_match(a, b, seed=seed, **params, **shared)
+            neighbours = value_neighbours(frozenset().union(*samples.values()), params.get("delta", JL_DELTA))
+            reach = reachable_columns(samples, neighbours)
+            shared = {"samples": samples, "neighbours": neighbours, "reach": reach}
+        else:
+            shared = {"samples": samples, "share": reachable_columns(samples), "header_sims": {}}
 
-    pairs = [
-        (tables[i], tables[j])
-        for i in range(len(tables))
-        for j in range(i + 1, len(tables))
-    ]
-    if jobs > 1 and len(pairs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(score_pair, pairs))
-    else:
-        chunks = [score_pair(p) for p in pairs]
     preds: list[MatchPrediction] = []
-    for chunk in chunks:
-        preds.extend(chunk)
+    for i, a in enumerate(tables):
+        for b in tables[i + 1:]:
+            if matcher == "jl":
+                preds.extend(jl_match(a, b, seed=seed, **params, **shared))
+            elif matcher == "sf":
+                preds.extend(sf_match(a, b, **params, **shared)[0])
+            else:
+                preds.extend(hybrid_match(a, b, seed=seed, **params, **shared))
     return dedupe_predictions(preds)
 
 

@@ -7,7 +7,7 @@ Plan files are line-oriented:
 
     # optional desired total table count
     target 100
-    # keep (default) or drop the tables that served as perturbation sources
+    # keep (default) or drop the base tables that served as perturbation sources
     originals keep
     step <table_glob> <op[+op...]> [key=value ...]
 
@@ -97,7 +97,8 @@ class PerturbStep:
 class PerturbationPlan:
     steps: list[PerturbStep] = field(default_factory=list)
     derived_table_target: int | None = None
-    # False ("originals drop") removes the tables that served as perturbation sources
+    # False ("originals drop") removes the base tables that served as perturbation
+    # sources; a derived source stays, since its lineage event names it
     keep_originals: bool = True
 
 
@@ -858,7 +859,8 @@ def apply_plan(
             break
 
     if not plan.keep_originals:
-        for name in consumed:
+        # a consumed derived table stays: its own lineage event names it
+        for name in consumed & base_names:
             tables.pop(name, None)
 
     derived = Corpus(

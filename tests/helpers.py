@@ -461,6 +461,16 @@ def _parse_list(raw: str) -> list[str]:
     return [m.group(1) for m in re.finditer(r"'((?:[^'\\]|\\.)*)'", raw)]
 
 
+def dep_values_in_prompt(prompt: str) -> dict[str, list[str]]:
+    """The referenced values a generation prompt embeds, by local column."""
+    return {name: _parse_list(vals) for name, vals in _DEP_RE.findall(prompt)}
+
+
+def format_rows_as_completion(rows: list[tuple[str, ...]]) -> str:
+    """Inverse of parse_completion for well-formed rows."""
+    return "\n".join(f"Example {i}: " + "; ".join(row) for i, row in enumerate(rows, start=1))
+
+
 def scripted_completion(prompt: str, rows_per_prompt: int = 5, bad_fk: bool = False) -> str:
     """Emit an example-list completion consistent with the prompt: dependency
     columns reuse the given values, other columns get synthetic fillers."""
@@ -469,7 +479,7 @@ def scripted_completion(prompt: str, rows_per_prompt: int = 5, bad_fk: bool = Fa
         return "no idea"
     table, cols_raw = m.group(1), m.group(2)
     columns = _parse_list(cols_raw)
-    deps = {name: _parse_list(vals) for name, vals in _DEP_RE.findall(prompt)}
+    deps = dep_values_in_prompt(prompt)
     lines = []
     salt = abs(hash_stable(prompt)) % 1000
     for i in range(1, rows_per_prompt + 1):

@@ -6,7 +6,7 @@ import pytest
 from helpers import FIXTURES, finance_ontology_text, scripted_completion
 
 from lakeforge.cli import main
-from lakeforge.model import load_corpus
+from lakeforge.model import load_corpus, save_corpus
 
 FIG1 = str(FIXTURES / "fig1.onto")
 
@@ -236,6 +236,26 @@ def test_schema_from_turtle_file(tmp_path):
     assert len(payload["tables"]) == 3
 
 
+def test_perturb_originals_drop_keeps_consumed_derived_tables(tmp_path, small_finance_corpus):
+    # the second step reads the vertical-split children; dropping them would
+    # orphan the lineage events that made them
+    save_corpus(small_finance_corpus, tmp_path / "base")
+    plan = tmp_path / "plan.txt"
+    plan.write_text(
+        "originals drop\n"
+        "step * vertical_split\n"
+        'step "Organization__vertical_split_0_*" semantic_value_perturb scope=all\n'
+    )
+    code = run(["perturb", "--corpus", str(tmp_path / "base"), "--out", str(tmp_path / "drv"),
+                "--plan", str(plan)])
+    assert code == 0
+    names = {t.name for t in load_corpus(tmp_path / "drv").tables}
+    base = {t.name for t in small_finance_corpus.tables}
+    assert not names & base
+    assert {"Organization__vertical_split_0_a", "Organization__vertical_split_0_b"} <= names
+    assert any("__semantic_value_perturb_" in n for n in names)
+
+
 def test_generate_replay_cache_miss_exit_3(tmp_path, capsys):
     code = run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "1",
                 "--backend", "llm", "--mode", "replay", "--cache-dir", str(tmp_path / "cache"),
@@ -260,6 +280,24 @@ def test_generate_corrupt_cache_entry_exit_3(tmp_path, capsys, monkeypatch):
     assert run(argv + ["--out", str(tmp_path / "d"), "--mode", "replay"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "corrupt cache entry" in err and str(entry) in err
+
+
+def test_generate_live_http_401_fails_first_attempt_exit_3(tmp_path, capsys, monkeypatch):
+    import requests
+
+    class Denied:
+        status_code = 401
+        text = "invalid api key"
+
+    calls = []
+    monkeypatch.setattr(requests, "post", lambda url, **kwargs: calls.append(url) or Denied())
+    code = run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "1",
+                "--backend", "llm", "--mode", "live", "--endpoint", "http://127.0.0.1:9/v1/completions",
+                "--row-cap", "5"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "after 1 attempt: endpoint returned HTTP 401" in err
+    assert len(calls) == 1
 
 
 def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):

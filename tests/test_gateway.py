@@ -188,3 +188,65 @@ def test_corrupt_cache_entry_names_file(tmp_path, content, reason):
         with pytest.raises(GatewayError, match="corrupt cache entry") as err:
             gw.complete(req)
         assert str(entry) in str(err.value) and reason in str(err.value)
+
+
+class _FakeResponse:
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self.text = "request denied" if body is None else json.dumps(body)
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+def _patched_post(monkeypatch, outcomes):
+    """Replace requests.post with a fake that plays `outcomes` in order (a
+    response or an exception to raise), recording each call."""
+    import requests
+
+    calls = []
+
+    def post(url, **kwargs):
+        outcome = outcomes[min(len(calls), len(outcomes) - 1)]
+        calls.append(url)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(requests, "post", post)
+    return calls
+
+
+def _live_gateway(retries=3):
+    gw = LlmGateway(GatewayConfig(mode="live", endpoint="http://127.0.0.1:9/v1/completions", retries=retries))
+    gw._sleep = lambda s: None
+    return gw
+
+
+@pytest.mark.parametrize("status, attempts", [(400, 1), (401, 1), (404, 1), (429, 3), (500, 3), (503, 3)])
+def test_http_status_retry_discipline(monkeypatch, status, attempts):
+    calls = _patched_post(monkeypatch, [_FakeResponse(status)])
+    noun = "attempt" if attempts == 1 else "attempts"
+    with pytest.raises(GatewayError, match=f"after {attempts} {noun}: endpoint returned HTTP {status}"):
+        _live_gateway().complete(CompletionRequest(prompt="p"))
+    assert len(calls) == attempts
+
+
+def test_timeouts_and_connection_errors_are_retried(monkeypatch):
+    import requests
+
+    calls = _patched_post(
+        monkeypatch,
+        [requests.Timeout("slow"), requests.ConnectionError("refused"),
+         _FakeResponse(200, {"choices": [{"text": "ok"}]})],
+    )
+    assert _live_gateway().complete(CompletionRequest(prompt="p")) == "ok"
+    assert len(calls) == 3
+
+
+def test_unusable_response_is_not_retried(monkeypatch):
+    calls = _patched_post(monkeypatch, [_FakeResponse(200, {"unexpected": 1})])
+    with pytest.raises(GatewayError, match="after 1 attempt: .*no completion text"):
+        _live_gateway().complete(CompletionRequest(prompt="p"))
+    assert len(calls) == 1

@@ -2,15 +2,23 @@ import itertools
 
 import pytest
 
-from helpers import fig1_text, finance_ontology_text, reference_levenshtein, scripted_completion
+from helpers import (
+    dep_values_in_prompt,
+    fig1_text,
+    finance_ontology_text,
+    format_rows_as_completion,
+    reference_levenshtein,
+    scripted_completion,
+)
 
 from lakeforge.common import GenerationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import (
+    DEP_CHUNK_BUDGET,
     DepValues,
     PromptTemplate,
-    chunk_dep_values,
-    format_rows_as_completion,
+    TableReport,
+    _generate_llm,
     generate_base_tables,
     parse_completion,
     plan_generation,
@@ -138,10 +146,23 @@ def test_render_prompt_rejects_empty_dep_values():
 
 
 def test_chunking_partitions_input():
+    # 10 rows need 2 prompts, but 5000 referenced values at 100 per prompt
+    # need 50; every reply repeats one key, so no prompt is cut short
     values = [f"v{i}" for i in range(5000)]
-    chunks = chunk_dep_values(values, budget=100)
-    assert len(chunks) == 50
-    assert all(len(c) == 100 for c in chunks)
+    schema = TableSchema("T", [Column("k", "Key"), Column("ref", "Ref")], primary_key="k")
+    prompts = []
+
+    def transport(req):
+        prompts.append(req.prompt)
+        return "Example 1: k1; v0"
+
+    report = TableReport()
+    gateway = LlmGateway(GatewayConfig(mode="live"), transport=transport)
+    rows = _generate_llm(schema, 10, 1, [DepValues("ref", "R", "id", values)], gateway, PromptTemplate(), report)
+    assert rows == [("k1", "v0")]
+    assert report.prompts == len(prompts) == 50 == len(values) // DEP_CHUNK_BUDGET
+    chunks = [dep_values_in_prompt(p)["ref"] for p in prompts]
+    assert all(len(c) == DEP_CHUNK_BUDGET for c in chunks)
     assert list(itertools.chain.from_iterable(chunks)) == values
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -63,7 +62,6 @@ class GatewayConfig:
     endpoint: str | None = None
     api_key: str | None = None
     model: str = DEFAULT_MODEL
-    max_inflight: int = 4
     timeout: float = 60.0
     retries: int = 3
 
@@ -89,13 +87,11 @@ def _retryable(exc: Exception) -> bool:
 
 
 class LlmGateway:
-    """Shareable completion client; concurrent complete() calls are bounded by
-    max_inflight and cache writes are atomic (write-temp-then-rename)."""
+    """Completion client; cache writes are atomic (write-temp-then-rename)."""
 
     def __init__(self, config: GatewayConfig | None = None, transport=None):
         self.config = config or GatewayConfig()
         self._transport = transport  # callable(CompletionRequest) -> str, for tests
-        self._sem = threading.Semaphore(max(1, self.config.max_inflight))
         self._sleep = time.sleep
 
     def _cache_path(self, digest: str) -> Path:
@@ -176,8 +172,7 @@ class LlmGateway:
         attempts = max(1, self.config.retries)
         for attempt in range(1, attempts + 1):
             try:
-                with self._sem:
-                    return self._call_endpoint(req)
+                return self._call_endpoint(req)
             except Exception as exc:  # noqa: BLE001 - network layer
                 if attempt == attempts or not _retryable(exc):
                     noun = "attempt" if attempt == 1 else "attempts"

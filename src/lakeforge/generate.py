@@ -334,7 +334,8 @@ def generate_base_tables(
     After generation every declared FK's value set is contained in the
     referenced PK's value set (out-of-set LLM values are repaired by seeded
     replacement). Ground truth is seeded from the declared joins plus
-    semantic-type inference.
+    semantic-type inference. Each table is validated as it is generated;
+    the corpus as a whole is validated by save_corpus.
     """
     schema_set.validate()
     if plan.backend == "llm" and gateway is None:
@@ -388,5 +389,4 @@ def generate_base_tables(
     )
     corpus.ground_truth = recompute_ground_truth(corpus, declared=schema_set.relationships)
     corpus.refresh_stats()
-    corpus.validate()
     return corpus, report

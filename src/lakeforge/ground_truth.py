@@ -26,6 +26,7 @@ from .model import (
     ColumnRef,
     Corpus,
     JoinPair,
+    TableData,
     KIND_EXACT,
     KIND_PKFK,
     KIND_SEMANTIC,
@@ -33,6 +34,11 @@ from .model import (
     dedupe_pairs,
 )
 from .ontology import DeclaredJoin
+
+
+# candidate -> (left table, right table, pair): what recompute_ground_truth
+# found on the tables it read, carried to the next recompute
+KnownPairs = dict[tuple[ColumnRef, ColumnRef], tuple[TableData, TableData, JoinPair]]
 
 
 @dataclass
@@ -149,9 +155,21 @@ def recompute_ground_truth(
     corpus: Corpus,
     declared: list[DeclaredJoin] | None = None,
     parent_pairs: list[JoinPair] | None = None,
+    *,
+    known: KnownPairs | None = None,
 ) -> list[JoinPair]:
     """Full mechanical ground truth from semantic types, declared joins,
-    lineage-adjacent columns and any parent pairs, each (re)classified."""
+    lineage-adjacent columns and any parent pairs, each (re)classified.
+
+    `known` carries classifications from one recompute to the next while a
+    corpus grows (apply_plan's snapshots). It maps a candidate to the pair
+    found for it and the two tables it was read from, and is filled as
+    pairs are found. An entry is reused while both names still resolve to
+    those table objects: kind and difficulty depend only on the two
+    columns, and a semantic pair keeps the earliest connecting mapping,
+    which later events cannot undercut. So the corpus's lineage must extend
+    the one the entries were found under. Candidates that classified none
+    are tried again, since a later mapping may connect them."""
     candidates = _type_candidates(corpus)
     candidates |= _lineage_candidates(corpus)
     names = set(corpus.table_names())
@@ -168,19 +186,27 @@ def recompute_ground_truth(
                 continue
             candidates.add((p.left, p.right))
 
+    if known is None:
+        known = {}
+    by_name = {t.name: t for t in corpus.tables}
     clf = _Classifier(corpus)
     pairs = []
     for a, b in sorted(candidates):
+        ta, tb = by_name[a[0]], by_name[b[0]]
+        hit = known.get((a, b))
+        if hit is not None and hit[0] is ta and hit[1] is tb:
+            pairs.append(hit[2])
+            continue
         c = clf.classify(a, b)
         if c.kind != "none":
-            pairs.append(
-                JoinPair(
-                    left=a,
-                    right=b,
-                    kind=c.kind,
-                    difficulty=classify_pair_difficulty(a[1], b[1]),
-                    key_side=c.key_side,
-                    mapping_id=c.mapping_id,
-                )
+            pair = JoinPair(
+                left=a,
+                right=b,
+                kind=c.kind,
+                difficulty=classify_pair_difficulty(a[1], b[1]),
+                key_side=c.key_side,
+                mapping_id=c.mapping_id,
             )
+            known[(a, b)] = (ta, tb, pair)
+            pairs.append(pair)
     return dedupe_pairs(pairs)

@@ -36,7 +36,7 @@ from itertools import chain, combinations
 from operator import sub
 
 from .common import EvaluationError, lev_ratio, levenshtein, seeded_rng, token_jaccard
-from .model import ColumnRef, Corpus, TableData
+from .model import ColumnRef, Corpus, TableData, keys_increasing
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
 JL_DELTA = 0.8  # jl: least normalized Levenshtein similarity of two equal values
@@ -59,7 +59,11 @@ class MatchPrediction:
 
 
 def dedupe_predictions(preds: list[MatchPrediction]) -> list[MatchPrediction]:
-    """Canonical ordering, max score kept on duplicates."""
+    """Canonical ordering, max score kept on duplicates. Predictions already
+    in strictly increasing key order, as match_corpus returns them, are only
+    copied."""
+    if keys_increasing(preds):
+        return list(preds)
     best: dict[tuple, MatchPrediction] = {}
     for p in preds:
         cur = best.get(p.key())
@@ -450,8 +454,11 @@ def sf_match(
     default graphs are schema-only; include_tokens adds one node per column
     carrying its most frequent instance tokens. match_corpus passes one
     column-name similarity table for the whole corpus as header_sims, and
-    every table's schema graph as graphs.
+    every table's schema graph as graphs. The tables are taken in name
+    order, so both argument orders give the same scores, bit for bit.
     """
+    if b.name < a.name:
+        a, b = b, a
     if header_sims is None:
         header_sims = {}
     if graphs is None:
@@ -618,16 +625,33 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction
                 preds.extend(sf_match(a, b, **params, **shared)[0])
             else:
                 preds.extend(hybrid_match(a, b, seed=seed, **params, **shared))
-    return dedupe_predictions(preds)
+    # one prediction per column pair: validate rejects duplicate table and
+    # column names, so the keys are unique and sorting them is canonical
+    preds.sort(key=MatchPrediction.key)
+    return preds
 
 
 def write_predictions_csv(preds: list[MatchPrediction]) -> str:
+    """The predictions interchange CSV, one row per deduplicated prediction.
+    Quoting is decided field by field, so each column's two cells are
+    CSV-encoded once and a row joins them with the score."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["left_table", "left_column", "right_table", "right_column", "score"])
+
+    def row_text(cells) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        return buf.getvalue()
+
+    encoded: dict[ColumnRef, str] = {}
+    lines = [row_text(["left_table", "left_column", "right_table", "right_column", "score"])]
     for p in dedupe_predictions(preds):
-        writer.writerow([p.left[0], p.left[1], p.right[0], p.right[1], f"{p.score:.6f}"])
-    return buf.getvalue()
+        for ref in (p.left, p.right):
+            if ref not in encoded:
+                encoded[ref] = row_text(ref)[:-1]
+        lines.append(f"{encoded[p.left]},{encoded[p.right]},{p.score:.6f}\n")
+    return "".join(lines)
 
 
 def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> list[MatchPrediction]:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .common import NULL, CorpusError, canonical_json, norm_header, slugify
+from .common import NULL, CorpusError, canonical_json, indented_json, norm_header, slugify
 
 DATATYPES = ("text", "integer", "decimal", "date", "categorical")
 
@@ -236,8 +236,22 @@ class CorpusStats:
         return CorpusStats(**d)
 
 
+def keys_increasing(items: list) -> bool:
+    """Whether the items' key()s are strictly increasing: already sorted and
+    free of duplicates, so deduplicating them would only copy the list."""
+    prev = None
+    for item in items:
+        key = item.key()
+        if prev is not None and not prev < key:
+            return False
+        prev = key
+    return True
+
+
 def dedupe_pairs(pairs: list[JoinPair]) -> list[JoinPair]:
     """Canonical, deduplicated, sorted ground truth (first occurrence wins)."""
+    if keys_increasing(pairs):
+        return list(pairs)
     seen: dict[tuple, JoinPair] = {}
     for p in pairs:
         seen.setdefault(p.key(), p)
@@ -403,8 +417,11 @@ def _digest(core: dict, blobs: dict[str, bytes]) -> str:
 def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     """Write one CSV per table plus manifest.json; returns the content digest.
 
-    Invariant violations abort before anything is written. Identical corpora
-    produce byte-identical manifests.
+    This is the validation point of the generate and perturb stages, which
+    do not validate the corpora they build: invariant violations abort
+    before anything is written. Identical corpora produce byte-identical
+    manifests, in the layout of `json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=False)`, written by `indented_json`.
     """
     corpus.validate()
     directory = Path(directory)
@@ -418,7 +435,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     directory.mkdir(parents=True, exist_ok=True)
     for fname, blob in blobs.items():
         (directory / fname).write_bytes(blob)
-    text = json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    text = indented_json(manifest) + "\n"
     (directory / MANIFEST_NAME).write_text(text, encoding="utf-8")
     return digest
 

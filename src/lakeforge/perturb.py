@@ -46,7 +46,7 @@ from .common import (
     stable_hash,
 )
 from .gateway import CompletionRequest, LlmGateway, PERTURB_TEMPERATURE
-from .ground_truth import recompute_ground_truth
+from .ground_truth import KnownPairs, recompute_ground_truth
 from .model import (
     Column,
     Corpus,
@@ -607,7 +607,6 @@ def semantic_value_perturb(
     column: str,
     gateway: LlmGateway | None = None,
     backend: str = "offline",
-    seed: int = 0,
     chunk_size: int = 100,
     *,
     participants: dict[str, set[str]] | None = None,
@@ -806,12 +805,19 @@ def apply_plan(
     Derived tables are appended (originals retained unless the plan says
     otherwise), lineage events recorded, ground truth recomputed and stats
     refreshed. A step failure aborts the whole plan; a selector matching
-    nothing only warns. Returns the derived corpus and warnings."""
+    nothing only warns. Returns the derived corpus and warnings.
+
+    Each pair is classified once per call: the snapshots that steps reading
+    the ground truth take, and the final recompute, share one `known` map,
+    so a later recompute classifies only new candidates and pairs that were
+    none (see recompute_ground_truth). The derived corpus is not validated
+    here; save_corpus validates it before writing anything."""
     warnings: list[str] = []
     tables: dict[str, TableData] = {t.name: t for t in corpus.tables}
     base_names = set(corpus.base_table_names())
     lineage = list(corpus.lineage)
     consumed: set[str] = set()
+    known: KnownPairs = {}  # shared by every recompute below
     if not plan.steps:
         _record(lineage, LineageEvent(event_id="", op="noop", source=("", None), result=("", None)))
 
@@ -825,7 +831,7 @@ def apply_plan(
             seed=corpus.seed,
         )
         snapshot.ground_truth = recompute_ground_truth(
-            snapshot, parent_pairs=corpus.ground_truth
+            snapshot, parent_pairs=corpus.ground_truth, known=known
         )
         by_table: dict[str, set[str]] = {}
         for p in snapshot.ground_truth:
@@ -869,9 +875,10 @@ def apply_plan(
         lineage=lineage,
         seed=corpus.seed,
     )
-    derived.ground_truth = recompute_ground_truth(derived, parent_pairs=corpus.ground_truth)
+    derived.ground_truth = recompute_ground_truth(
+        derived, parent_pairs=corpus.ground_truth, known=known
+    )
     derived.refresh_stats()
-    derived.validate()
     return derived, warnings
 
 

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lakeforge.common import CorpusError
+from lakeforge.common import CorpusError, indented_json
 from lakeforge.model import (
     Column,
     Corpus,
@@ -217,3 +219,54 @@ def test_lineage_round_trip(tmp_path):
     save_corpus(corpus, tmp_path)
     loaded = load_corpus(tmp_path)
     assert loaded.lineage == corpus.lineage
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 1e-7, 5e-324, float("inf"), float("-inf")]),
+    st.text(max_size=8),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=_json_values)
+@example(value={"": [], "a": {}, "b": [[], {}], "é": "\u00e9\U0001f600\x00\x1f\\\"\u2028\ud800"})
+@example(value=[True, False, None, -0.0, 1e16, 2**70, -(2**70), [1.5, {"k": "\n\t"}]])
+def test_indented_json_equals_stdlib(value):
+    assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+def _stale_stats(corpus):
+    corpus.tables[0].rows.append(("1003", "Carla Diaz"))
+
+
+def _duplicate_key(corpus):
+    corpus.tables[0].rows.append(corpus.tables[0].rows[0])
+
+
+def _orphan_event(corpus):
+    corpus.lineage.append(
+        LineageEvent(event_id="ev00001", op="sample_rows", source=("Accounts", None), result=("Gone", None))
+    )
+
+
+@pytest.mark.parametrize(
+    "breakage, message",
+    [(_stale_stats, "stats out of date"), (_duplicate_key, "duplicate primary key"), (_orphan_event, "missing")],
+)
+def test_save_rejects_a_broken_corpus_before_writing_any_file(tmp_path, breakage, message):
+    corpus = small_corpus()
+    breakage(corpus)
+    out = tmp_path / "out"
+    with pytest.raises(CorpusError, match=message):
+        save_corpus(corpus, out)
+    assert not out.exists()

@@ -307,3 +307,65 @@ def _mapped_corpora(draw):
 @given(corpus=_mapped_corpora())
 def test_ground_truth_equals_oracle_with_overlapping_mappings(corpus):
     assert pairs_as_set(recompute_ground_truth(corpus)) == brute_force_ground_truth(corpus)
+
+
+def _count_recomputes(monkeypatch) -> list:
+    import lakeforge.perturb as perturb_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return recompute_ground_truth(*args, **kwargs)
+
+    monkeypatch.setattr(perturb_module, "recompute_ground_truth", counting)
+    return calls
+
+
+def test_carried_ground_truth_equals_fresh_recompute_over_rounds(small_finance_corpus, monkeypatch):
+    # each round's snapshot reuses the pairs classified by the one before
+    calls = _count_recomputes(monkeypatch)
+    plan = parse_plan(
+        "target 13\n"
+        'step "Currency Name" vertical_split overlap_ratio=0.4\n'
+        'step "Currency Name" semantic_value_perturb\n'
+    )
+    derived, _ = apply_plan(small_finance_corpus, plan)
+    assert len(calls) == 4  # three rounds' snapshots, then the final recompute
+    fresh = recompute_ground_truth(derived, parent_pairs=small_finance_corpus.ground_truth)
+    assert derived.ground_truth == fresh
+    assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
+
+
+def test_carried_ground_truth_follows_a_replaced_table(small_finance_corpus):
+    # perturbing a derived corpus again can rebuild a table under a name the
+    # input already holds; pairs classified on the old table must not survive
+    first, _ = apply_plan(
+        small_finance_corpus,
+        parse_plan('step "Currency Name" semantic_value_perturb\nstep "Currency Name" text_noise typo_rate=0\n'),
+    )
+    plan = parse_plan(
+        'step "Currency Name" semantic_value_perturb\n'
+        'step "Currency Name" text_noise typo_rate=1\n'
+        'step "Currency Name" semantic_value_perturb\n'
+    )
+    derived, _ = apply_plan(first, plan)
+    assert derived.ground_truth == recompute_ground_truth(derived, parent_pairs=first.ground_truth)
+    assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
+
+
+def test_known_pairs_are_carried_and_none_pairs_retried():
+    a = table("A", [("id", "Key", "text"), ("x", "Tag", "text")], [("1", "p"), ("2", "q")], pk="id")
+    b = table("B", [("id", "Key", "text"), ("y", "Tag", "text")], [("1", "r"), ("3", "s")], pk="id")
+    known = {}
+    first = recompute_ground_truth(corpus_of(a, b), known=known)
+    assert [(p.key(), p.kind) for p in first] == [((("A", "id"), ("B", "id")), "exact")]
+    # a later mapping connects the pair that classified none
+    ev = LineageEvent(
+        event_id="ev00001", op="text_noise", source=("A", "x"), result=("B", "y"), value_map={"p": "r"}
+    )
+    second = recompute_ground_truth(corpus_of(a, b, lineage=[ev]), known=known)
+    assert second[0] is first[0]  # carried, not classified again
+    assert [(p.key(), p.kind, p.mapping_id) for p in second[1:]] == [
+        ((("A", "x"), ("B", "y")), "semantic", "ev00001")
+    ]

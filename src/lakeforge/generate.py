@@ -333,9 +333,10 @@ def generate_base_tables(
 
     After generation every declared FK's value set is contained in the
     referenced PK's value set (out-of-set LLM values are repaired by seeded
-    replacement). Ground truth is seeded from the declared joins plus
-    semantic-type inference. Each table is validated as it is generated;
-    the corpus as a whole is validated by save_corpus.
+    replacement). Ground truth is computed from the generated values alone
+    (see ground_truth), so a declared join is in it whenever its FK column
+    holds a value. Each table is validated as it is generated; the corpus
+    as a whole is validated by save_corpus.
     """
     schema_set.validate()
     if plan.backend == "llm" and gateway is None:
@@ -387,6 +388,6 @@ def generate_base_tables(
         lineage=[],
         seed=seed,
     )
-    corpus.ground_truth = recompute_ground_truth(corpus, declared=schema_set.relationships)
+    corpus.ground_truth = recompute_ground_truth(corpus)
     corpus.refresh_stats()
     return corpus, report

@@ -46,7 +46,7 @@ from .common import (
     stable_hash,
 )
 from .gateway import CompletionRequest, LlmGateway, PERTURB_TEMPERATURE
-from .ground_truth import KnownPairs, recompute_ground_truth
+from .ground_truth import joinable_columns, recompute_ground_truth
 from .model import (
     Column,
     Corpus,
@@ -535,7 +535,8 @@ def _format_noise(values, params, rng, source):
 @dataclass(frozen=True)
 class _Source:
     """The source column of a derivative's value op, with the step's
-    ground-truth snapshot that semantic_value_perturb reads."""
+    snapshot of the tables and their joinable columns that
+    semantic_value_perturb reads."""
 
     corpus: Corpus | None
     participants: dict[str, set[str]]
@@ -736,8 +737,8 @@ class OpSpec:
 
     eligible(table, column, params, joinable columns) picks a value op's
     columns when the step has no col= (None: every non-key column); choices
-    lists the values of its string parameters; snapshot says it reads the
-    ground truth of the tables derived so far."""
+    lists the values of its string parameters; snapshot says it reads which
+    columns of the tables derived so far are in an exact or pkfk pair."""
 
     kind: str
     handler: Callable
@@ -807,38 +808,24 @@ def apply_plan(
     refreshed. A step failure aborts the whole plan; a selector matching
     nothing only warns. Returns the derived corpus and warnings.
 
-    Each pair is classified once per call: the snapshots that steps reading
-    the ground truth take, and the final recompute, share one `known` map,
-    so a later recompute classifies only new candidates and pairs that were
-    none (see recompute_ground_truth). The derived corpus is not validated
-    here; save_corpus validates it before writing anything."""
+    Ground truth is computed once, on the derived corpus. A step whose op
+    reads the ground truth (semantic_value_perturb) needs only which columns
+    are in an exact or pkfk pair, so it reads joinable_columns of the tables
+    derived so far. The derived corpus is not validated here; save_corpus
+    validates it before writing anything."""
     warnings: list[str] = []
     tables: dict[str, TableData] = {t.name: t for t in corpus.tables}
     base_names = set(corpus.base_table_names())
     lineage = list(corpus.lineage)
     consumed: set[str] = set()
-    known: KnownPairs = {}  # shared by every recompute below
     if not plan.steps:
         _record(lineage, LineageEvent(event_id="", op="noop", source=("", None), result=("", None)))
 
     def current_snapshot() -> tuple[Corpus, dict[str, set[str]]]:
-        """Corpus view of the evolving table set with recomputed ground truth,
-        plus the per-table columns participating in exact/pkfk pairs."""
-        snapshot = Corpus(
-            tables=list(tables.values()),
-            ground_truth=[],
-            lineage=list(lineage),
-            seed=corpus.seed,
-        )
-        snapshot.ground_truth = recompute_ground_truth(
-            snapshot, parent_pairs=corpus.ground_truth, known=known
-        )
-        by_table: dict[str, set[str]] = {}
-        for p in snapshot.ground_truth:
-            if p.kind in (KIND_EXACT, KIND_PKFK):
-                by_table.setdefault(p.left[0], set()).add(p.left[1])
-                by_table.setdefault(p.right[0], set()).add(p.right[1])
-        return snapshot, by_table
+        """Corpus view of the evolving table set, plus the per-table columns
+        participating in exact/pkfk pairs."""
+        snapshot = Corpus(tables=list(tables.values()), seed=corpus.seed)
+        return snapshot, joinable_columns(snapshot.tables)
 
     k = 0
     steps = list(plan.steps)
@@ -875,9 +862,7 @@ def apply_plan(
         lineage=lineage,
         seed=corpus.seed,
     )
-    derived.ground_truth = recompute_ground_truth(
-        derived, parent_pairs=corpus.ground_truth, known=known
-    )
+    derived.ground_truth = recompute_ground_truth(derived)
     derived.refresh_stats()
     return derived, warnings
 

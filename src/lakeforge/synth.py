@@ -5,8 +5,8 @@ hermetically. Value spaces are disjoint across semantic tags by construction:
 text tags draw from curated dictionaries that share no values (and stay more
 than two edits apart, so single-edit typo noise cannot jump tags), while
 numeric, date and digit-string tags draw from per-tag reserved windows. That
-disjointness is what lets lineage- and type-driven ground truth agree with a
-brute-force classifier on offline corpora.
+disjointness keeps offline join pairs between columns of the same tag; the
+ground truth itself reads only values (see ground_truth).
 """
 
 from __future__ import annotations

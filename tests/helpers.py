@@ -497,6 +497,26 @@ def scripted_completion(prompt: str, rows_per_prompt: int = 5, bad_fk: bool = Fa
     return "\n".join(lines)
 
 
+def shared_pool_completion(prompt: str, rows_per_prompt: int = 5) -> str:
+    """Like scripted_completion, but every non-dependency column of every
+    table draws from one pool of nine values ("v0".."v8"), so columns of
+    different semantic types share values."""
+    m = _COLS_RE.search(prompt)
+    if not m:
+        return "no idea"
+    columns = _parse_list(m.group(2))
+    deps = dep_values_in_prompt(prompt)
+    salt = abs(hash_stable(prompt)) % 1000
+    lines = []
+    for i in range(1, rows_per_prompt + 1):
+        values = [
+            deps[c][(i + salt) % len(deps[c])] if deps.get(c) else f"v{(salt + i + j) % 9}"
+            for j, c in enumerate(columns)
+        ]
+        lines.append(f"Example {i}: " + "; ".join(values))
+    return "\n".join(lines)
+
+
 def hash_stable(s: str) -> int:
     import hashlib
 

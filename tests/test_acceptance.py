@@ -25,7 +25,7 @@ from lakeforge.cli import main as cli_main
 from lakeforge.evaluation import difficulty_breakdown, evaluate, precision_recall_f1, top_k_precision
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import generate_base_tables, plan_generation
-from lakeforge.ground_truth import classify_join
+from lakeforge.ground_truth import recompute_ground_truth
 from lakeforge.matchers import MatchPrediction, fuzzy_jaccard, match_corpus, sf_match
 from lakeforge.model import load_corpus
 from lakeforge.ontology import build_dependency_graph, ontology_to_schemas, parse_ontology
@@ -51,8 +51,9 @@ def test_acceptance_01_fixture_pipeline():
     org = corpus.table("Organization")
     fk, pk = ls.value_set("listedBy"), org.value_set("id")
     assert fk and fk <= pk, "FK containment violated"
-    cls = classify_join(corpus, ("Listed Security", "listedBy"), ("Organization", "id"))
-    assert cls.kind == "pkfk"
+    by_key = {p.key(): p for p in recompute_ground_truth(corpus)}
+    pair = by_key[(("Listed Security", "listedBy"), ("Organization", "id"))]
+    assert (pair.kind, pair.key_side) == ("pkfk", "right")
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     _report(1, f"listedBy ⊆ Organization.id, classified pkfk, {elapsed:.2f}s < 5s")

@@ -1,8 +1,15 @@
-from helpers import brute_force_ground_truth, pairs_as_set
+from helpers import (
+    brute_force_ground_truth,
+    finance_ontology_text,
+    pairs_as_set,
+    shared_pool_completion,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lakeforge.ground_truth import classify_join, recompute_ground_truth
+from lakeforge.gateway import GatewayConfig, LlmGateway
+from lakeforge.generate import generate_base_tables, plan_generation
+from lakeforge.ground_truth import joinable_columns, recompute_ground_truth
 from lakeforge.model import (
     Column,
     Corpus,
@@ -11,7 +18,8 @@ from lakeforge.model import (
     TableSchema,
     classify_pair_difficulty,
 )
-from lakeforge.perturb import apply_plan, parse_plan
+from lakeforge.ontology import build_dependency_graph, ontology_to_schemas, parse_ontology
+from lakeforge.perturb import apply_plan, default_plan, parse_plan
 
 
 def table(name, cols, rows, pk=None):
@@ -51,10 +59,14 @@ def test_shared_semantic_type_yields_candidate_pair():
     assert p.key() == ((("Accounts", "Account Number")), ("Payments", "Account Number"))
 
 
-def test_all_distinct_types_empty_set():
-    a = table("A", [("x", "Tag One", "text")], [("1",)])
-    b = table("B", [("y", "Tag Two", "text")], [("1",)])
-    assert recompute_ground_truth(corpus_of(a, b)) == []
+def test_distinct_types_sharing_a_value_are_exact():
+    # the definition reads values only: semantic types play no part
+    a = table("A", [("x", "Tag One", "text")], [("1",), ("2",)])
+    b = table("B", [("y", "Tag Two", "text")], [("1",), ("3",)])
+    pairs = recompute_ground_truth(corpus_of(a, b))
+    assert [(p.key(), p.kind) for p in pairs] == [((("A", "x"), ("B", "y")), "exact")]
+    c = table("C", [("z", "Tag One", "text")], [("4",)])
+    assert recompute_ground_truth(corpus_of(a, c)) == []
 
 
 def test_three_tables_sharing_type_give_three_pairs():
@@ -67,19 +79,24 @@ def test_three_tables_sharing_type_give_three_pairs():
 
 def test_classify_pkfk_with_containment():
     corpus = corpus_of(ACCOUNTS, PAYMENTS)
-    c = classify_join(corpus, ("Payments", "Account Number"), ("Accounts", "Account Number"))
-    assert c.kind == "pkfk"
     # canonical left is ("Accounts", ...) so the key side is left
     pairs = recompute_ground_truth(corpus)
-    assert pairs[0].kind == "pkfk"
-    assert pairs[0].key_side == "left"
+    assert [(p.kind, p.key_side) for p in pairs] == [("pkfk", "left")]
+    # a foreign key value outside the key's values leaves the pair exact
+    stray = table(
+        "Payments", [("Account Number", "Account Number", "text")], [("1001",), ("9999",)]
+    )
+    pairs = recompute_ground_truth(corpus_of(ACCOUNTS, stray))
+    assert [(p.kind, p.key_side) for p in pairs] == [("exact", None)]
 
 
 def test_classify_exact_for_identical_copies():
     a = table("A", [("c", "Tag", "text")], [("x",), ("y",)])
     b = table("B", [("c", "Tag", "text")], [("x",), ("y",)])
-    c = classify_join(corpus_of(a, b), ("A", "c"), ("B", "c"))
-    assert c.kind == "exact"
+    pairs = recompute_ground_truth(corpus_of(a, b))
+    assert [(p.key(), p.kind, p.key_side) for p in pairs] == [
+        ((("A", "c"), ("B", "c")), "exact", None)
+    ]
 
 
 def test_classify_semantic_via_recorded_mapping():
@@ -93,29 +110,45 @@ def test_classify_semantic_via_recorded_mapping():
         value_map={"x": "X", "y": "Y"},
     )
     corpus = corpus_of(a, b, lineage=[ev])
-    c = classify_join(corpus, ("A", "c"), ("B", "c"))
-    assert c.kind == "semantic"
-    assert c.mapping_id == "ev00001"
+    pairs = recompute_ground_truth(corpus)
+    assert [(p.key(), p.kind, p.mapping_id) for p in pairs] == [
+        ((("A", "c"), ("B", "c")), "semantic", "ev00001")
+    ]
 
 
 def test_zero_overlap_without_mapping_is_none():
     a = table("A", [("c", "Tag", "text")], [("x",)])
     b = table("B", [("c", "Tag", "text")], [("z",)])
-    assert classify_join(corpus_of(a, b), ("A", "c"), ("B", "c")).kind == "none"
+    assert recompute_ground_truth(corpus_of(a, b)) == []
 
 
 def test_nulls_never_join():
     a = table("A", [("c", "Tag", "text")], [("",), ("x",)])
     b = table("B", [("c", "Tag", "text")], [("",), ("y",)])
-    assert classify_join(corpus_of(a, b), ("A", "c"), ("B", "c")).kind == "none"
+    assert recompute_ground_truth(corpus_of(a, b)) == []
+    # a null is no value either side of a mapping
+    ev = LineageEvent(
+        event_id="ev00001", op="text_noise", source=("A", "c"), result=("B", "c"),
+        value_map={"": "y"},
+    )
+    assert recompute_ground_truth(corpus_of(a, b, lineage=[ev])) == []
 
 
 def test_classification_symmetric():
-    corpus = corpus_of(ACCOUNTS, PAYMENTS)
-    l, r = ("Payments", "Account Number"), ("Accounts", "Account Number")
-    a = classify_join(corpus, l, r)
-    b = classify_join(corpus, r, l)
-    assert a.kind == b.kind == "pkfk"
+    # the key table sorting first or last only flips the key side
+    assert recompute_ground_truth(corpus_of(ACCOUNTS, PAYMENTS)) == recompute_ground_truth(
+        corpus_of(PAYMENTS, ACCOUNTS)
+    )
+    accounts_last = TableData(
+        schema=TableSchema(
+            name="Zaccounts", columns=ACCOUNTS.schema.columns, primary_key="Account Number"
+        ),
+        rows=ACCOUNTS.rows,
+    )
+    pairs = recompute_ground_truth(corpus_of(PAYMENTS, accounts_last))
+    assert [(p.left[0], p.right[0], p.kind, p.key_side) for p in pairs] == [
+        ("Payments", "Zaccounts", "pkfk", "right")
+    ]
 
 
 def test_difficulty_rules():
@@ -138,10 +171,9 @@ def test_kinds_mutually_exclusive_per_pair(small_finance_corpus):
 
 
 def test_propagation_without_lineage_reproduces_parents(small_finance_corpus):
-    pairs = recompute_ground_truth(
-        small_finance_corpus, parent_pairs=small_finance_corpus.ground_truth
-    )
+    pairs = recompute_ground_truth(small_finance_corpus)
     assert pairs_as_set(pairs) == pairs_as_set(small_finance_corpus.ground_truth)
+    assert pairs_as_set(pairs) == brute_force_ground_truth(small_finance_corpus)
 
 
 def test_vertical_split_shared_columns_become_exact_pairs(small_finance_corpus):
@@ -226,35 +258,34 @@ def test_no_closure_across_composed_mappings():
         ),
     ]
     corpus = corpus_of(base, d1, d2, lineage=events)
-    assert classify_join(corpus, ("Base", "c"), ("D1", "c")).kind == "semantic"
-    assert classify_join(corpus, ("D1", "c"), ("D2", "c")).kind == "semantic"
-    assert classify_join(corpus, ("Base", "c"), ("D2", "c")).kind == "none"
-    keys = {p.key() for p in recompute_ground_truth(corpus)}
-    assert (("Base", "c"), ("D2", "c")) not in keys
+    pairs = recompute_ground_truth(corpus)
+    assert [(p.key(), p.kind, p.mapping_id) for p in pairs] == [
+        ((("Base", "c"), ("D1", "c")), "semantic", "ev00001"),
+        ((("D1", "c"), ("D2", "c")), "semantic", "ev00002"),
+    ]
 
 
 def test_earliest_mapping_wins_across_sides():
     # ev00002 connects the pair through the left column, ev00001 through the
     # right one; the earlier event id is the pair's mapping, whatever the
     # lineage order and whichever side is asked first
-    a = table("A", [("c", "Tag", "text")], [("x",), ("y",)])
-    b = table("B", [("c", "Tag", "text")], [("X",), ("Y",)])
-    events = [
-        LineageEvent(
-            event_id="ev00002", op="semantic_value_perturb",
-            source=("A", "c"), result=("B", "c"), value_map={"x": "X"},
-        ),
-        LineageEvent(
-            event_id="ev00001", op="semantic_value_perturb",
-            source=("B", "c"), result=("A", "c"), value_map={"Y": "y"},
-        ),
-    ]
-    corpus = corpus_of(a, b, lineage=events)
-    assert classify_join(corpus, ("A", "c"), ("B", "c")).mapping_id == "ev00001"
-    assert classify_join(corpus, ("B", "c"), ("A", "c")).mapping_id == "ev00001"
-    pairs = recompute_ground_truth(corpus)
-    assert [(p.kind, p.mapping_id) for p in pairs] == [("semantic", "ev00001")]
-    assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
+    for lower, upper in (("A", "B"), ("B", "A")):
+        a = table(lower, [("c", "Tag", "text")], [("x",), ("y",)])
+        b = table(upper, [("c", "Tag", "text")], [("X",), ("Y",)])
+        events = [
+            LineageEvent(
+                event_id="ev00002", op="semantic_value_perturb",
+                source=(lower, "c"), result=(upper, "c"), value_map={"x": "X"},
+            ),
+            LineageEvent(
+                event_id="ev00001", op="semantic_value_perturb",
+                source=(upper, "c"), result=(lower, "c"), value_map={"Y": "y"},
+            ),
+        ]
+        corpus = corpus_of(a, b, lineage=events)
+        pairs = recompute_ground_truth(corpus)
+        assert [(p.kind, p.mapping_id) for p in pairs] == [("semantic", "ev00001")]
+        assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
 
 
 _VALUES = ["a", "b", "c", "d", "e", "f", "g"]
@@ -262,9 +293,9 @@ _VALUES = ["a", "b", "c", "d", "e", "f", "g"]
 
 @st.composite
 def _mapped_corpora(draw):
-    """2-4 small tables whose columns all share one semantic type, so every
-    cross-table pair is a candidate, plus 1-5 value maps over the same values
-    in a shuffled lineage order."""
+    """2-4 small tables whose columns each carry one of two semantic types,
+    so pairs across types are in play as well as pairs within one, plus 1-5
+    value maps over the same values in a shuffled lineage order."""
     tables = []
     for i in range(draw(st.integers(2, 4))):
         n_rows = draw(st.integers(1, 3))
@@ -281,7 +312,7 @@ def _mapped_corpora(draw):
         tables.append(
             table(
                 f"T{i}",
-                [(f"c{j}", "Tag", "text") for j in range(len(cols))],
+                [(f"c{j}", draw(st.sampled_from(["Tag", "Other"])), "text") for j in range(len(cols))],
                 list(zip(*cols)),
                 pk=pk,
             )
@@ -309,6 +340,40 @@ def test_ground_truth_equals_oracle_with_overlapping_mappings(corpus):
     assert pairs_as_set(recompute_ground_truth(corpus)) == brute_force_ground_truth(corpus)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(corpus=_mapped_corpora())
+def test_joinable_columns_are_the_exact_and_pkfk_columns(corpus):
+    expected = {}
+    for p in recompute_ground_truth(corpus):
+        if p.kind in ("exact", "pkfk"):
+            for t, c in (p.left, p.right):
+                expected.setdefault(t, set()).add(c)
+    assert joinable_columns(corpus.tables) == expected
+
+
+def _shared_pool_gateway() -> LlmGateway:
+    return LlmGateway(
+        GatewayConfig(mode="live"), transport=lambda req: shared_pool_completion(req.prompt)
+    )
+
+
+def test_llm_corpus_with_shared_values_matches_oracle():
+    # every non-key column draws from one pool of nine values, so columns of
+    # different semantic types share values and pairs cross types
+    schema_set, _ = ontology_to_schemas(parse_ontology(finance_ontology_text(5)))
+    plan = plan_generation(build_dependency_graph(schema_set), row_caps=10, backend="llm")
+    base, _ = generate_base_tables(schema_set, plan, gateway=_shared_pool_gateway(), seed=1)
+    oracle = brute_force_ground_truth(base)
+    assert any(
+        base.table(l[0]).schema.column(l[1]).semantic_type
+        != base.table(r[0]).schema.column(r[1]).semantic_type
+        for l, r, *_ in oracle
+    )
+    assert pairs_as_set(base.ground_truth) == oracle
+    derived, _ = apply_plan(base, default_plan())
+    assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
+
+
 def _count_recomputes(monkeypatch) -> list:
     import lakeforge.perturb as perturb_module
 
@@ -323,7 +388,8 @@ def _count_recomputes(monkeypatch) -> list:
 
 
 def test_carried_ground_truth_equals_fresh_recompute_over_rounds(small_finance_corpus, monkeypatch):
-    # each round's snapshot reuses the pairs classified by the one before
+    # the semantic_value_perturb step reads joinable columns in each of three
+    # rounds; the ground truth itself is computed once, at the end
     calls = _count_recomputes(monkeypatch)
     plan = parse_plan(
         "target 13\n"
@@ -331,15 +397,13 @@ def test_carried_ground_truth_equals_fresh_recompute_over_rounds(small_finance_c
         'step "Currency Name" semantic_value_perturb\n'
     )
     derived, _ = apply_plan(small_finance_corpus, plan)
-    assert len(calls) == 4  # three rounds' snapshots, then the final recompute
-    fresh = recompute_ground_truth(derived, parent_pairs=small_finance_corpus.ground_truth)
-    assert derived.ground_truth == fresh
+    assert len(calls) == 1
     assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
 
 
 def test_carried_ground_truth_follows_a_replaced_table(small_finance_corpus):
     # perturbing a derived corpus again can rebuild a table under a name the
-    # input already holds; pairs classified on the old table must not survive
+    # input already holds; pairs found on the old table must not survive
     first, _ = apply_plan(
         small_finance_corpus,
         parse_plan('step "Currency Name" semantic_value_perturb\nstep "Currency Name" text_noise typo_rate=0\n'),
@@ -350,22 +414,21 @@ def test_carried_ground_truth_follows_a_replaced_table(small_finance_corpus):
         'step "Currency Name" semantic_value_perturb\n'
     )
     derived, _ = apply_plan(first, plan)
-    assert derived.ground_truth == recompute_ground_truth(derived, parent_pairs=first.ground_truth)
     assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
 
 
-def test_known_pairs_are_carried_and_none_pairs_retried():
+def test_a_later_mapping_connects_a_pair_sharing_no_value():
     a = table("A", [("id", "Key", "text"), ("x", "Tag", "text")], [("1", "p"), ("2", "q")], pk="id")
     b = table("B", [("id", "Key", "text"), ("y", "Tag", "text")], [("1", "r"), ("3", "s")], pk="id")
-    known = {}
-    first = recompute_ground_truth(corpus_of(a, b), known=known)
+    first = recompute_ground_truth(corpus_of(a, b))
     assert [(p.key(), p.kind) for p in first] == [((("A", "id"), ("B", "id")), "exact")]
-    # a later mapping connects the pair that classified none
     ev = LineageEvent(
         event_id="ev00001", op="text_noise", source=("A", "x"), result=("B", "y"), value_map={"p": "r"}
     )
-    second = recompute_ground_truth(corpus_of(a, b, lineage=[ev]), known=known)
-    assert second[0] is first[0]  # carried, not classified again
+    corpus = corpus_of(a, b, lineage=[ev])
+    second = recompute_ground_truth(corpus)
+    assert second[0] == first[0]
     assert [(p.key(), p.kind, p.mapping_id) for p in second[1:]] == [
         ((("A", "x"), ("B", "y")), "semantic", "ev00001")
     ]
+    assert pairs_as_set(second) == brute_force_ground_truth(corpus)

@@ -164,10 +164,8 @@ def cmd_evaluate(args) -> int:
     for spec in [m.strip() for m in args.matchers.split(",") if m.strip()]:
         if spec.startswith("external:"):
             name, preds = "external", external_match(args.corpus, spec[len("external:"):], corpus)
-        elif spec in ("jl", "sf", "hybrid"):
-            name, preds = spec, match_corpus(corpus, spec)
         else:
-            raise EvaluationError(f"unknown matcher {spec!r}")
+            name, preds = spec, match_corpus(corpus, spec)
         (out / f"predictions_{name}.csv").write_text(
             write_predictions_csv(preds), encoding="utf-8"
         )

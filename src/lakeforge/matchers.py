@@ -15,11 +15,13 @@ sf_match     similarity flooding: build typed schema graphs, form the pairwise
 hybrid_match weighted blend of header similarity and instance containment.
 external_match  run an external matcher process and read its predictions CSV.
 
-match_corpus profiles the corpus once for all table pairs: column samples,
-jl's neighbour map and reach sets, hybrid's share sets (reachable_columns),
-one schema graph per table for sf, and one header-similarity table for sf
-and hybrid, filled on first use of each header pair. A per-pair matcher
-called alone builds its own profiles over its two tables.
+profile builds what a pair matcher reads, once over a set of tables: column
+samples, jl's neighbour map and reach sets, hybrid's share sets
+(reachable_columns), one schema graph per table for sf, and one
+header-similarity table for sf and hybrid, filled on first use of each header
+pair. The pair matchers build nothing; they only read the profile they are
+given. match_corpus profiles the whole corpus once and scores every table
+pair through it.
 
 All matchers are stateless and symmetric; scores live in [0, 1].
 """
@@ -72,21 +74,19 @@ def dedupe_predictions(preds: list[MatchPrediction]) -> list[MatchPrediction]:
     return [best[k] for k in sorted(best)]
 
 
-def sample_values(table: TableData, column: str, cap: int = VALUE_SAMPLE_CAP, seed: int = 0) -> list[str]:
+def sample_values(table: TableData, column: str, seed: int = 0) -> list[str]:
     values = sorted(table.value_set(column))
-    if len(values) <= cap:
+    if len(values) <= VALUE_SAMPLE_CAP:
         return values
     rng = seeded_rng("sample_values", seed, table.name, column)
-    return sorted(rng.sample(values, cap))
+    return sorted(rng.sample(values, VALUE_SAMPLE_CAP))
 
 
-def column_samples(
-    tables: Iterable[TableData], cap: int = VALUE_SAMPLE_CAP, seed: int = 0
-) -> dict[ColumnRef, frozenset[str]]:
+def column_samples(tables: Iterable[TableData], seed: int = 0) -> dict[ColumnRef, frozenset[str]]:
     """Every column's sample_values as a set, keyed by (table, column): the
     one value profile the instance matchers share."""
     return {
-        (t.name, c.name): frozenset(sample_values(t, c.name, cap, seed))
+        (t.name, c.name): frozenset(sample_values(t, c.name, seed))
         for t in tables
         for c in t.schema.columns
     }
@@ -328,12 +328,6 @@ def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> flo
     return _fuzzy_jaccard_indexed(sa, sb, value_neighbours(sa | sb, delta))
 
 
-def _canonical(a: TableData, b: TableData, preds: list[MatchPrediction]) -> list[MatchPrediction]:
-    """Predictions built over the two tables' columns sorted by name are
-    already canonical when a's name sorts first; otherwise sort them."""
-    return preds if a.name < b.name else dedupe_predictions(preds)
-
-
 def _sorted_columns(t: TableData) -> list[ColumnRef]:
     return [(t.name, c) for c in sorted(t.schema.column_names())]
 
@@ -341,24 +335,18 @@ def _sorted_columns(t: TableData) -> list[ColumnRef]:
 def jl_match(
     a: TableData,
     b: TableData,
-    delta: float = JL_DELTA,
-    cap: int = VALUE_SAMPLE_CAP,
-    seed: int = 0,
     *,
-    samples: dict[ColumnRef, frozenset[str]] | None = None,
-    neighbours: dict[str, set[str]] | None = None,
-    reach: dict[ColumnRef, frozenset[ColumnRef]] | None = None,
+    samples: dict[ColumnRef, frozenset[str]],
+    neighbours: dict[str, set[str]],
+    reach: dict[ColumnRef, frozenset[ColumnRef]],
 ) -> list[MatchPrediction]:
-    """fuzzy_jaccard over every column pair; a pair outside the reach sets
-    scores exactly 0.0 without being looked at. match_corpus passes the
-    corpus-wide column samples, their neighbour map and reach sets; without
-    them all three are built over the two tables."""
-    if samples is None:
-        samples = column_samples((a, b), cap, seed)
-    if neighbours is None:
-        neighbours = value_neighbours(frozenset().union(*samples.values()), delta)
-    if reach is None:
-        reach = reachable_columns(samples, neighbours)
+    """fuzzy_jaccard over every column pair, read from profile(..., "jl"):
+    the column samples, their neighbour map at JL_DELTA and the reach sets.
+    A pair outside the reach sets scores exactly 0.0 without being looked
+    at. The tables are taken in name order, so the predictions come in
+    canonical order and both argument orders give the same ones."""
+    if b.name < a.name:
+        a, b = b, a
     cols_b = _sorted_columns(b)
     preds = []
     for ref_a in _sorted_columns(a):
@@ -366,7 +354,7 @@ def jl_match(
         for ref_b in cols_b:
             score = _fuzzy_jaccard_indexed(va, samples[ref_b], neighbours) if ref_b in reach_a else 0.0
             preds.append(MatchPrediction(ref_a, ref_b, score))
-    return _canonical(a, b, preds)
+    return preds
 
 
 # --------------------------------------------------------------------------
@@ -374,38 +362,25 @@ def jl_match(
 # --------------------------------------------------------------------------
 
 DATATYPE_BONUS = 0.05
-TOP_TOKENS = 10
 
 
 def _lower_ratio(a: str, b: str) -> float:
     return lev_ratio(a.lower(), b.lower())
 
 
-def _top_tokens(t: TableData, column: str) -> frozenset[str]:
-    counts: dict[str, int] = {}
-    for v in t.column_values(column):
-        for tok in v.lower().split():
-            counts[tok] = counts.get(tok, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return frozenset(tok for tok, _n in ranked[:TOP_TOKENS])
-
-
-def _schema_edges(t: TableData, include_tokens: bool) -> list[tuple[tuple, str, tuple]]:
-    """Typed edges: table -column-> column nodes, column -type-> datatype nodes,
-    optionally column -tokens-> a frequent-instance-token node."""
+def _schema_edges(t: TableData) -> list[tuple[tuple, str, tuple]]:
+    """Typed edges: table -column-> column nodes, column -type-> datatype nodes."""
     edges = []
     tnode = ("table", t.name)
     for c in t.schema.columns:
         cnode = ("column", c.name)
         edges.append((tnode, "column", cnode))
         edges.append((cnode, "type", ("datatype", c.datatype)))
-        if include_tokens:
-            edges.append((cnode, "tokens", ("tokens", _top_tokens(t, c.name))))
     return edges
 
 
 # the kinds of an edge's source and target nodes, by edge label
-_EDGE_ENDS = {"column": ("table", "column"), "type": ("column", "datatype"), "tokens": ("column", "tokens")}
+_EDGE_ENDS = {"column": ("table", "column"), "type": ("column", "datatype")}
 
 
 @dataclass
@@ -421,8 +396,8 @@ class SchemaGraph:
     datatypes: dict[str, str]  # column name -> datatype
 
 
-def schema_graph(t: TableData, include_tokens: bool = False) -> SchemaGraph:
-    edges = _schema_edges(t, include_tokens)
+def schema_graph(t: TableData) -> SchemaGraph:
+    edges = _schema_edges(t)
     nodes: dict[str, list[tuple]] = {}
     for n in sorted({n for e in edges for n in (e[0], e[2])}):
         nodes.setdefault(n[0], []).append(n)
@@ -440,10 +415,9 @@ def sf_match(
     b: TableData,
     epsilon: float = 1e-3,
     max_iters: int = 200,
-    include_tokens: bool = False,
     *,
-    header_sims: dict[tuple[str, str], float] | None = None,
-    graphs: dict[str, SchemaGraph] | None = None,
+    graphs: dict[str, SchemaGraph],
+    header_sims: dict[tuple[str, str], float],
 ) -> tuple[list[MatchPrediction], bool]:
     """Similarity-flooding fixpoint over the pairwise connectivity graph.
 
@@ -451,29 +425,18 @@ def sf_match(
     name similarities (plus a small datatype-equality bonus for columns);
     propagation coefficients are the inverse product of same-label edge
     multiplicities on both sides, applied along and against pair edges. The
-    default graphs are schema-only; include_tokens adds one node per column
-    carrying its most frequent instance tokens. match_corpus passes one
-    column-name similarity table for the whole corpus as header_sims, and
-    every table's schema graph as graphs. The tables are taken in name
-    order, so both argument orders give the same scores, bit for bit.
+    schema graphs and the column-name similarity table are read from
+    profile(..., "sf"). The tables are taken in name order, so both argument
+    orders give the same scores, bit for bit.
     """
     if b.name < a.name:
         a, b = b, a
-    if header_sims is None:
-        header_sims = {}
-    if graphs is None:
-        ga, gb = schema_graph(a, include_tokens), schema_graph(b, include_tokens)
-    else:
-        ga, gb = graphs[a.name], graphs[b.name]
+    ga, gb = graphs[a.name], graphs[b.name]
 
     def initial(na: tuple, nb: tuple) -> float:
         kind = na[0]
         if kind == "datatype":
             return 1.0 if na[1] == nb[1] else 0.0
-        if kind == "tokens":
-            sets_a, sets_b = na[1], nb[1]
-            union = sets_a | sets_b
-            return len(sets_a & sets_b) / len(union) if union else 0.0
         if kind == "table":
             return _lower_ratio(na[1], nb[1])
         # datatype bonus added below, needs column objects
@@ -530,7 +493,7 @@ def sf_match(
         for (na, nb), s in zip(pairs, sigma)
         if na[0] == "column"
     ]
-    return _canonical(a, b, preds), converged
+    return preds, converged
 
 
 # --------------------------------------------------------------------------
@@ -554,26 +517,21 @@ def hybrid_match(
     b: TableData,
     w_name: float = 0.5,
     w_instance: float = 0.5,
-    cap: int = VALUE_SAMPLE_CAP,
-    seed: int = 0,
     *,
-    samples: dict[ColumnRef, frozenset[str]] | None = None,
-    header_sims: dict[tuple[str, str], float] | None = None,
-    share: dict[ColumnRef, frozenset[ColumnRef]] | None = None,
+    samples: dict[ColumnRef, frozenset[str]],
+    share: dict[ColumnRef, frozenset[ColumnRef]],
+    header_sims: dict[tuple[str, str], float],
 ) -> list[MatchPrediction]:
     """COMA-style blend: header similarity (max of normalized Levenshtein and
     token-set Jaccard) weighted against instance containment, which is 0.0
-    for a pair outside the share sets. match_corpus passes the corpus-wide
-    column samples, their share sets and one name_similarity table as
-    header_sims; without them all three are made here."""
+    for a pair outside the share sets. The column samples, share sets and
+    name_similarity table are read from profile(..., "hybrid"). The tables
+    are taken in name order, so the predictions come in canonical order and
+    both argument orders give the same ones."""
     if w_name < 0 or w_instance < 0 or abs(w_name + w_instance - 1.0) > 1e-9:
         raise EvaluationError("hybrid weights must be non-negative and sum to 1")
-    if samples is None:
-        samples = column_samples((a, b), cap, seed)
-    if header_sims is None:
-        header_sims = {}
-    if share is None:
-        share = reachable_columns(samples)
+    if b.name < a.name:
+        a, b = b, a
     cols_b = _sorted_columns(b)
     preds = []
     for ref_a in _sorted_columns(a):
@@ -583,7 +541,7 @@ def hybrid_match(
             name = _memo_similarity(header_sims, ref_a[1], ref_b[1], name_similarity)
             score = w_name * name + w_instance * containment
             preds.append(MatchPrediction(ref_a, ref_b, score))
-    return _canonical(a, b, preds)
+    return preds
 
 
 # --------------------------------------------------------------------------
@@ -591,40 +549,42 @@ def hybrid_match(
 # --------------------------------------------------------------------------
 
 
-def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction]:
-    """Run a built-in matcher over every cross-table column pair.
+def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
+    """The keyword arguments the pair matcher of `matcher` reads, built once
+    over `tables` (every pair scored through them must come from there):
 
-    The corpus is profiled once: the instance matchers share one value
-    sample per column, jl one neighbour map over all sampled values and the
-    reach sets, hybrid the share sets, sf one schema graph per table, and sf
-    and hybrid one header-similarity table. Each table pair is then scored
-    through the module's jl_match, sf_match or hybrid_match."""
-    if matcher not in ("jl", "sf", "hybrid"):
-        raise EvaluationError(f"unknown matcher {matcher!r}")
-    tables = sorted(corpus.tables, key=lambda t: t.name)
-    seed = corpus.seed
+    jl      samples, neighbours (value_neighbours at JL_DELTA), reach
+    sf      graphs (one schema graph per table), header_sims
+    hybrid  samples, share, header_sims
+
+    A header_sims table starts empty and is filled on first use of each
+    header pair. `seed` draws the column samples."""
     if matcher == "sf":
-        include_tokens = params.get("include_tokens", False)
-        graphs = {t.name: schema_graph(t, include_tokens) for t in tables}
-        shared = {"graphs": graphs, "header_sims": {}}
-    else:
-        samples = column_samples(tables, params.get("cap", VALUE_SAMPLE_CAP), seed)
-        if matcher == "jl":
-            neighbours = value_neighbours(frozenset().union(*samples.values()), params.get("delta", JL_DELTA))
-            reach = reachable_columns(samples, neighbours)
-            shared = {"samples": samples, "neighbours": neighbours, "reach": reach}
-        else:
-            shared = {"samples": samples, "share": reachable_columns(samples), "header_sims": {}}
+        return {"graphs": {t.name: schema_graph(t) for t in tables}, "header_sims": {}}
+    if matcher not in ("jl", "hybrid"):
+        raise EvaluationError(f"unknown matcher {matcher!r}")
+    samples = column_samples(tables, seed)
+    if matcher == "hybrid":
+        return {"samples": samples, "share": reachable_columns(samples), "header_sims": {}}
+    neighbours = value_neighbours(frozenset().union(*samples.values()), JL_DELTA)
+    return {"samples": samples, "neighbours": neighbours, "reach": reachable_columns(samples, neighbours)}
 
+
+def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction]:
+    """Run a built-in matcher over every cross-table column pair: the corpus
+    is profiled once, then each table pair is scored through the module's
+    jl_match, sf_match or hybrid_match, with `params` passed on."""
+    shared = profile(corpus.tables, matcher, corpus.seed)
+    tables = sorted(corpus.tables, key=lambda t: t.name)
     preds: list[MatchPrediction] = []
     for i, a in enumerate(tables):
         for b in tables[i + 1:]:
             if matcher == "jl":
-                preds.extend(jl_match(a, b, seed=seed, **params, **shared))
+                preds.extend(jl_match(a, b, **params, **shared))
             elif matcher == "sf":
                 preds.extend(sf_match(a, b, **params, **shared)[0])
             else:
-                preds.extend(hybrid_match(a, b, seed=seed, **params, **shared))
+                preds.extend(hybrid_match(a, b, **params, **shared))
     # one prediction per column pair: validate rejects duplicate table and
     # column names, so the keys are unique and sorting them is canonical
     preds.sort(key=MatchPrediction.key)

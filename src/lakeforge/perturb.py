@@ -50,8 +50,6 @@ from .ground_truth import joinable_columns, recompute_ground_truth
 from .model import (
     Column,
     Corpus,
-    KIND_EXACT,
-    KIND_PKFK,
     LineageEvent,
     TableData,
     TableSchema,
@@ -534,25 +532,23 @@ def _format_noise(values, params, rng, source):
 
 @dataclass(frozen=True)
 class _Source:
-    """The source column of a derivative's value op, with the step's
-    snapshot of the tables and their joinable columns that
-    semantic_value_perturb reads."""
+    """The source column of a derivative's value op, with what
+    semantic_value_perturb reads: the source table and its columns in an
+    exact or pkfk pair when the step began."""
 
-    corpus: Corpus | None
-    participants: dict[str, set[str]]
-    table: str
+    table: TableData
     column: str
+    joinable: set[str]
     gateway: LlmGateway | None
 
 
 def _semantic_value_perturb(values, params, rng, source):
     new_values, mapping = semantic_value_perturb(
-        source.corpus,
         source.table,
         source.column,
+        source.joinable,
         gateway=source.gateway,
         backend=params.get("backend", "offline"),
-        participants=source.participants,
     )
     return new_values, mapping, None
 
@@ -603,38 +599,27 @@ def _parse_variant_response(text: str, expected: int) -> list[str] | None:
 
 
 def semantic_value_perturb(
-    corpus: Corpus,
-    table: str,
+    t: TableData,
     column: str,
+    joinable: set[str],
     gateway: LlmGateway | None = None,
     backend: str = "offline",
     chunk_size: int = 100,
-    *,
-    participants: dict[str, set[str]] | None = None,
 ) -> tuple[list[str], dict[str, str]]:
     """Rewrite a joinable column's values into semantically equivalent ones.
 
-    The column must participate in at least one exact or pkfk pair (perturbing
-    joinable columns is the point). `participants` (table -> such columns),
-    when given, must be derived from `corpus.ground_truth`; it spares the scan
-    of the whole ground truth. Offline backend: built-in variant tables
-    with a total injective fallback. LLM backend: chunked prompts with schema
-    context; a chunk whose response does not line up is left unperturbed.
-    Returns (new values, old->new mapping; unchanged values get no entry).
+    The column must be in `joinable`, t's columns that participate in at
+    least one exact or pkfk pair (perturbing joinable columns is the point;
+    ground_truth.joinable_columns gives them). Offline backend: built-in
+    variant tables with a total injective fallback. LLM backend: chunked
+    prompts with schema context; a chunk whose response does not line up is
+    left unperturbed. Returns (new values, old->new mapping; unchanged values
+    get no entry).
     """
-    if participants is not None:
-        participates = column in participants.get(table, ())
-    else:
-        ref = (table, column)
-        participates = any(
-            p.kind in (KIND_EXACT, KIND_PKFK) and ref in (p.left, p.right)
-            for p in corpus.ground_truth
-        )
-    if not participates:
+    if column not in joinable:
         raise PerturbationError(
-            f"column {table}.{column} participates in no exact/pkfk pair"
+            f"column {t.name}.{column} participates in no exact/pkfk pair"
         )
-    t = corpus.table(table)
     values = t.column_values(column)
     col = t.schema.column(column)
 
@@ -656,7 +641,7 @@ def semantic_value_perturb(
         if variants is None:
             log.warning(
                 "semantic perturb chunk of %s.%s left unperturbed (response arity mismatch)",
-                table,
+                t.name,
                 column,
             )
             continue
@@ -821,12 +806,6 @@ def apply_plan(
     if not plan.steps:
         _record(lineage, LineageEvent(event_id="", op="noop", source=("", None), result=("", None)))
 
-    def current_snapshot() -> tuple[Corpus, dict[str, set[str]]]:
-        """Corpus view of the evolving table set, plus the per-table columns
-        participating in exact/pkfk pairs."""
-        snapshot = Corpus(tables=list(tables.values()), seed=corpus.seed)
-        return snapshot, joinable_columns(snapshot.tables)
-
     k = 0
     steps = list(plan.steps)
     rounds = 0
@@ -835,7 +814,7 @@ def apply_plan(
             try:
                 k = _run_step(
                     step, k, tables, base_names, lineage, warnings,
-                    corpus, gateway, current_snapshot, consumed,
+                    corpus.seed, gateway, consumed,
                 )
             except PerturbationError:
                 raise
@@ -874,9 +853,8 @@ def _run_step(
     base_names: set[str],
     lineage: list[LineageEvent],
     warnings: list[str],
-    corpus: Corpus,
+    seed: int,
     gateway: LlmGateway | None,
-    current_snapshot,
     consumed: set[str],
 ) -> int:
     pool = [
@@ -889,15 +867,14 @@ def _run_step(
         warnings.append(f"step {k}: selector {step.table_glob!r} matched no table")
         return k + 1
     specs = [OPS[op] for op in step.ops]
-    snapshot: Corpus | None = None
-    participants: dict[str, set[str]] = {}
-    if any(spec.snapshot for spec in specs):
-        snapshot, participants = current_snapshot()
+    # which columns of the tables derived so far are in an exact or pkfk pair
+    joinable_by_table = joinable_columns(tables.values()) if any(spec.snapshot for spec in specs) else {}
     label = "_".join(step.ops)
-    seed_base = corpus.seed + step.seed_offset
+    seed_base = seed + step.seed_offset
 
     for name in sorted(pool):
         src = tables[name]
+        joinable = joinable_by_table.get(name, set())
         consumed.add(name)
         step_seed = seed_base + k
         child_name = f"{name}__{label}_{k}"
@@ -951,7 +928,6 @@ def _run_step(
                     or fnmatch.fnmatchcase(c, step.col_glob)
                 ]
             else:
-                joinable = participants.get(name, set())
                 cols = _eligible_columns(src, op, step.params, joinable)
                 cols = [c for c in child.schema.column_names() if original_name[c] in cols]
             if not cols:
@@ -960,7 +936,7 @@ def _run_step(
                 )
             for cname in cols:
                 idx = child.schema.column_index(cname)
-                source = _Source(snapshot, participants, name, original_name[cname], gateway)
+                source = _Source(src, original_name[cname], joinable, gateway)
                 # the same draws as apply_value_noise with this column's seed
                 rng = seeded_rng("noise", stable_hash(step_seed, name, cname), op)
                 new_values, vmap, cell_changes = spec.handler(

@@ -26,7 +26,7 @@ from lakeforge.evaluation import difficulty_breakdown, evaluate, precision_recal
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import generate_base_tables, plan_generation
 from lakeforge.ground_truth import recompute_ground_truth
-from lakeforge.matchers import MatchPrediction, fuzzy_jaccard, match_corpus, sf_match
+from lakeforge.matchers import MatchPrediction, fuzzy_jaccard, match_corpus, profile, sf_match
 from lakeforge.model import load_corpus
 from lakeforge.ontology import build_dependency_graph, ontology_to_schemas, parse_ontology
 from lakeforge.perturb import apply_plan, parse_plan
@@ -177,12 +177,13 @@ def test_acceptance_06_sf_behavior():
     for group in (corpus.tables, fin.tables):
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
-                preds, converged = sf_match(group[i], group[j], epsilon=1e-3, max_iters=200)
+                pair = [group[i], group[j]]
+                preds, converged = sf_match(*pair, epsilon=1e-3, max_iters=200, **profile(pair, "sf"))
                 assert converged, f"{group[i].name} vs {group[j].name} did not converge"
                 pair_count += 1
     # identical-schema self-match: top-1 per column is its namesake
     for t in corpus.tables:
-        preds, converged = sf_match(t, t)
+        preds, converged = sf_match(t, t, **profile([t], "sf"))
         assert converged
         best: dict[str, tuple[float, str]] = {}
         for p in preds:
@@ -328,4 +329,5 @@ def test_acceptance_10_llm_round_trip_record_mode(tmp_path):
         assert [t.rows for t in corpus2.tables] == [t.rows for t in corpus.tables]
     finally:
         server.shutdown()
+        server.server_close()
     _report(10, f"record-mode yield {yield_rate:.2f} ≥ 0.8, skips logged, replay identical")

@@ -303,9 +303,12 @@ def test_generate_live_http_401_fails_first_attempt_exit_3(tmp_path, capsys, mon
 def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):
     run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
          "--row-cap", "5"])
+    capsys.readouterr()
     code = run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
-                "--matchers", "mystery"])
+                "--matchers", "nope"])
     assert code == 5
+    assert capsys.readouterr().err == "error: unknown matcher 'nope'\n"
+    assert not (tmp_path / "r" / "report.json").exists()
 
 
 @pytest.mark.parametrize("ks, message", [("1,x", "'x' is not an integer"), ("3,0", "0 is below 1")])

@@ -120,6 +120,7 @@ def stub_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/completions"
     server.shutdown()
+    server.server_close()
 
 
 def test_live_mode_against_local_endpoint(stub_endpoint, tmp_path):

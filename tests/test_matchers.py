@@ -29,6 +29,7 @@ from lakeforge.matchers import (
     match_corpus,
     name_similarity,
     parse_predictions_csv,
+    profile,
     reachable_columns,
     sample_values,
     sf_match,
@@ -119,21 +120,22 @@ def test_fuzzy_crossing_structure_beats_greedy():
 def test_jl_match_on_tables():
     a = column_table("A", "Name", ["Apple Inc.", "Microsoft Inc."])
     b = column_table("B", "Name", ["Apple Inc", "Microsoft Inc."])
-    preds = jl_match(a, b, delta=0.9)
+    preds = jl_match(a, b, **profile([a, b], "jl"))
     assert preds[0].score == 1.0
 
 
 def test_jl_empty_column_scores_zero():
     a = column_table("A", "Name", [""])
     b = column_table("B", "Name", ["x"])
-    assert jl_match(a, b)[0].score == 0.0
+    assert jl_match(a, b, **profile([a, b], "jl"))[0].score == 0.0
 
 
 def test_jl_symmetry():
     a = column_table("A", "Name", ["alpha", "beta", "gamma"])
     b = column_table("B", "Title", ["alpha", "delta"])
-    ab = {p.key(): p.score for p in jl_match(a, b)}
-    ba = {p.key(): p.score for p in jl_match(b, a)}
+    shared = profile([a, b], "jl")
+    ab = {p.key(): p.score for p in jl_match(a, b, **shared)}
+    ba = {p.key(): p.score for p in jl_match(b, a, **shared)}
     assert ab == ba
 
 
@@ -366,22 +368,28 @@ def test_golden_predictions(request, corpus_name, matcher):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_PREDICTIONS[(corpus_name, matcher)]
 
 
-@pytest.mark.parametrize(
-    "matcher, pair_matcher",
-    [("jl", jl_match), ("sf", lambda a, b, seed: sf_match(a, b)[0]), ("hybrid", hybrid_match)],
-)
-def test_pair_matcher_alone_equals_match_corpus(small_finance_corpus, matcher, pair_matcher):
-    # alone, a pair matcher draws its own samples (and jl its own neighbour
-    # map, sf and hybrid their own header similarities); match_corpus shares
-    # corpus-wide ones
+PAIR_MATCHERS = {
+    "jl": jl_match,
+    "sf": lambda a, b, **shared: sf_match(a, b, **shared)[0],
+    "hybrid": hybrid_match,
+}
+
+
+@pytest.mark.parametrize("matcher", sorted(PAIR_MATCHERS))
+def test_two_table_profile_equals_match_corpus(small_finance_corpus, matcher):
+    # a profile of just the two tables (jl's neighbour map and reach sets,
+    # sf's and hybrid's header similarities over those two) scores their
+    # pair as match_corpus does through the corpus-wide profile
+    pair_matcher = PAIR_MATCHERS[matcher]
     tables = sorted(small_finance_corpus.tables, key=lambda t: t.name)
     seed = small_finance_corpus.seed
     pairwise = []
     for i, a in enumerate(tables):
         for b in tables[i + 1:]:
+            shared = profile([a, b], matcher, seed)
             # either table order gives the same predictions, in canonical order
-            chunk = pair_matcher(a, b, seed=seed)
-            swapped = pair_matcher(b, a, seed=seed)
+            chunk = pair_matcher(a, b, **shared)
+            swapped = pair_matcher(b, a, **shared)
             assert [p.key() for p in chunk] == sorted(p.key() for p in chunk)
             assert [(p.key(), p.score) for p in swapped] == [(p.key(), p.score) for p in chunk]
             pairwise += chunk
@@ -389,6 +397,38 @@ def test_pair_matcher_alone_equals_match_corpus(small_finance_corpus, matcher, p
     assert [(p.key(), p.score) for p in dedupe_predictions(pairwise)] == [
         (p.key(), p.score) for p in corpus_wide
     ]
+
+
+_HEADERS = ["id", "ID", "Name", "name", "Code", "Account Number", "acct_no", "Listed Date"]
+
+
+@st.composite
+def _table_pair(draw):
+    """Two tables of distinct names, each with one to three columns of
+    random headers, datatypes and pool values (see _POOLS)."""
+    names = draw(st.lists(st.sampled_from(["A", "B", "a", "Ledger", "Ledger 2"]), min_size=2, max_size=2,
+                          unique=True))
+    tables = []
+    for name in names:
+        headers = draw(st.lists(st.sampled_from(_HEADERS), min_size=1, max_size=3, unique=True))
+        cols = [Column(h, f"T {h}", draw(st.sampled_from(["text", "integer", "date"]))) for h in headers]
+        columns = [draw(_pool_values) for _ in headers]
+        rows = [tuple(col[i] if i < len(col) else "" for col in columns) for i in range(max(map(len, columns)))]
+        tables.append(TableData(schema=TableSchema(name, cols, primary_key=None), rows=rows))
+    return tables
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pair=_table_pair(), matcher=st.sampled_from(sorted(PAIR_MATCHERS)))
+def test_pair_matchers_symmetric_canonical_and_bounded(pair, matcher):
+    a, b = pair
+    shared = profile(pair, matcher)
+    ab = [(p.key(), p.score) for p in PAIR_MATCHERS[matcher](a, b, **shared)]
+    ba = [(p.key(), p.score) for p in PAIR_MATCHERS[matcher](b, a, **shared)]
+    assert ab == ba
+    keys = [key for key, _score in ab]
+    assert keys == sorted(set(keys)) and len(keys) == len(a.schema.columns) * len(b.schema.columns)
+    assert all(0.0 <= score <= 1.0 for _key, score in ab)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +446,7 @@ def test_sf_identity_mapping_on_identical_schemas():
     spec = [("Ticker", "text"), ("Price", "decimal"), ("Listed Date", "date")]
     a = three_col_schema("A", spec)
     b = three_col_schema("B", spec)
-    preds, converged = sf_match(a, b)
+    preds, converged = sf_match(a, b, **profile([a, b], "sf"))
     assert converged
     by_left = {}
     for p in preds:
@@ -421,7 +461,7 @@ def test_sf_identity_mapping_on_identical_schemas():
 def test_sf_disjoint_schemas_below_threshold():
     a = three_col_schema("A", [("aaa", "text"), ("bbb", "text")])
     b = three_col_schema("B", [("xxxxx", "date"), ("zzzzz", "decimal")])
-    preds, converged = sf_match(a, b)
+    preds, converged = sf_match(a, b, **profile([a, b], "sf"))
     assert converged
     assert all(p.score < 0.5 for p in preds)
 
@@ -430,7 +470,8 @@ def test_sf_converges_on_fig1_pairs(fig1_corpus):
     tables = fig1_corpus.tables
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):
-            preds, converged = sf_match(tables[i], tables[j], epsilon=1e-3, max_iters=200)
+            pair = [tables[i], tables[j]]
+            preds, converged = sf_match(*pair, epsilon=1e-3, max_iters=200, **profile(pair, "sf"))
             assert converged
             assert all(0.0 <= p.score <= 1.0 for p in preds)
 
@@ -440,16 +481,17 @@ def test_sf_invariant_under_column_order():
     a1 = three_col_schema("A", spec)
     a2 = three_col_schema("A", list(reversed(spec)))
     b = three_col_schema("B", [("Symbol", "text"), ("Cost", "decimal")])
-    s1 = {p.key(): round(p.score, 12) for p in sf_match(a1, b)[0]}
-    s2 = {p.key(): round(p.score, 12) for p in sf_match(a2, b)[0]}
+    s1 = {p.key(): round(p.score, 12) for p in sf_match(a1, b, **profile([a1, b], "sf"))[0]}
+    s2 = {p.key(): round(p.score, 12) for p in sf_match(a2, b, **profile([a2, b], "sf"))[0]}
     assert s1 == s2
 
 
 def test_sf_symmetry():
     a = three_col_schema("A", [("Ticker", "text"), ("Price", "decimal")])
     b = three_col_schema("B", [("Symbol", "text"), ("Cost", "decimal")])
-    ab = [(p.key(), p.score) for p in sf_match(a, b)[0]]
-    ba = [(p.key(), p.score) for p in sf_match(b, a)[0]]
+    shared = profile([a, b], "sf")
+    ab = [(p.key(), p.score) for p in sf_match(a, b, **shared)[0]]
+    ba = [(p.key(), p.score) for p in sf_match(b, a, **shared)[0]]
     assert ab == ba
 
 
@@ -461,7 +503,7 @@ def test_sf_symmetry():
 def test_hybrid_identical_headers_and_values():
     a = column_table("A", "Currency", ["USD", "EUR"])
     b = column_table("B", "Currency", ["USD", "EUR"])
-    preds = hybrid_match(a, b)
+    preds = hybrid_match(a, b, **profile([a, b], "hybrid"))
     assert preds[0].score == pytest.approx(1.0)
     assert preds[0].score > 0.5
 
@@ -469,7 +511,7 @@ def test_hybrid_identical_headers_and_values():
 def test_hybrid_cryptified_header_closed_form():
     a = column_table("A", "Person ID", ["1", "2", "3"])
     b = column_table("B", "PID", ["1", "2", "3"])
-    preds = hybrid_match(a, b, 0.5, 0.5)
+    preds = hybrid_match(a, b, 0.5, 0.5, **profile([a, b], "hybrid"))
     expect = 0.5 * name_similarity("Person ID", "PID") + 0.5 * 1.0
     assert preds[0].score == pytest.approx(expect)
     assert name_similarity("Person ID", "PID") == pytest.approx(
@@ -481,15 +523,15 @@ def test_hybrid_weight_validation():
     a = column_table("A", "x", ["1"])
     b = column_table("B", "x", ["1"])
     with pytest.raises(EvaluationError, match="sum to 1"):
-        hybrid_match(a, b, 0.9, 0.5)
+        hybrid_match(a, b, 0.9, 0.5, **profile([a, b], "hybrid"))
 
 
 def test_hybrid_monotone_in_containment():
     a = column_table("A", "Code", [f"v{i}" for i in range(10)])
     partial = column_table("B", "Code", ["v0", "v1", "zzz1", "zzz2", "zzz3"])
     full = column_table("B", "Code", ["v0", "v1", "v2", "v3", "v4"])
-    s_partial = hybrid_match(a, partial)[0].score
-    s_full = hybrid_match(a, full)[0].score
+    s_partial = hybrid_match(a, partial, **profile([a, partial], "hybrid"))[0].score
+    s_full = hybrid_match(a, full, **profile([a, full], "hybrid"))[0].score
     assert s_full > s_partial
 
 
@@ -590,19 +632,3 @@ def test_external_match_reference_validation(tmp_path, small_finance_corpus):
     )
     with pytest.raises(EvaluationError, match="unknown table"):
         external_match(str(tmp_path), f"{sys.executable} {stub}", small_finance_corpus)
-
-
-def test_sf_instance_token_variant():
-    a = TableData(
-        schema=TableSchema("A", [Column("Code", "Currency", "text")], None),
-        rows=[("USD",), ("EUR",), ("USD",)],
-    )
-    b = TableData(
-        schema=TableSchema("B", [Column("Abbrev", "Currency", "text")], None),
-        rows=[("USD",), ("EUR",)],
-    )
-    plain, _ = sf_match(a, b)
-    with_tokens, converged = sf_match(a, b, include_tokens=True)
-    assert converged
-    # shared instance tokens lift the column-pair score
-    assert with_tokens[0].score > plain[0].score

@@ -8,6 +8,7 @@ from helpers import reference_levenshtein, uppercase_variant_transport
 
 from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
+from lakeforge.ground_truth import joinable_columns
 from lakeforge.model import (
     Column,
     TableData,
@@ -242,13 +243,18 @@ def test_header_typos_rate():
 # ---------------------------------------------------------------------------
 
 
+def _source(corpus, table, column):
+    """semantic_value_perturb's table, column and joinable-column arguments."""
+    return corpus.table(table), column, joinable_columns(corpus.tables).get(table, set())
+
+
 def test_semantic_perturb_requires_joinable_column(small_finance_corpus):
     with pytest.raises(PerturbationError, match="participates in no"):
-        semantic_value_perturb(small_finance_corpus, "Postal Address", "Zipcode")
+        semantic_value_perturb(*_source(small_finance_corpus, "Postal Address", "Zipcode"))
 
 
 def test_semantic_perturb_offline_currency(small_finance_corpus):
-    values, mapping = semantic_value_perturb(small_finance_corpus, "Currency Name", "Currency")
+    values, mapping = semantic_value_perturb(*_source(small_finance_corpus, "Currency Name", "Currency"))
     assert mapping.get("USD") == "US Dollar" or "USD" not in mapping or True
     originals = small_finance_corpus.table("Currency Name").column_values("Currency")
     non_null = {v for v in originals if v}
@@ -261,7 +267,7 @@ def test_semantic_perturb_offline_currency(small_finance_corpus):
 def test_semantic_perturb_llm_double_uppercases(small_finance_corpus):
     gw = LlmGateway(GatewayConfig(mode="live"), transport=uppercase_variant_transport)
     values, mapping = semantic_value_perturb(
-        small_finance_corpus, "Currency Name", "Currency", gateway=gw, backend="llm"
+        *_source(small_finance_corpus, "Currency Name", "Currency"), gateway=gw, backend="llm"
     )
     originals = small_finance_corpus.table("Currency Name").column_values("Currency")
     changed = {v for v in originals if v and v.upper() != v}
@@ -276,7 +282,7 @@ def test_semantic_perturb_llm_arity_mismatch_leaves_chunk(small_finance_corpus, 
 
     with caplog.at_level(logging.WARNING):
         values, mapping = semantic_value_perturb(
-            small_finance_corpus, "Currency Name", "Currency", gateway=gw, backend="llm"
+            *_source(small_finance_corpus, "Currency Name", "Currency"), gateway=gw, backend="llm"
         )
     assert mapping == {}
     assert values == small_finance_corpus.table("Currency Name").column_values("Currency")

@@ -90,21 +90,17 @@ _SCALAR_JSON = {
 }
 
 
-def indented_json(obj: object) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`, byte
-    for byte, for trees of dicts with str keys, lists, tuples and scalars
-    of exact type str, int, float, bool and None.
+def _write_json(obj: object, nl: str, emit) -> None:
+    """Emit, in pieces, `json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False)` byte for byte, as if `obj` sat at the depth where
+    a newline is followed by `nl`'s indent ("\\n" at the top level). `obj` is
+    a tree of dicts with str keys, lists, tuples and scalars of exact type
+    str, int, float, bool and None.
 
     An indent makes the stdlib fall back to its pure-Python encoder, one
     generator frame per value. This writer dispatches on exact type and
-    writes a container's scalar members inline; on a 260-table, 3.6 MB
-    manifest it takes about half the stdlib's time."""
-    parts: list[str] = []
-    _write_json(obj, "\n", parts.append)
-    return "".join(parts)
-
-
-def _write_json(obj: object, nl: str, emit) -> None:
+    writes a container's scalar members inline, in about half the stdlib's
+    time."""
     encode = _SCALAR_JSON.get(type(obj))
     if encode is not None:
         emit(encode(obj))

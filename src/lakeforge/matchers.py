@@ -570,11 +570,19 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
     return {"samples": samples, "neighbours": neighbours, "reach": reachable_columns(samples, neighbours)}
 
 
+# the keywords match_corpus passes on to each pair matcher
+_PAIR_PARAMS = {"jl": (), "sf": ("epsilon", "max_iters"), "hybrid": ("w_name", "w_instance")}
+
+
 def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction]:
     """Run a built-in matcher over every cross-table column pair: the corpus
     is profiled once, then each table pair is scored through the module's
-    jl_match, sf_match or hybrid_match, with `params` passed on."""
+    jl_match, sf_match or hybrid_match, with `params` passed on. A keyword
+    the pair matcher does not take raises EvaluationError."""
     shared = profile(corpus.tables, matcher, corpus.seed)
+    for name in params:
+        if name not in _PAIR_PARAMS[matcher]:
+            raise EvaluationError(f"matcher {matcher!r} takes no keyword {name!r}")
     tables = sorted(corpus.tables, key=lambda t: t.name)
     preds: list[MatchPrediction] = []
     for i, a in enumerate(tables):

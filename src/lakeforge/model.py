@@ -1,17 +1,28 @@
 """Corpus data model: schemas, table data, join ground truth, lineage, and the
 on-disk layout (one RFC-4180 CSV per table plus a JSON manifest with a content
 digest). All cell values are strings; the empty string is the null token.
+
+The manifest is `json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`
+of its values, and the digest is SHA-256 over the CSVs and the
+`canonical_json` of the manifest without its digest. Ground-truth pairs, most
+of a large manifest, are written straight from `JoinPair`s through two fixed
+templates, one per JSON form, rather than through a dict per pair. Loading
+checks each ground-truth entry's types first, which is what keeps a loaded
+pair within those templates.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
+import hashlib
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
-from .common import NULL, CorpusError, canonical_json, indented_json, norm_header, slugify
+from .common import NULL, CorpusError, _write_json, canonical_json, slugify
 
 DATATYPES = ("text", "integer", "decimal", "date", "categorical")
 
@@ -136,26 +147,38 @@ class JoinPair:
     def key(self) -> tuple[ColumnRef, ColumnRef]:
         return (self.left, self.right)
 
-    def to_dict(self) -> dict:
-        return {
-            "left": list(self.left),
-            "right": list(self.right),
-            "kind": self.kind,
-            "difficulty": self.difficulty,
-            "key_side": self.key_side,
-            "mapping_id": self.mapping_id,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "JoinPair":
+        """The pair of a manifest's ground-truth entry. A missing key raises
+        KeyError, and a value of the wrong type CorpusError."""
+        if not isinstance(d, dict):
+            raise CorpusError(f"not an object: {d!r}")
+        left, right, kind = d["left"], d["right"], d["kind"]
+        difficulty = d.get("difficulty", EASY)
+        key_side, mapping_id = d.get("key_side"), d.get("mapping_id")
+        if not _is_ref(left):
+            raise CorpusError(f"'left' is not a list of two strings: {left!r}")
+        if not _is_ref(right):
+            raise CorpusError(f"'right' is not a list of two strings: {right!r}")
+        if not isinstance(kind, str):
+            raise CorpusError(f"'kind' is not a string: {kind!r}")
+        if not isinstance(difficulty, str):
+            raise CorpusError(f"'difficulty' is not a string: {difficulty!r}")
+        if not (key_side is None or isinstance(key_side, str)):
+            raise CorpusError(f"'key_side' is neither a string nor null: {key_side!r}")
+        if not (mapping_id is None or isinstance(mapping_id, str)):
+            raise CorpusError(f"'mapping_id' is neither a string nor null: {mapping_id!r}")
         return JoinPair(
-            left=tuple(d["left"]),
-            right=tuple(d["right"]),
-            kind=d["kind"],
-            difficulty=d.get("difficulty", EASY),
-            key_side=d.get("key_side"),
-            mapping_id=d.get("mapping_id"),
+            left=left, right=right, kind=kind, difficulty=difficulty,
+            key_side=key_side, mapping_id=mapping_id,
         )
+
+
+def _is_ref(value: object) -> bool:
+    return (
+        isinstance(value, list) and len(value) == 2
+        and isinstance(value[0], str) and isinstance(value[1], str)
+    )
 
 
 @dataclass
@@ -315,11 +338,14 @@ class Corpus:
                         raise CorpusError(
                             f"base table {t.name!r} column {c.name!r} lacks a semantic type"
                         )
+        columns = {t.name: set(t.schema.column_names()) for t in self.tables}
         for p in self.ground_truth:
-            for ref in (p.left, p.right):
-                if not self.has_table(ref[0]):
-                    raise CorpusError(f"ground truth references missing table {ref[0]!r}")
-                self.table(ref[0]).schema.column_index(ref[1])
+            for table, column in (p.left, p.right):
+                names = columns.get(table)
+                if names is None:
+                    raise CorpusError(f"ground truth references missing table {table!r}")
+                if column not in names:
+                    raise CorpusError(f"table {table!r} has no column {column!r}")
             if p.kind not in JOIN_KINDS:
                 raise CorpusError(f"unknown join kind {p.kind!r}")
         for ev in self.lineage:
@@ -354,10 +380,6 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     )
 
 
-def classify_pair_difficulty(left_col: str, right_col: str) -> str:
-    return EASY if norm_header(left_col) == norm_header(right_col) else DIFFICULT
-
-
 def _csv_bytes(table: TableData) -> bytes:
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -382,6 +404,7 @@ def _table_files(corpus: Corpus) -> dict[str, str]:
 
 
 def _manifest_core(corpus: Corpus, files: dict[str, str]) -> dict:
+    """The manifest's values other than its digest and ground truth."""
     return {
         "format_version": FORMAT_VERSION,
         "seed": corpus.seed,
@@ -399,18 +422,70 @@ def _manifest_core(corpus: Corpus, files: dict[str, str]) -> dict:
             }
             for t in sorted(corpus.tables, key=lambda t: t.name)
         ],
-        "ground_truth": [p.to_dict() for p in dedupe_pairs(corpus.ground_truth)],
         "lineage": [ev.to_dict() for ev in corpus.lineage],
     }
 
 
-def _digest(core: dict, blobs: dict[str, bytes]) -> str:
-    import hashlib
+# A ground-truth pair as a JSON object, keys sorted: compact as in
+# canonical_json, and indented as json.dumps(..., indent=2) writes an entry
+# of the manifest's top-level "ground_truth" list. The slots take the JSON
+# text of _pair_fields.
+_PAIR_COMPACT = (
+    '{"difficulty":%s,"key_side":%s,"kind":%s,"left":[%s,%s],"mapping_id":%s,"right":[%s,%s]}'
+)
+_PAIR_INDENTED = (
+    '{\n      "difficulty": %s,\n      "key_side": %s,\n      "kind": %s,\n'
+    '      "left": [\n        %s,\n        %s\n      ],\n      "mapping_id": %s,\n'
+    '      "right": [\n        %s,\n        %s\n      ]\n    }'
+)
 
+
+def _pair_fields(p: JoinPair) -> tuple[str, ...]:
+    return (
+        encode_basestring(p.difficulty),
+        "null" if p.key_side is None else encode_basestring(p.key_side),
+        encode_basestring(p.kind),
+        encode_basestring(p.left[0]),
+        encode_basestring(p.left[1]),
+        "null" if p.mapping_id is None else encode_basestring(p.mapping_id),
+        encode_basestring(p.right[0]),
+        encode_basestring(p.right[1]),
+    )
+
+
+def _write_manifest(values: dict, pairs: list[JoinPair], emit, indent: bool) -> None:
+    """Emit the JSON text of `values` with `pairs` as its "ground_truth", in
+    pieces: `canonical_json`'s text, or with `indent`
+    `json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`'s."""
+    # newlines at depths 1 and 2, with their indent
+    nl, item, colon, template = (
+        ("\n  ", "\n    ", ": ", _PAIR_INDENTED) if indent else ("", "", ":", _PAIR_COMPACT)
+    )
+    sep = "{" + nl
+    for key in sorted([*values, "ground_truth"]):
+        emit(f"{sep}{encode_basestring(key)}{colon}")
+        sep = "," + nl
+        if key != "ground_truth":
+            if indent:
+                _write_json(values[key], nl, emit)
+            else:
+                emit(canonical_json(values[key]))
+        elif pairs:
+            item_sep = "[" + item
+            for p in pairs:
+                emit(item_sep + template % _pair_fields(p))
+                item_sep = "," + item
+            emit(nl + "]")
+        else:
+            emit("[]")
+    emit("\n}" if indent else "}")
+
+
+def _digest(core: dict, pairs: list[JoinPair], blobs: dict[str, bytes]) -> str:
     h = hashlib.sha256()
     for name in sorted(blobs):
         h.update(name.encode("utf-8") + b"\x00" + blobs[name] + b"\x00")
-    h.update(canonical_json(core).encode("utf-8"))
+    _write_manifest(core, pairs, lambda text: h.update(text.encode("utf-8")), indent=False)
     return h.hexdigest()
 
 
@@ -421,28 +496,43 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     do not validate the corpora they build: invariant violations abort
     before anything is written. Identical corpora produce byte-identical
     manifests, in the layout of `json.dumps(..., sort_keys=True, indent=2,
-    ensure_ascii=False)`, written by `indented_json`.
+    ensure_ascii=False)`.
     """
     corpus.validate()
     directory = Path(directory)
     files = _table_files(corpus)
     blobs = {files[t.name]: _csv_bytes(t) for t in corpus.tables}
-    core = _manifest_core(corpus, files)
-    digest = _digest(core, blobs)
-    manifest = dict(core)
+    pairs = dedupe_pairs(corpus.ground_truth)
+    manifest = _manifest_core(corpus, files)
+    digest = _digest(manifest, pairs, blobs)
     manifest["digest"] = digest
 
+    parts: list[str] = []
+    _write_manifest(manifest, pairs, parts.append, indent=True)
+    parts.append("\n")
     directory.mkdir(parents=True, exist_ok=True)
     for fname, blob in blobs.items():
         (directory / fname).write_bytes(blob)
-    text = indented_json(manifest) + "\n"
-    (directory / MANIFEST_NAME).write_text(text, encoding="utf-8")
+    (directory / MANIFEST_NAME).write_text("".join(parts), encoding="utf-8")
     return digest
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load and verify a corpus directory written by save_corpus."""
-    directory = Path(directory)
+    """Load and verify a corpus directory written by save_corpus.
+
+    The cyclic collector is paused meanwhile: a load builds hundreds of
+    thousands of objects in an acyclic model, so its collections could free
+    nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_corpus(Path(directory))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_corpus(directory: Path) -> Corpus:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no {MANIFEST_NAME} in {directory}")
@@ -498,7 +588,12 @@ def load_corpus(directory: str | Path) -> Corpus:
         tables.append(TableData(schema=schema, rows=rows[1:]))
 
     try:
-        ground_truth = [JoinPair.from_dict(d) for d in manifest.get("ground_truth", [])]
+        ground_truth = []
+        for n, d in enumerate(manifest.get("ground_truth", []), start=1):
+            try:
+                ground_truth.append(JoinPair.from_dict(d))
+            except CorpusError as exc:
+                raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {exc}") from None
         lineage = [LineageEvent.from_dict(d) for d in manifest.get("lineage", [])]
     except KeyError as exc:
         raise CorpusError(
@@ -513,8 +608,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     )
 
     files = {t["name"]: t["file"] for t in manifest.get("tables", [])}
-    core = _manifest_core(corpus, files)
-    expect = _digest(core, blobs)
+    expect = _digest(_manifest_core(corpus, files), corpus.ground_truth, blobs)
     if expect != manifest.get("digest"):
         raise CorpusError(
             f"digest mismatch: manifest says {manifest.get('digest')}, contents give {expect}"

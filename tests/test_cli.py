@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -369,6 +370,29 @@ def _drop_manifest_key(section, key):
     return damage
 
 
+def _bad_pair_entry(key, value):
+    """Set ground_truth[0][key] (the whole entry when key is None) and
+    recompute the digest, so that only the entry's types are wrong."""
+
+    def damage(corpus):
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if key is None:
+            manifest["ground_truth"][0] = value
+        else:
+            manifest["ground_truth"][0][key] = value
+        h = hashlib.sha256()
+        for name in sorted(t["file"] for t in manifest["tables"]):
+            h.update(name.encode("utf-8") + b"\x00" + (corpus / name).read_bytes() + b"\x00")
+        del manifest["digest"]
+        h.update(json.dumps(manifest, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
+        manifest["digest"] = h.hexdigest()
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return path, "ground-truth entry 1: " + (f"{key!r} is" if key else "not an object")
+
+    return damage
+
+
 def _replace_manifest(text):
     def damage(corpus):
         (corpus / "manifest.json").write_text(text, encoding="utf-8")
@@ -388,6 +412,14 @@ def _break_csv_encoding(corpus):
     [
         _drop_manifest_key("tables", "file"),
         _drop_manifest_key("ground_truth", "kind"),
+        _bad_pair_entry("left", ["T"]),
+        _bad_pair_entry("left", [1, 2]),
+        _bad_pair_entry("right", ["T", "c", "d"]),
+        _bad_pair_entry("kind", 3),
+        _bad_pair_entry("difficulty", None),
+        _bad_pair_entry("key_side", ["left"]),
+        _bad_pair_entry("mapping_id", 7),
+        _bad_pair_entry(None, ["left", "right"]),
         _replace_manifest("{not json"),
         _replace_manifest("[]"),
         _break_csv_encoding,
@@ -395,6 +427,14 @@ def _break_csv_encoding(corpus):
     ids=[
         "table-entry-missing-key",
         "pair-entry-missing-key",
+        "pair-left-one-element",
+        "pair-left-not-strings",
+        "pair-right-three-elements",
+        "pair-kind-not-string",
+        "pair-difficulty-null",
+        "pair-key-side-list",
+        "pair-mapping-id-integer",
+        "pair-entry-not-object",
         "manifest-not-json",
         "manifest-not-object",
         "csv-not-utf8",

@@ -1,11 +1,17 @@
+import gc
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lakeforge.common import CorpusError, indented_json
+from lakeforge import model
+from lakeforge.common import CorpusError, _write_json, canonical_json
 from lakeforge.model import (
+    JOIN_KINDS,
     Column,
     Corpus,
     JoinPair,
@@ -242,7 +248,9 @@ _json_values = st.recursive(
 @example(value={"": [], "a": {}, "b": [[], {}], "é": "\u00e9\U0001f600\x00\x1f\\\"\u2028\ud800"})
 @example(value=[True, False, None, -0.0, 1e16, 2**70, -(2**70), [1.5, {"k": "\n\t"}]])
 def test_indented_json_equals_stdlib(value):
-    assert indented_json(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
+    parts = []
+    _write_json(value, "\n", parts.append)
+    assert "".join(parts) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)
 
 
 def _stale_stats(corpus):
@@ -270,3 +278,96 @@ def test_save_rejects_a_broken_corpus_before_writing_any_file(tmp_path, breakage
     with pytest.raises(CorpusError, match=message):
         save_corpus(corpus, out)
     assert not out.exists()
+
+
+# quotes, backslashes, control, non-ASCII and astral characters
+_names = st.text(
+    st.sampled_from(["a", "B", " ", "_", '"', "\\", "\x00", "\x1f", "\n", "\x7f", "é", "\u2028", "中", "\U0001f600"]),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def _corpora(draw):
+    tables = []
+    for name in draw(st.lists(_names, min_size=2, max_size=3, unique=True)):
+        columns = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+        cell = st.just("") | _names
+        rows = draw(st.lists(st.tuples(*[cell] * len(columns)), max_size=2))
+        tables.append(TableData(TableSchema(name, [Column(c, "Tag") for c in columns]), rows))
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(st.lists(st.sampled_from(tables), min_size=2, max_size=2, unique_by=lambda t: t.name))
+        pairs.append(JoinPair(
+            (a.name, draw(st.sampled_from(a.schema.column_names()))),
+            (b.name, draw(st.sampled_from(b.schema.column_names()))),
+            kind=draw(st.sampled_from(JOIN_KINDS)),
+            difficulty=draw(st.sampled_from(["easy", "difficult"])),
+            key_side=draw(st.none() | st.sampled_from(["left", "right"]) | _names),
+            mapping_id=draw(st.none() | st.just("ev00001") | _names),
+        ))
+    ref = draw(st.sampled_from([(t.name, c) for t in tables for c in t.schema.column_names()]))
+    lineage = [LineageEvent(
+        "ev00001", "text_noise", ref, ref, params={"typo_rate": 0.5},
+        value_map=draw(st.dictionaries(_names, _names, max_size=2)) or None,
+    )]
+    corpus = Corpus(tables=tables, ground_truth=pairs, lineage=lineage, seed=draw(st.integers(0, 2**40)))
+    corpus.refresh_stats()
+    return corpus
+
+
+def _empty_corpus():
+    corpus = Corpus(tables=[], seed=3)
+    corpus.refresh_stats()
+    return corpus
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(corpus=_corpora())
+@example(corpus=small_corpus())
+@example(corpus=_empty_corpus())
+def test_manifest_and_digest_equal_the_dict_encodings(corpus):
+    """The templates that write ground-truth pairs give the bytes the stdlib
+    gives for the manifest as one dict per pair."""
+    files = model._table_files(corpus)
+    core = model._manifest_core(corpus, files)
+    pairs = dedupe_pairs(corpus.ground_truth)
+    text = []
+    model._write_manifest(core, pairs, text.append, indent=False)
+    core["ground_truth"] = [
+        {"left": list(p.left), "right": list(p.right), "kind": p.kind, "difficulty": p.difficulty,
+         "key_side": p.key_side, "mapping_id": p.mapping_id}
+        for p in pairs
+    ]
+    assert "".join(text) == canonical_json(core)
+
+    h = hashlib.sha256()
+    for t in sorted(corpus.tables, key=lambda t: files[t.name]):
+        h.update(files[t.name].encode("utf-8") + b"\x00" + model._csv_bytes(t) + b"\x00")
+    h.update(canonical_json(core).encode("utf-8"))
+    with tempfile.TemporaryDirectory() as directory:
+        assert save_corpus(corpus, directory) == h.hexdigest()
+        core["digest"] = h.hexdigest()
+        expect = json.dumps(core, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert (Path(directory) / "manifest.json").read_bytes() == expect.encode("utf-8")
+        assert load_corpus(directory) == corpus
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_corpus_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
+    save_corpus(small_corpus(), tmp_path / "ok")
+    during = []
+    validate = Corpus.validate
+    monkeypatch.setattr(Corpus, "validate", lambda self: during.append(gc.isenabled()) or validate(self))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        load_corpus(tmp_path / "ok")
+        assert gc.isenabled() is enabled
+        with pytest.raises(CorpusError, match="no manifest.json"):
+            load_corpus(tmp_path / "missing")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert during == [False]

@@ -16,7 +16,6 @@ from lakeforge.model import (
     LineageEvent,
     TableData,
     TableSchema,
-    classify_pair_difficulty,
 )
 from lakeforge.ontology import build_dependency_graph, ontology_to_schemas, parse_ontology
 from lakeforge.perturb import apply_plan, default_plan, parse_plan
@@ -155,12 +154,11 @@ def test_difficulty_rules():
     corpus = corpus_of(
         table("A", [("Currency", "Currency", "text")], [("USD",)]),
         table("B", [("currency ", "Currency", "text")], [("USD",)]),
-        table("C", [("PID", "Person ID", "text")], [("1",)]),
+        table("C", [("PID", "Person ID", "text")], [("USD",)]),
     )
-    assert classify_pair_difficulty("Currency", "currency ") == "easy"
-    assert classify_pair_difficulty("Currency", "PID") == "difficult"
     by_key = {p.key(): p for p in recompute_ground_truth(corpus)}
     assert by_key[(("A", "Currency"), ("B", "currency "))].difficulty == "easy"
+    assert by_key[(("A", "Currency"), ("C", "PID"))].difficulty == "difficult"
 
 
 def test_kinds_mutually_exclusive_per_pair(small_finance_corpus):

@@ -632,3 +632,9 @@ def test_external_match_reference_validation(tmp_path, small_finance_corpus):
     )
     with pytest.raises(EvaluationError, match="unknown table"):
         external_match(str(tmp_path), f"{sys.executable} {stub}", small_finance_corpus)
+
+
+@pytest.mark.parametrize("matcher, keyword", [("jl", "delta"), ("sf", "w_name"), ("hybrid", "epsilon")])
+def test_match_corpus_rejects_a_keyword_the_matcher_does_not_take(small_finance_corpus, matcher, keyword):
+    with pytest.raises(EvaluationError, match=f"^matcher '{matcher}' takes no keyword '{keyword}'$"):
+        match_corpus(small_finance_corpus, matcher, **{keyword: 0.9})

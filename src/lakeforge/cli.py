@@ -169,18 +169,15 @@ def cmd_evaluate(args) -> int:
         (out / f"predictions_{name}.csv").write_text(
             write_predictions_csv(preds), encoding="utf-8"
         )
-        for task in tasks:
-            reports.append(
-                evaluate(
-                    preds,
-                    corpus.ground_truth,
-                    task,
-                    matcher=name,
-                    threshold=args.threshold,
-                    ks=ks,
-                    corpus_digest=digest,
-                )
-            )
+        reports += evaluate(
+            preds,
+            corpus.ground_truth,
+            tasks,
+            matcher=name,
+            threshold=args.threshold,
+            ks=ks,
+            corpus_digest=digest,
+        )
     text, doc = render_report(reports)
     (out / "report.txt").write_text(text, encoding="utf-8")
     (out / "report.json").write_text(doc, encoding="utf-8")

@@ -1,12 +1,17 @@
 """Scoring matcher predictions against ground truth: thresholded
 precision/recall/F1, top-k precision, and the easy/difficult decomposition of
 the non-exact semantic pairs. The positive rule is strict: score > threshold.
+
+evaluate scores one matcher's predictions for every task in one pass: they
+are deduplicated, ranked, thresholded and matched against the semantic pairs
+once, and only the truth set differs from task to task.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .common import EvaluationError
 from .model import (
@@ -56,13 +61,11 @@ def precision_recall_f1(
     """Returns (precision, recall, f1, degenerate). Positives are predictions
     with score strictly above the threshold. degenerate=True flags an empty
     truth set rather than silently reporting zeros."""
-    return _precision_recall_f1(dedupe_predictions(preds), truth, threshold)
+    positives = {p.key() for p in dedupe_predictions(preds) if p.score > threshold}
+    return _precision_recall_f1(positives, truth)
 
 
-def _precision_recall_f1(
-    unique: list[MatchPrediction], truth: set[PairKey], threshold: float
-) -> tuple[float, float, float, bool]:
-    positives = {p.key() for p in unique if p.score > threshold}
+def _precision_recall_f1(positives: set[PairKey], truth: set[PairKey]) -> tuple[float, float, float, bool]:
     tp = len(positives & truth)
     precision = tp / len(positives) if positives else 0.0
     degenerate = not truth
@@ -77,7 +80,7 @@ def top_k_precision(preds: list[MatchPrediction], truth: set[PairKey], k: int) -
     Ties break on canonical pair order; if fewer than k predictions exist the
     missing slots count as misses."""
     _check_k(k)
-    return _top_k_precision(_ranked(dedupe_predictions(preds)), truth, k)
+    return _top_k_precision([p.key() for p in _ranked(dedupe_predictions(preds), k)], truth, k)
 
 
 def _check_k(k: int) -> None:
@@ -85,14 +88,15 @@ def _check_k(k: int) -> None:
         raise EvaluationError("k must be >= 1")
 
 
-def _ranked(unique: list[MatchPrediction]) -> list[MatchPrediction]:
-    """Highest score first. dedupe_predictions returns canonical pair order,
-    so the stable sort breaks ties on it."""
-    return sorted(unique, key=lambda p: -p.score)
+def _ranked(unique: list[MatchPrediction], n: int) -> list[MatchPrediction]:
+    """The n highest-scored predictions, highest first. dedupe_predictions
+    returns canonical pair order, and nsmallest is a stable selection, so
+    ties break on it."""
+    return heapq.nsmallest(n, unique, key=lambda p: -p.score)
 
 
-def _top_k_precision(ranked: list[MatchPrediction], truth: set[PairKey], k: int) -> float:
-    return sum(1 for p in ranked[:k] if p.key() in truth) / k
+def _top_k_precision(ranked: list[PairKey], truth: set[PairKey], k: int) -> float:
+    return sum(1 for key in ranked[:k] if key in truth) / k
 
 
 @dataclass
@@ -168,34 +172,46 @@ class EvalReport:
 def evaluate(
     preds: list[MatchPrediction],
     ground_truth: list[JoinPair],
-    task: str,
+    tasks: list[str],
     matcher: str = "",
     threshold: float = DEFAULT_THRESHOLD,
     ks: tuple[int, ...] = DEFAULT_KS,
     corpus_digest: str = "",
     semantic_includes_exact: bool = True,
-) -> EvalReport:
+) -> list[EvalReport]:
+    """One matcher's report for each task, in the order given. The
+    predictions are deduplicated, ranked (as far as the largest k) and
+    thresholded once for all tasks; the difficulty cells do not depend on the
+    task, and each report gets its own copy."""
+    if isinstance(tasks, str):
+        raise EvaluationError(f"tasks must be a list of task names, not the string {tasks!r}")
     for k in ks:
         _check_k(k)
-    truth = task_truth(ground_truth, task, semantic_includes_exact)
+    truths = [task_truth(ground_truth, task, semantic_includes_exact) for task in tasks]
     unique = dedupe_predictions(preds)
-    precision, recall, f1, degenerate = _precision_recall_f1(unique, truth, threshold)
-    ranked = _ranked(unique)
-    top_k = {k: _top_k_precision(ranked, truth, k) for k in ks}
-    return EvalReport(
-        matcher=matcher,
-        task=task,
-        threshold=threshold,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        top_k=top_k,
-        difficulty=_difficulty_breakdown(unique, ground_truth, threshold),
-        corpus_digest=corpus_digest,
-        degenerate=degenerate,
-        truth_size=len(truth),
-        prediction_count=len(unique),
-    )
+    positives = {p.key() for p in unique if p.score > threshold}
+    top = [p.key() for p in _ranked(unique, max(ks, default=0))]
+    difficulty = _difficulty_breakdown(unique, ground_truth, threshold)
+    reports = []
+    for task, truth in zip(tasks, truths):
+        precision, recall, f1, degenerate = _precision_recall_f1(positives, truth)
+        reports.append(
+            EvalReport(
+                matcher=matcher,
+                task=task,
+                threshold=threshold,
+                precision=precision,
+                recall=recall,
+                f1=f1,
+                top_k={k: _top_k_precision(top, truth, k) for k in ks},
+                difficulty={name: replace(cell) for name, cell in difficulty.items()},
+                corpus_digest=corpus_digest,
+                degenerate=degenerate,
+                truth_size=len(truth),
+                prediction_count=len(unique),
+            )
+        )
+    return reports
 
 
 def render_report(reports: list[EvalReport]) -> tuple[str, str]:

@@ -8,10 +8,13 @@ jl_match     fuzzy Jaccard over distinct instance values, where two values
              sampled values (value_neighbours: inverted-index candidates,
              each confirmed by the bit-parallel edit distance), not per
              column pair.
-sf_match     similarity flooding: build typed schema graphs, form the pairwise
-             connectivity graph over same-typed node pairs, then iterate
-             sigma' = normalize(sigma0 + sigma + propagate(sigma)) until the
-             residual drops below epsilon.
+sf_match     similarity flooding over typed schema graphs (table -column->
+             column -type-> datatype): iterate sigma' = normalize(sigma0 +
+             sigma + propagate(sigma)) over the pairwise connectivity graph
+             until the residual drops below epsilon. That graph always has
+             the same shape (the table pair, every column pair, every
+             datatype pair), so each pair's feed is computed in closed form,
+             with the float operations of propagating edge by edge.
 hybrid_match weighted blend of header similarity and instance containment.
 external_match  run an external matcher process and read its predictions CSV.
 
@@ -31,11 +34,12 @@ from __future__ import annotations
 import csv
 import io
 import subprocess
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
-from itertools import chain, combinations
-from operator import sub
+from functools import reduce
+from itertools import chain
+from operator import add, sub
 
 from .common import EvaluationError, lev_ratio, levenshtein, seeded_rng, token_jaccard
 from .model import ColumnRef, Corpus, TableData, keys_increasing
@@ -203,9 +207,14 @@ DELETION_MAX_EDITS = 2  # beyond, partition signatures: deletion variants grow a
 
 
 def _deletion_variants(s: str, drop: int) -> set[str]:
-    """Every string left after deleting exactly `drop` characters of s."""
-    keep = len(s) - drop
-    return {"".join(map(s.__getitem__, pos)) for pos in combinations(range(len(s)), keep)}
+    """Every string left after deleting exactly `drop` characters of s, for
+    drop up to DELETION_MAX_EDITS, built by slicing."""
+    n = len(s)
+    if drop == 0:
+        return {s}
+    if drop == 1:
+        return {s[:i] + s[i + 1:] for i in range(n)}
+    return {s[:i] + s[i + 1:j] + s[j + 1:] for i in range(n) for j in range(i + 1, n)}
 
 
 def _deletion_candidates(longs: list[str], window: list[str], k: int):
@@ -368,46 +377,33 @@ def _lower_ratio(a: str, b: str) -> float:
     return lev_ratio(a.lower(), b.lower())
 
 
-def _schema_edges(t: TableData) -> list[tuple[tuple, str, tuple]]:
-    """Typed edges: table -column-> column nodes, column -type-> datatype nodes."""
-    edges = []
-    tnode = ("table", t.name)
-    for c in t.schema.columns:
-        cnode = ("column", c.name)
-        edges.append((tnode, "column", cnode))
-        edges.append((cnode, "type", ("datatype", c.datatype)))
-    return edges
-
-
-# the kinds of an edge's source and target nodes, by edge label
-_EDGE_ENDS = {"column": ("table", "column"), "type": ("column", "datatype")}
-
-
 @dataclass
 class SchemaGraph:
-    """One table's schema graph as sf_match reads it. nodes: each kind's
-    nodes, kinds and nodes sorted. edges: per label, in edge order, (source
-    position, target position, source out-multiplicity, target
-    in-multiplicity), where a position indexes the node's kind list and a
-    multiplicity counts the node's edges of that label."""
+    """One table's schema graph as sf_match reads it. The graph's shape is
+    fixed: an edge labelled "column" from the table node to each column node,
+    and one labelled "type" from each column node to its datatype node, so a
+    table needs only its column refs (sorted), each column's position among
+    them and its datatype's position in the sorted distinct datatypes (both
+    in schema order), and how many columns have each datatype."""
 
-    nodes: dict[str, list[tuple]]
-    edges: dict[str, list[tuple[int, int, int, int]]]
-    datatypes: dict[str, str]  # column name -> datatype
+    columns: list[ColumnRef]
+    ranks: list[int]
+    types: list[int]
+    datatypes: list[str]
+    type_counts: list[int]
 
 
 def schema_graph(t: TableData) -> SchemaGraph:
-    edges = _schema_edges(t)
-    nodes: dict[str, list[tuple]] = {}
-    for n in sorted({n for e in edges for n in (e[0], e[2])}):
-        nodes.setdefault(n[0], []).append(n)
-    pos = {n: i for group in nodes.values() for i, n in enumerate(group)}
-    out_mult = Counter((s, l) for s, l, _d in edges)
-    in_mult = Counter((d, l) for _s, l, d in edges)
-    by_label: dict[str, list[tuple[int, int, int, int]]] = {}
-    for s, l, d in edges:
-        by_label.setdefault(l, []).append((pos[s], pos[d], out_mult[(s, l)], in_mult[(d, l)]))
-    return SchemaGraph(nodes, by_label, {c.name: c.datatype for c in t.schema.columns})
+    cols = t.schema.columns
+    names = sorted(c.name for c in cols)
+    datatypes = sorted({c.datatype for c in cols})
+    rank = {n: i for i, n in enumerate(names)}
+    type_pos = {d: i for i, d in enumerate(datatypes)}
+    types = [type_pos[c.datatype] for c in cols]
+    counts = [0] * len(datatypes)
+    for i in types:
+        counts[i] += 1
+    return SchemaGraph([(t.name, n) for n in names], [rank[c.name] for c in cols], types, datatypes, counts)
 
 
 def sf_match(
@@ -421,78 +417,84 @@ def sf_match(
 ) -> tuple[list[MatchPrediction], bool]:
     """Similarity-flooding fixpoint over the pairwise connectivity graph.
 
-    Returns (predictions for column pairs, converged flag). Initial scores are
-    name similarities (plus a small datatype-equality bonus for columns);
-    propagation coefficients are the inverse product of same-label edge
-    multiplicities on both sides, applied along and against pair edges. The
-    schema graphs and the column-name similarity table are read from
+    Returns (predictions for column pairs, converged flag). The pair graph
+    has one table pair, every column pair and every datatype pair. Initial
+    scores are name similarities (plus a small datatype-equality bonus for
+    columns) and datatype equality. Propagation coefficients are the inverse
+    product of same-label edge multiplicities on both sides, applied along
+    and against pair edges. With na and nb columns, each iteration feeds
+      a column pair   sigma(table pair) * (1 / (na * nb))
+                      + sigma(its datatype pair) * (1 / (ca * cb)), where ca
+                      and cb count the columns of either datatype;
+      the table pair  the sum of every column pair's sigma;
+      a datatype pair the sum of its column pairs' sigmas;
+    each sum taken in a's schema order by b's, one addition at a time, so
+    every float operation is that of propagating edge by edge. The schema
+    graphs and the column-name similarity table are read from
     profile(..., "sf"). The tables are taken in name order, so both argument
-    orders give the same scores, bit for bit.
-    """
+    orders give the same scores, bit for bit."""
     if b.name < a.name:
         a, b = b, a
     ga, gb = graphs[a.name], graphs[b.name]
+    na, nb = len(ga.ranks), len(gb.ranks)
+    if not (na and nb):
+        # a table without columns has no nodes, so the pair graph is empty:
+        # its residual, 0.0, meets epsilon on the first iteration
+        return [], max_iters > 0 and 0.0 < epsilon
 
-    def initial(na: tuple, nb: tuple) -> float:
-        kind = na[0]
-        if kind == "datatype":
-            return 1.0 if na[1] == nb[1] else 0.0
-        if kind == "table":
-            return _lower_ratio(na[1], nb[1])
-        # datatype bonus added below, needs column objects
-        return _memo_similarity(header_sims, na[1], nb[1], _lower_ratio)
+    # column pair (i, j), the i-th column of a and the j-th of b in schema
+    # order, sits at i * nb + j; datatype pair (p, q) at p * ndb + q
+    ndb = len(gb.datatypes)
+    col0: list[float] = []
+    col_type: list[int] = []
+    for i, p in zip(ga.ranks, ga.types):
+        name_a, type_a = ga.columns[i][1], ga.datatypes[p]
+        for j, q in zip(gb.ranks, gb.types):
+            s = _memo_similarity(header_sims, name_a, gb.columns[j][1], _lower_ratio)
+            if type_a == gb.datatypes[q]:
+                s = min(1.0, s + DATATYPE_BONUS)
+            col0.append(s)
+            col_type.append(p * ndb + q)
+    type0 = [1.0 if x == y else 0.0 for x in ga.datatypes for y in gb.datatypes]
+    type_w = [1.0 / (ca * cb) for ca in ga.type_counts for cb in gb.type_counts]
+    table_w = 1.0 / (na * nb)
+    table0 = _lower_ratio(a.name, b.name)
 
-    # same-kind node pairs in sorted order; pair (i, j) of a kind sits at
-    # offset[kind] + i * len(gb.nodes[kind]) + j
-    pairs: list[tuple[tuple, tuple]] = []
-    offset: dict[str, int] = {}
-    for kind, group_a in ga.nodes.items():
-        offset[kind] = len(pairs)
-        pairs.extend((na, nb) for na in group_a for nb in gb.nodes.get(kind, ()))
-    sigma0 = []
-    for na, nb in pairs:
-        s = initial(na, nb)
-        if na[0] == "column" and ga.datatypes[na[1]] == gb.datatypes[nb[1]]:
-            s = min(1.0, s + DATATYPE_BONUS)
-        sigma0.append(s)
-
-    # pair graph edges with propagation coefficients (both directions)
-    prop: list[list[tuple[int, float]]] = [[] for _ in pairs]
-    for label, edges_a in ga.edges.items():
-        if label not in gb.edges:
-            continue
-        src_kind, dst_kind = _EDGE_ENDS[label]
-        src_off, src_n = offset[src_kind], len(gb.nodes[src_kind])
-        dst_off, dst_n = offset[dst_kind], len(gb.nodes[dst_kind])
-        for sa, da, out_a, in_a in edges_a:
-            for sb, db, out_b, in_b in gb.edges[label]:
-                src, dst = src_off + sa * src_n + sb, dst_off + da * dst_n + db
-                prop[dst].append((src, 1.0 / (out_a * out_b)))
-                prop[src].append((dst, 1.0 / (in_a * in_b)))
-
-    sigma = list(sigma0)
+    col, typ, table = col0, type0, table0
     converged = False
     for _ in range(max_iters):
-        nxt = []
-        for s0, s, feeds in zip(sigma0, sigma, prop):
-            flow = 0
-            for j, w in feeds:
-                flow += w * sigma[j]
-            nxt.append(s0 + s + flow)
-        peak = max(nxt) if nxt else 1.0
+        from_table = table_w * table
+        feed = [from_table + w * s for w, s in zip(type_w, typ)]
+        next_col = []
+        into_type = [0] * len(typ)
+        for s0, s, t in zip(col0, col, col_type):
+            next_col.append(s0 + s + feed[t])
+            into_type[t] += s
+        next_type = list(map(add, map(add, type0, typ), into_type))
+        next_table = table0 + table + reduce(add, col, 0)
+        peak = max(max(next_col), max(next_type), next_table)
         if peak > 0:
-            nxt = [x / peak for x in nxt]
-        residual = max(map(abs, map(sub, nxt, sigma)), default=0.0)
-        sigma = nxt
-        if residual < epsilon:
-            converged = True
+            next_col = [x / peak for x in next_col]
+            next_type = [x / peak for x in next_type]
+            next_table /= peak
+        # the residual, the largest change of any pair, is below epsilon
+        # iff every part's is; the longest part is checked last
+        converged = (
+            abs(next_table - table) < epsilon
+            and max(map(abs, map(sub, next_type, typ))) < epsilon
+            and max(map(abs, map(sub, next_col, col))) < epsilon
+        )
+        col, typ, table = next_col, next_type, next_table
+        if converged:
             break
 
-    preds = [
-        MatchPrediction((a.name, na[1]), (b.name, nb[1]), max(0.0, min(1.0, s)))
-        for (na, nb), s in zip(pairs, sigma)
-        if na[0] == "column"
-    ]
+    # back to canonical order: a's sorted columns by b's
+    preds: list[MatchPrediction] = [None] * (na * nb)
+    scores = iter(col)
+    for i in ga.ranks:
+        ref_a = ga.columns[i]
+        for j in gb.ranks:
+            preds[i * nb + j] = MatchPrediction(ref_a, gb.columns[j], max(0.0, min(1.0, next(scores))))
     return preds, converged
 
 

@@ -18,7 +18,7 @@ import gc
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -256,6 +256,11 @@ class CorpusStats:
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusStats":
+        """The stats of a manifest. Anything but an object whose keys are
+        among the fields is a CorpusError."""
+        names = [f.name for f in fields(CorpusStats)]
+        if not isinstance(d, dict) or not d.keys() <= set(names):
+            raise CorpusError(f"not an object with keys among {names}: {d!r}")
         return CorpusStats(**d)
 
 
@@ -546,13 +551,17 @@ def _load_corpus(directory: Path) -> Corpus:
     tables: list[TableData] = []
     blobs: dict[str, bytes] = {}
     for n, entry in enumerate(manifest.get("tables", []), start=1):
+        if not isinstance(entry, dict):
+            raise CorpusError(f"{manifest_path}: table entry {n} is not an object: {entry!r}")
         try:
+            columns = entry["columns"]
+            if not (isinstance(columns, list) and all(isinstance(c, dict) for c in columns)):
+                raise CorpusError(
+                    f"{manifest_path}: table entry {n}: 'columns' is not a list of objects: {columns!r}"
+                )
             schema = TableSchema(
                 name=entry["name"],
-                columns=[
-                    Column(c["name"], c["semantic_type"], c["datatype"])
-                    for c in entry["columns"]
-                ],
+                columns=[Column(c["name"], c["semantic_type"], c["datatype"]) for c in columns],
                 primary_key=entry.get("primary_key"),
             )
             path = directory / entry["file"]
@@ -599,12 +608,16 @@ def _load_corpus(directory: Path) -> Corpus:
         raise CorpusError(
             f"{manifest_path}: ground-truth or lineage entry lacks key {exc.args[0]!r}"
         ) from None
+    try:
+        stats = CorpusStats.from_dict(manifest.get("stats", {}))
+    except CorpusError as exc:
+        raise CorpusError(f"{manifest_path}: stats: {exc}") from None
     corpus = Corpus(
         tables=tables,
         ground_truth=ground_truth,
         lineage=lineage,
         seed=manifest.get("seed", 0),
-        stats=CorpusStats.from_dict(manifest.get("stats", {})),
+        stats=stats,
     )
 
     files = {t["name"]: t["file"] for t in manifest.get("tables", [])}

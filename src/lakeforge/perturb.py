@@ -846,6 +846,17 @@ def apply_plan(
     return derived, warnings
 
 
+def _check_unused(tables: dict[str, TableData], child_name: str, source: str, k: int) -> None:
+    """A derivative's name <table>__<ops>_<k> restarts k in every apply_plan,
+    so perturbing a perturbed corpus can reach a name its input already
+    holds. Replacing that table would orphan the lineage events naming it."""
+    if child_name in tables:
+        raise PerturbationError(
+            f"derivative {child_name!r} of {source!r} would replace the table of that name",
+            step_index=k,
+        )
+
+
 def _run_step(
     step: PerturbStep,
     k: int,
@@ -883,6 +894,7 @@ def _run_step(
             # parse_plan keeps shape ops out of composites: one op, its children
             children, params = specs[0].handler(src, step.params, step_seed, child_name)
             for child in children:
+                _check_unused(tables, child.name, name, k)
                 tables[child.name] = child
                 _record(
                     lineage,
@@ -897,6 +909,7 @@ def _run_step(
             continue
 
         # composite of schema and value ops building one derivative
+        _check_unused(tables, child_name, name, k)
         child = TableData(schema=_schema_as(src, child_name), rows=list(src.rows))
         original_name = {c: c for c in child.schema.column_names()}
         pending: list[LineageEvent] = []

@@ -14,7 +14,7 @@ import json
 import re
 from pathlib import Path
 
-from lakeforge.matchers import sample_values
+from lakeforge.matchers import DATATYPE_BONUS, sample_values
 from lakeforge.model import Corpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -424,6 +424,89 @@ def reference_jl_scores(corpus: Corpus, delta: float = 0.8) -> dict[tuple, float
                     score = matched / union if va and vb and union else 0.0
                     scores[tuple(sorted([(a.name, ca), (b.name, cb)]))] = score
     return scores
+
+
+def reference_sf(a, b, epsilon: float = 1e-3, max_iters: int = 200):
+    """Similarity flooding by generic propagation over the pairwise
+    connectivity graph: typed schema edges (table -column-> column -type->
+    datatype), every same-kind node pair, and one coefficient per pair-graph
+    edge and direction, the inverse product of the same-label edge
+    multiplicities on both sides. A table without columns has no nodes, so
+    its pair graph is empty. Returns ([(key, score)] for the column pairs,
+    a's sorted columns by b's, each key canonical, and converged)."""
+    if b.name < a.name:
+        a, b = b, a
+
+    def ratio(x: str, y: str) -> float:
+        return reference_lev_ratio(x.lower(), y.lower())
+
+    def graph(t):
+        edges = []
+        for c in t.schema.columns:
+            edges.append((("table", t.name), "column", ("column", c.name)))
+            edges.append((("column", c.name), "type", ("datatype", c.datatype)))
+        nodes: dict[str, list[tuple]] = {}
+        for n in sorted({n for e in edges for n in (e[0], e[2])}):
+            nodes.setdefault(n[0], []).append(n)
+        return edges, nodes, {c.name: c.datatype for c in t.schema.columns}
+
+    (edges_a, nodes_a, types_a), (edges_b, nodes_b, types_b) = graph(a), graph(b)
+    pairs = [(x, y) for kind in nodes_a for x in nodes_a[kind] for y in nodes_b.get(kind, ())]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    sigma0 = []
+    for x, y in pairs:
+        if x[0] == "datatype":
+            s = 1.0 if x[1] == y[1] else 0.0
+        else:
+            s = ratio(x[1], y[1])
+        if x[0] == "column" and types_a[x[1]] == types_b[y[1]]:
+            s = min(1.0, s + DATATYPE_BONUS)
+        sigma0.append(s)
+
+    def multiplicities(edges):
+        out, into = {}, {}
+        for s, label, d in edges:
+            out[(s, label)] = out.get((s, label), 0) + 1
+            into[(d, label)] = into.get((d, label), 0) + 1
+        return out, into
+
+    (out_a, in_a), (out_b, in_b) = multiplicities(edges_a), multiplicities(edges_b)
+    feeds: list[list[tuple[int, float]]] = [[] for _ in pairs]
+    for label in ("column", "type"):
+        for sa, la, da in edges_a:
+            if la != label:
+                continue
+            for sb, lb, db in edges_b:
+                if lb != label:
+                    continue
+                src, dst = index[(sa, sb)], index[(da, db)]
+                feeds[dst].append((src, 1.0 / (out_a[(sa, label)] * out_b[(sb, label)])))
+                feeds[src].append((dst, 1.0 / (in_a[(da, label)] * in_b[(db, label)])))
+
+    sigma = list(sigma0)
+    converged = False
+    for _ in range(max_iters):
+        nxt = []
+        for s0, s, incoming in zip(sigma0, sigma, feeds):
+            flow = 0
+            for j, w in incoming:
+                flow += w * sigma[j]
+            nxt.append(s0 + s + flow)
+        peak = max(nxt, default=1.0)
+        if peak > 0:
+            nxt = [x / peak for x in nxt]
+        residual = max((abs(x - s) for x, s in zip(nxt, sigma)), default=0.0)
+        sigma = nxt
+        if residual < epsilon:
+            converged = True
+            break
+    scores = []
+    for (x, y), s in zip(pairs, sigma):
+        if x[0] == "column":
+            left, right = (a.name, x[1]), (b.name, y[1])
+            key = (left, right) if left <= right else (right, left)
+            scores.append((key, max(0.0, min(1.0, s))))
+    return scores, converged
 
 
 def recount_from_csvs(corpus_dir) -> dict:

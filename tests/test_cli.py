@@ -112,6 +112,25 @@ def test_perturb_bad_plan_exit_4(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_perturb_name_collision_exit_4(tmp_path, capsys):
+    # a step that changes nothing still adds Currency Name__text_noise_0; a
+    # second perturb at the same step index would name its derivative alike
+    onto = tmp_path / "finance.onto"
+    onto.write_text(finance_ontology_text(6))
+    run(["generate", "--ontology", str(onto), "--out", str(tmp_path / "base"), "--seed", "7",
+         "--row-cap", "10"])
+    codes = []
+    for rate, corpus, out in (("0", "base", "once"), ("1", "once", "twice")):
+        plan = tmp_path / f"rate{rate}.plan"
+        plan.write_text(f'step "Currency Name" text_noise typo_rate={rate}\n')
+        codes.append(run(["perturb", "--corpus", str(tmp_path / corpus), "--out", str(tmp_path / out),
+                          "--plan", str(plan)]))
+    assert codes == [0, 4]
+    err = capsys.readouterr().err
+    assert "step 0: derivative 'Currency Name__text_noise_0' of 'Currency Name'" in err
+    assert not (tmp_path / "twice").exists()
+
+
 @pytest.fixture(scope="module")
 def fig1_base(tmp_path_factory):
     base = tmp_path_factory.mktemp("fig1") / "base"
@@ -393,6 +412,23 @@ def _bad_pair_entry(key, value):
     return damage
 
 
+def _set_manifest_value(keys, value, message):
+    """Set one value of the manifest, reached through `keys`. The load
+    rejects it before the digest is checked, so the digest is left alone."""
+
+    def damage(corpus):
+        path = corpus / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        target = manifest
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        return path, message
+
+    return damage
+
+
 def _replace_manifest(text):
     def damage(corpus):
         (corpus / "manifest.json").write_text(text, encoding="utf-8")
@@ -420,6 +456,11 @@ def _break_csv_encoding(corpus):
         _bad_pair_entry("key_side", ["left"]),
         _bad_pair_entry("mapping_id", 7),
         _bad_pair_entry(None, ["left", "right"]),
+        _set_manifest_value(("stats", "foo"), 1, "stats: not an object with keys among"),
+        _set_manifest_value(("stats",), [], "stats: not an object"),
+        _set_manifest_value(("tables", 0, "columns"), 5, "table entry 1: 'columns' is not a list of objects"),
+        _set_manifest_value(("tables", 0, "columns", 0), "id", "table entry 1: 'columns' is not a list"),
+        _set_manifest_value(("tables", 0), "T.csv", "table entry 1 is not an object"),
         _replace_manifest("{not json"),
         _replace_manifest("[]"),
         _break_csv_encoding,
@@ -435,6 +476,11 @@ def _break_csv_encoding(corpus):
         "pair-key-side-list",
         "pair-mapping-id-integer",
         "pair-entry-not-object",
+        "stats-unknown-key",
+        "stats-not-object",
+        "table-columns-integer",
+        "table-column-not-object",
+        "table-entry-not-object",
         "manifest-not-json",
         "manifest-not-object",
         "csv-not-utf8",

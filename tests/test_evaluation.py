@@ -4,7 +4,9 @@ import pytest
 
 from helpers import confusion_oracle, topk_oracle
 
+from lakeforge.common import EvaluationError
 from lakeforge.evaluation import (
+    EvalReport,
     difficulty_breakdown,
     evaluate,
     precision_recall_f1,
@@ -12,7 +14,7 @@ from lakeforge.evaluation import (
     task_truth,
     top_k_precision,
 )
-from lakeforge.matchers import MatchPrediction
+from lakeforge.matchers import MatchPrediction, dedupe_predictions
 from lakeforge.model import JoinPair
 
 
@@ -197,10 +199,7 @@ def test_render_report_deterministic_and_formatted():
         MatchPrediction(("A", "x"), ("B", "x"), 0.81),
         MatchPrediction(("A", "z"), ("D", "z"), 0.41),
     ]
-    reports = [
-        evaluate(preds, pairs, task, matcher="jl", corpus_digest="abc123")
-        for task in ("exact_joins", "semantic_joins")
-    ]
+    reports = evaluate(preds, pairs, ["exact_joins", "semantic_joins"], matcher="jl", corpus_digest="abc123")
     text1, doc1 = render_report(reports)
     text2, doc2 = render_report(reports)
     assert text1 == text2 and doc1 == doc2
@@ -211,8 +210,8 @@ def test_render_report_deterministic_and_formatted():
 
 
 def test_render_report_degenerate_marker():
-    report = evaluate([], [], "exact_joins", matcher="jl")
-    text, doc = render_report([report])
+    reports = evaluate([], [], ["exact_joins"], matcher="jl")
+    text, doc = render_report(reports)
     assert "degenerate truth set" in text
 
 
@@ -220,7 +219,7 @@ def test_two_matchers_stable_ordering():
     pairs = [JoinPair(("A", "x"), ("B", "x"), kind="exact")]
     preds = [MatchPrediction(("A", "x"), ("B", "x"), 0.9)]
     reports = [
-        evaluate(preds, pairs, "exact_joins", matcher=m) for m in ("jl", "hybrid")
+        report for m in ("jl", "hybrid") for report in evaluate(preds, pairs, ["exact_joins"], matcher=m)
     ]
     text, _ = render_report(reports)
     lines = [l for l in text.splitlines() if l and not l.startswith("-") and "matcher" not in l]
@@ -236,11 +235,67 @@ def test_render_report_golden_layout():
         MatchPrediction(("A", "x"), ("B", "x"), 0.81),
         MatchPrediction(("A", "z"), ("D", "z"), 0.41),
     ]
-    report = evaluate(preds, pairs, "exact_joins", matcher="jl", corpus_digest="d")
-    text, _doc = render_report([report])
+    reports = evaluate(preds, pairs, ["exact_joins"], matcher="jl", corpus_digest="d")
+    text, _doc = render_report(reports)
     golden = (
         "matcher      task             F1 (P, R)              top-k                difficult    easy        \n"
         "---------------------------------------------------------------------------------------------------\n"
         "jl           exact_joins      1.00 (1.00, 1.00)      1.00, 0.33, 0.20     0/1          0/0         \n"
     )
     assert text == golden
+
+
+def test_evaluate_tasks_equal_per_task_metrics():
+    # one scoring pass over shuffled, duplicated predictions with tied scores
+    # gives, for each task, the report built from the per-task metrics
+    rng = random.Random(11)
+    names = [f"T{i}" for i in range(6)]
+    truth = {}
+    for i in range(40):
+        a, b = rng.sample(names, 2)
+        pair = JoinPair((a, f"c{i % 4}"), (b, f"c{i % 3}"), kind=rng.choice(["pkfk", "exact", "semantic"]),
+                        difficulty=rng.choice(["easy", "difficult"]))
+        truth.setdefault(pair.key(), pair)
+    ground_truth = list(truth.values())
+    keys = list(truth) + [((a, "c0"), (b, "c9")) for a in names for b in names if a < b]
+    preds = []
+    for left, right in keys:
+        score = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
+        preds.append(MatchPrediction(left, right, score))
+        preds.append(MatchPrediction(right, left, score * rng.random()))
+    rng.shuffle(preds)
+    tasks = ["exact_joins", "semantic_joins", "all"]
+    ks = (1, 3, 5, 100)
+    reports = evaluate(preds, ground_truth, tasks, matcher="m", threshold=0.5, ks=ks, corpus_digest="d")
+    want = []
+    for task in tasks:
+        task_pairs = task_truth(ground_truth, task)
+        p, r, f1, degenerate = precision_recall_f1(preds, task_pairs, 0.5)
+        want.append(
+            EvalReport(
+                matcher="m",
+                task=task,
+                threshold=0.5,
+                precision=p,
+                recall=r,
+                f1=f1,
+                top_k={k: top_k_precision(preds, task_pairs, k) for k in ks},
+                difficulty=difficulty_breakdown(preds, ground_truth, 0.5),
+                corpus_digest="d",
+                degenerate=degenerate,
+                truth_size=len(task_pairs),
+                prediction_count=len(dedupe_predictions(preds)),
+            )
+        )
+    assert reports == want
+    # each report owns its difficulty cells
+    reports[0].difficulty["easy"].correct += 1
+    assert reports[1].difficulty["easy"] == want[1].difficulty["easy"]
+
+
+def test_evaluate_takes_a_list_of_tasks():
+    with pytest.raises(EvaluationError, match="list of task names"):
+        evaluate([], [], "exact_joins")
+    with pytest.raises(EvaluationError, match="unknown task"):
+        evaluate([], [], ["exact_joins", "exact"])
+    assert evaluate([], [], []) == []

@@ -4,9 +4,11 @@ from helpers import (
     pairs_as_set,
     shared_pool_completion,
 )
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import generate_base_tables, plan_generation
 from lakeforge.ground_truth import joinable_columns, recompute_ground_truth
@@ -399,20 +401,22 @@ def test_carried_ground_truth_equals_fresh_recompute_over_rounds(small_finance_c
     assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
 
 
-def test_carried_ground_truth_follows_a_replaced_table(small_finance_corpus):
-    # perturbing a derived corpus again can rebuild a table under a name the
-    # input already holds; pairs found on the old table must not survive
+def test_perturbing_again_cannot_replace_a_table(small_finance_corpus):
+    # perturbing a derived corpus again can reach a derivative name the input
+    # already holds; the plan fails rather than rebuild that table, so no
+    # pair found on the old table can outlive it
     first, _ = apply_plan(
         small_finance_corpus,
         parse_plan('step "Currency Name" semantic_value_perturb\nstep "Currency Name" text_noise typo_rate=0\n'),
     )
+    assert pairs_as_set(first.ground_truth) == brute_force_ground_truth(first)
     plan = parse_plan(
         'step "Currency Name" semantic_value_perturb\n'
         'step "Currency Name" text_noise typo_rate=1\n'
         'step "Currency Name" semantic_value_perturb\n'
     )
-    derived, _ = apply_plan(first, plan)
-    assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)
+    with pytest.raises(PerturbationError, match="step 0: derivative 'Currency Name__semantic_value_perturb_0'"):
+        apply_plan(first, plan)
 
 
 def test_a_later_mapping_connects_a_pair_sharing_no_value():

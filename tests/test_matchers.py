@@ -3,6 +3,7 @@ import random
 import string
 import sys
 from datetime import date
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +15,14 @@ from helpers import (
     reference_jl_scores,
     reference_lev_ratio,
     reference_levenshtein,
+    reference_sf,
 )
 
 from lakeforge.common import EvaluationError, levenshtein, token_jaccard
 from lakeforge.matchers import (
+    DELETION_MAX_EDITS,
     MatchPrediction,
+    _deletion_variants,
     _max_bipartite_matching,
     dedupe_predictions,
     external_match,
@@ -286,6 +290,21 @@ def test_match_corpus_jl_equals_per_pair_reference(small_finance_corpus):
     assert {p.key(): p.score for p in preds} == reference_jl_scores(small_finance_corpus)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    case=st.text(st.sampled_from(["a", "b", "0", "é", "ß", "\U0001d518"]), max_size=8).flatmap(
+        lambda s: st.tuples(st.just(s), st.integers(0, min(len(s), DELETION_MAX_EDITS)))
+    )
+)
+def test_deletion_variants_equal_combinations(case):
+    s, drop = case
+    want = {
+        "".join(ch for i, ch in enumerate(s) if i not in gone)
+        for gone in map(set, combinations(range(len(s)), drop))
+    }
+    assert _deletion_variants(s, drop) == want
+
+
 # value pools: values of different pools are never within the jl threshold,
 # values of one pool often are
 _POOLS = [
@@ -493,6 +512,40 @@ def test_sf_symmetry():
     ab = [(p.key(), p.score) for p in sf_match(a, b, **shared)[0]]
     ba = [(p.key(), p.score) for p in sf_match(b, a, **shared)[0]]
     assert ab == ba
+
+
+# a schema: up to five distinct headers in drawn (not sorted) order, with
+# datatypes drawn from three, so they repeat
+_sf_schema = st.lists(st.sampled_from(_HEADERS), max_size=5, unique=True).flatmap(
+    lambda headers: st.lists(
+        st.sampled_from(["text", "integer", "date"]), min_size=len(headers), max_size=len(headers)
+    ).map(lambda types: list(zip(headers, types)))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    spec_a=_sf_schema,
+    spec_b=_sf_schema,
+    names=st.sampled_from([("A", "B"), ("B", "A"), ("Ledger", "Ledger 2"), ("ledger", "Ledger")]),
+    itself=st.booleans(),
+    max_iters=st.sampled_from([0, 1, 2, 5, 200]),
+    epsilon=st.sampled_from([1e-3, 1e-9, 0.0]),
+)
+@example(spec_a=[], spec_b=[("id", "text")], names=("A", "B"), itself=False, max_iters=200, epsilon=1e-3)
+@example(spec_a=[("Name", "text")], spec_b=[("name", "text")], names=("A", "B"), itself=False, max_iters=200, epsilon=1e-3)
+@example(spec_a=[], spec_b=[], names=("A", "B"), itself=True, max_iters=200, epsilon=1e-3)
+def test_sf_equals_reference_propagation(spec_a, spec_b, names, itself, max_iters, epsilon):
+    # the closed-form fixpoint against generic propagation over the pair
+    # graph: the same scores bit for bit, in the same order, and the same
+    # converged flag, in either argument order
+    a = three_col_schema(names[0], spec_a)
+    b = a if itself else three_col_schema(names[1], spec_b)
+    shared = profile([a] if itself else [a, b], "sf")
+    want = reference_sf(a, b, epsilon, max_iters)
+    for x, y in ((a, b), (b, a)):
+        preds, converged = sf_match(x, y, epsilon, max_iters, **shared)
+        assert ([(p.key(), p.score) for p in preds], converged) == want
 
 
 # ---------------------------------------------------------------------------

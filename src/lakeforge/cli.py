@@ -150,8 +150,6 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 def cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus)
-    manifest = json.loads((Path(args.corpus) / "manifest.json").read_text(encoding="utf-8"))
-    digest = manifest.get("digest", "")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
@@ -176,7 +174,7 @@ def cmd_evaluate(args) -> int:
             matcher=name,
             threshold=args.threshold,
             ks=ks,
-            corpus_digest=digest,
+            corpus_digest=corpus.digest,
         )
     text, doc = render_report(reports)
     (out / "report.txt").write_text(text, encoding="utf-8")

@@ -168,15 +168,38 @@ def split_words(name: str) -> list[str]:
     return words
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (unit-cost insert, delete, substitute), bit-parallel.
+PACK_BITS = 2048  # widest pattern pack of levenshtein_rows: big-int steps stay cheap
 
-    Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global-distance form
-    (2003). Over the DP table D of the shorter string b against the longer a,
-    bit i of pv (mv) says D[i + 1][j] - D[i][j] is +1 (-1) in the current
-    column j. One big-int step per character of a updates the whole column,
-    and `dist` follows its last cell, D[len(b)][j]. A common prefix and
-    suffix never change the distance, so they are stripped first."""
+
+def _myers(text: str, peq: dict[str, int], mask: int, lows: int) -> tuple[int, int]:
+    """Myers' bit-vector algorithm (JACM 1999) in Hyyrö's global-distance
+    form (2003), for one or more patterns packed into bit fields.
+
+    Each pattern owns the bits of `mask` from its field's bottom bit (set in
+    `lows`) up, followed by a zero guard bit; peq maps a character to its
+    positions in every pattern. Over the DP table D of a pattern against
+    text, bit i of pv (mv) says D[i + 1][j] - D[i][j] is +1 (-1) in column j.
+    One big-int step per character of text updates every pattern's column:
+    an addition's carry stops in a field's guard bit, and ph is masked before
+    its shift, so no carry or complemented bit enters the next field. Row 0
+    grows by one per column. Returns the last column's (pv, mv): a pattern's
+    distance is len(text) plus its field's pv bits minus its mv bits."""
+    pv, mv = mask, 0
+    for ch in text:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = ((mv | ~(xh | pv)) & mask) << 1 | lows
+        pv = ((pv & xh) << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return pv, mv
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance (unit-cost insert, delete, substitute), bit-parallel:
+    the one-pattern case of _myers, the shorter string the pattern. A common
+    prefix and suffix never change the distance, so they are stripped
+    first."""
     if a == b:
         return 0
     n = min(len(a), len(b))
@@ -196,39 +219,53 @@ def levenshtein(a: str, b: str) -> int:
     peq: dict[str, int] = {}  # character -> bitmask of its positions in b
     for i, ch in enumerate(b):
         peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv, mv, dist = mask, 0, m
-    for ch in a:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1  # row 0 grows by one per column
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask  # carries only move up: the mask just bounds the ints
-        mv = ph & xv
-    return dist
+    pv, mv = _myers(a, peq, (1 << m) - 1, 1)
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
-def lev_ratio(a: str, b: str) -> float:
-    """Normalized Levenshtein similarity in [0, 1]; 1.0 for two empty strings."""
-    if a == b:
-        return 1.0
-    m = max(len(a), len(b))
-    if m == 0:
-        return 1.0
-    return 1.0 - levenshtein(a, b) / m
+def levenshtein_rows(texts: list[str], patterns: list[str]) -> list[list[int]]:
+    """levenshtein(t, p) for every text t by every pattern p, one row per
+    text. The patterns are packed into bit fields of at most PACK_BITS bits
+    (a longer pattern is a pack of its own), so each text runs _myers once
+    per pack (Hyyrö, Fredriksson and Navarro, JEA 2005)."""
+    rows = [[0] * len(patterns) for _ in texts]
+    packs: list[list[int]] = []
+    width = 0
+    for j, p in enumerate(patterns):
+        if not packs or width + len(p) + 1 > PACK_BITS:
+            packs.append([])
+            width = 0
+        packs[-1].append(j)
+        width += len(p) + 1
+    for pack in packs:
+        peq: dict[str, int] = {}
+        mask = lows = offset = 0
+        fields = []  # (pattern index, field mask)
+        for j in pack:
+            p = patterns[j]
+            for i, ch in enumerate(p, offset):
+                peq[ch] = peq.get(ch, 0) | (1 << i)
+            field = ((1 << len(p)) - 1) << offset
+            if p:
+                mask |= field
+                lows |= 1 << offset
+            fields.append((j, field))
+            offset += len(p) + 1
+        for row, t in zip(rows, texts):
+            pv, mv = _myers(t, peq, mask, lows)
+            n = len(t)
+            for j, field in fields:
+                row[j] = n + (pv & field).bit_count() - (mv & field).bit_count()
+    return rows
 
 
-def token_jaccard(a: str, b: str) -> float:
-    ta = {w.casefold() for w in split_words(a)}
-    tb = {w.casefold() for w in split_words(b)}
+def word_set(name: str) -> frozenset[str]:
+    """The case-folded words of a name (split_words), as token_jaccard takes them."""
+    return frozenset(w.casefold() for w in split_words(name))
+
+
+def token_jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
+    """Jaccard similarity of two names' word sets; 1.0 when both are empty."""
     if not ta and not tb:
         return 1.0
     if not ta or not tb:

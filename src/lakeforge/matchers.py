@@ -20,11 +20,13 @@ external_match  run an external matcher process and read its predictions CSV.
 
 profile builds what a pair matcher reads, once over a set of tables: column
 samples, jl's neighbour map and reach sets, hybrid's share sets
-(reachable_columns), one schema graph per table for sf, and one
-header-similarity table for sf and hybrid, filled on first use of each header
-pair. The pair matchers build nothing; they only read the profile they are
-given. match_corpus profiles the whole corpus once and scores every table
-pair through it.
+(reachable_columns), one schema graph per table for sf, and complete name
+similarity tables: header_sims over every header pair for sf and hybrid, and
+table_sims over every table-name pair for sf. Each table's edit distances
+come from one packed bit-parallel pass (common.levenshtein_rows). The pair
+matchers build nothing; they only read the profile they are given.
+match_corpus profiles the whole corpus once and scores every table pair
+through it, in canonical order.
 
 All matchers are stateless and symmetric; scores live in [0, 1].
 """
@@ -41,7 +43,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, sub
 
-from .common import EvaluationError, lev_ratio, levenshtein, seeded_rng, token_jaccard
+from .common import EvaluationError, levenshtein, levenshtein_rows, seeded_rng, token_jaccard, word_set
 from .model import ColumnRef, Corpus, TableData, keys_increasing
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
@@ -116,15 +118,35 @@ def reachable_columns(
     return reach
 
 
-def _memo_similarity(memo: dict[tuple[str, str], float], x: str, y: str, similarity) -> float:
-    """similarity of two headers through memo, keyed by the unordered pair:
-    the header similarities are symmetric, so both orders share one entry,
-    computed in the key's order."""
-    key = (x, y) if x <= y else (y, x)
-    sim = memo.get(key)
-    if sim is None:
-        sim = memo[key] = similarity(*key)
-    return sim
+def _lower_ratios(names: Iterable[str]) -> dict[tuple[str, str], float]:
+    """The complete name-similarity table of sf: for every unordered pair of
+    names, each name with itself included, keyed (x, y) with x <= y, the
+    normalized Levenshtein similarity of the lowered names, 1 - distance /
+    the longer one's length (1.0 when they are equal). The lowered strings'
+    own lengths divide, since str.lower can change a length. All distances
+    come from one levenshtein_rows over the distinct lowered names."""
+    names = sorted(set(names))
+    lowered = [x.lower() for x in names]
+    distinct = list(dict.fromkeys(lowered))
+    position = {s: j for j, s in enumerate(distinct)}
+    rows = levenshtein_rows(distinct, distinct)
+    ratios = {}
+    for i, (x, xl) in enumerate(zip(names, lowered)):
+        row, lx = rows[position[xl]], len(xl)
+        for y, yl in zip(names[i:], lowered[i:]):
+            ratios[(x, y)] = 1.0 if xl == yl else 1.0 - row[position[yl]] / max(lx, len(yl))
+    return ratios
+
+
+def _name_similarities(names: Iterable[str]) -> dict[tuple[str, str], float]:
+    """The complete header-similarity table of hybrid, keyed as _lower_ratios:
+    the larger of the lowered names' normalized Levenshtein similarity and
+    the Jaccard similarity of their word sets (COMA's name matchers)."""
+    words = {x: word_set(x) for x in names}
+    sims = _lower_ratios(words)
+    for (x, y), ratio in sims.items():
+        sims[(x, y)] = max(ratio, token_jaccard(words[x], words[y]))
+    return sims
 
 
 # --------------------------------------------------------------------------
@@ -373,10 +395,6 @@ def jl_match(
 DATATYPE_BONUS = 0.05
 
 
-def _lower_ratio(a: str, b: str) -> float:
-    return lev_ratio(a.lower(), b.lower())
-
-
 @dataclass
 class SchemaGraph:
     """One table's schema graph as sf_match reads it. The graph's shape is
@@ -414,6 +432,7 @@ def sf_match(
     *,
     graphs: dict[str, SchemaGraph],
     header_sims: dict[tuple[str, str], float],
+    table_sims: dict[tuple[str, str], float],
 ) -> tuple[list[MatchPrediction], bool]:
     """Similarity-flooding fixpoint over the pairwise connectivity graph.
 
@@ -430,7 +449,7 @@ def sf_match(
       a datatype pair the sum of its column pairs' sigmas;
     each sum taken in a's schema order by b's, one addition at a time, so
     every float operation is that of propagating edge by edge. The schema
-    graphs and the column-name similarity table are read from
+    graphs and the column- and table-name similarity tables are read from
     profile(..., "sf"). The tables are taken in name order, so both argument
     orders give the same scores, bit for bit."""
     if b.name < a.name:
@@ -450,7 +469,8 @@ def sf_match(
     for i, p in zip(ga.ranks, ga.types):
         name_a, type_a = ga.columns[i][1], ga.datatypes[p]
         for j, q in zip(gb.ranks, gb.types):
-            s = _memo_similarity(header_sims, name_a, gb.columns[j][1], _lower_ratio)
+            name_b = gb.columns[j][1]
+            s = header_sims[(name_a, name_b) if name_a <= name_b else (name_b, name_a)]
             if type_a == gb.datatypes[q]:
                 s = min(1.0, s + DATATYPE_BONUS)
             col0.append(s)
@@ -458,7 +478,7 @@ def sf_match(
     type0 = [1.0 if x == y else 0.0 for x in ga.datatypes for y in gb.datatypes]
     type_w = [1.0 / (ca * cb) for ca in ga.type_counts for cb in gb.type_counts]
     table_w = 1.0 / (na * nb)
-    table0 = _lower_ratio(a.name, b.name)
+    table0 = table_sims[(a.name, b.name)]
 
     col, typ, table = col0, type0, table0
     converged = False
@@ -503,10 +523,6 @@ def sf_match(
 # --------------------------------------------------------------------------
 
 
-def name_similarity(a: str, b: str) -> float:
-    return max(lev_ratio(a.lower(), b.lower()), token_jaccard(a, b))
-
-
 def instance_containment(values_a: Iterable[str], values_b: Iterable[str]) -> float:
     sa, sb = set(values_a), set(values_b)
     if not sa or not sb:
@@ -527,7 +543,7 @@ def hybrid_match(
     """COMA-style blend: header similarity (max of normalized Levenshtein and
     token-set Jaccard) weighted against instance containment, which is 0.0
     for a pair outside the share sets. The column samples, share sets and
-    name_similarity table are read from profile(..., "hybrid"). The tables
+    header-similarity table are read from profile(..., "hybrid"). The tables
     are taken in name order, so the predictions come in canonical order and
     both argument orders give the same ones."""
     if w_name < 0 or w_instance < 0 or abs(w_name + w_instance - 1.0) > 1e-9:
@@ -537,10 +553,11 @@ def hybrid_match(
     cols_b = _sorted_columns(b)
     preds = []
     for ref_a in _sorted_columns(a):
-        va, share_a = samples[ref_a], share[ref_a]
+        va, share_a, name_a = samples[ref_a], share[ref_a], ref_a[1]
         for ref_b in cols_b:
             containment = instance_containment(va, samples[ref_b]) if ref_b in share_a else 0.0
-            name = _memo_similarity(header_sims, ref_a[1], ref_b[1], name_similarity)
+            name_b = ref_b[1]
+            name = header_sims[(name_a, name_b) if name_a <= name_b else (name_b, name_a)]
             score = w_name * name + w_instance * containment
             preds.append(MatchPrediction(ref_a, ref_b, score))
     return preds
@@ -556,18 +573,32 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
     over `tables` (every pair scored through them must come from there):
 
     jl      samples, neighbours (value_neighbours at JL_DELTA), reach
-    sf      graphs (one schema graph per table), header_sims
-    hybrid  samples, share, header_sims
+    sf      graphs (one schema graph per table), header_sims (the lowered
+            headers' normalized Levenshtein similarity) and table_sims (the
+            same over the table names)
+    hybrid  samples, share, header_sims (the larger of that similarity and
+            the headers' word-set Jaccard)
 
-    A header_sims table starts empty and is filled on first use of each
-    header pair. `seed` draws the column samples."""
-    if matcher == "sf":
-        return {"graphs": {t.name: schema_graph(t) for t in tables}, "header_sims": {}}
-    if matcher not in ("jl", "hybrid"):
+    The similarity tables are complete, keyed (x, y) with x <= y: every pair
+    of names, each name with itself included, so a table can also be matched
+    with itself. `seed` draws the column samples."""
+    if matcher not in ("jl", "sf", "hybrid"):
         raise EvaluationError(f"unknown matcher {matcher!r}")
+    tables = list(tables)
+    headers = [c.name for t in tables for c in t.schema.columns]
+    if matcher == "sf":
+        return {
+            "graphs": {t.name: schema_graph(t) for t in tables},
+            "header_sims": _lower_ratios(headers),
+            "table_sims": _lower_ratios(t.name for t in tables),
+        }
     samples = column_samples(tables, seed)
     if matcher == "hybrid":
-        return {"samples": samples, "share": reachable_columns(samples), "header_sims": {}}
+        return {
+            "samples": samples,
+            "share": reachable_columns(samples),
+            "header_sims": _name_similarities(headers),
+        }
     neighbours = value_neighbours(frozenset().union(*samples.values()), JL_DELTA)
     return {"samples": samples, "neighbours": neighbours, "reach": reachable_columns(samples, neighbours)}
 
@@ -580,7 +611,12 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction
     """Run a built-in matcher over every cross-table column pair: the corpus
     is profiled once, then each table pair is scored through the module's
     jl_match, sf_match or hybrid_match, with `params` passed on. A keyword
-    the pair matcher does not take raises EvaluationError."""
+    the pair matcher does not take raises EvaluationError.
+
+    The predictions come in canonical order by construction. A pair matcher
+    returns table a's sorted columns by b's, and validate rejects duplicate
+    table and column names, so for each table a in name order, each of its
+    columns takes its row of every later table's block, in name order."""
     shared = profile(corpus.tables, matcher, corpus.seed)
     for name in params:
         if name not in _PAIR_PARAMS[matcher]:
@@ -588,16 +624,18 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction
     tables = sorted(corpus.tables, key=lambda t: t.name)
     preds: list[MatchPrediction] = []
     for i, a in enumerate(tables):
+        blocks = []  # (predictions of a with b, b's column count)
         for b in tables[i + 1:]:
             if matcher == "jl":
-                preds.extend(jl_match(a, b, **params, **shared))
+                block = jl_match(a, b, **params, **shared)
             elif matcher == "sf":
-                preds.extend(sf_match(a, b, **params, **shared)[0])
+                block = sf_match(a, b, **params, **shared)[0]
             else:
-                preds.extend(hybrid_match(a, b, **params, **shared))
-    # one prediction per column pair: validate rejects duplicate table and
-    # column names, so the keys are unique and sorting them is canonical
-    preds.sort(key=MatchPrediction.key)
+                block = hybrid_match(a, b, **params, **shared)
+            blocks.append((block, len(b.schema.columns)))
+        for r in range(len(a.schema.columns)):
+            for block, nb in blocks:
+                preds.extend(block[r * nb:(r + 1) * nb])
     return preds
 
 

@@ -293,6 +293,10 @@ class Corpus:
     The table list is fixed once the corpus is built: `__post_init__` sorts
     it and indexes it by name, and `table`/`has_table` read that index. Build
     a new `Corpus` rather than editing `tables` in place.
+
+    `digest` is the manifest digest that load_corpus verified ("" for a
+    corpus not loaded). It is not part of the corpus's value, so equality
+    ignores it.
     """
 
     tables: list[TableData]
@@ -300,6 +304,7 @@ class Corpus:
     lineage: list[LineageEvent] = field(default_factory=list)
     seed: int = 0
     stats: CorpusStats = field(default_factory=CorpusStats)
+    digest: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         # canonical table order makes save/load the identity on the model
@@ -627,4 +632,5 @@ def _load_corpus(directory: Path) -> Corpus:
             f"digest mismatch: manifest says {manifest.get('digest')}, contents give {expect}"
         )
     corpus.validate()
+    corpus.digest = expect
     return corpus

@@ -14,6 +14,7 @@ import json
 import re
 from pathlib import Path
 
+from lakeforge.common import split_words
 from lakeforge.matchers import DATATYPE_BONUS, sample_values
 from lakeforge.model import Corpus
 
@@ -343,6 +344,20 @@ def reference_lev_ratio(a: str, b: str) -> float:
     """1 - distance / longer length; 1.0 for two empty strings."""
     longer = max(len(a), len(b))
     return 1.0 - reference_levenshtein(a, b) / longer if longer else 1.0
+
+
+def reference_name_similarity(a: str, b: str) -> float:
+    """hybrid's header similarity by its definition: the larger of
+    reference_lev_ratio over the lowered names and the Jaccard similarity of
+    their case-folded word sets (words as `lakeforge.common.split_words`
+    defines them)."""
+    wa = {w.casefold() for w in split_words(a)}
+    wb = {w.casefold() for w in split_words(b)}
+    if wa or wb:
+        jaccard = len(wa & wb) / len(wa | wb)
+    else:
+        jaccard = 1.0
+    return max(reference_lev_ratio(a.lower(), b.lower()), jaccard)
 
 
 def optimal_fuzzy_jaccard(values_a, values_b, delta: float) -> float:

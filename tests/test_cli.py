@@ -181,6 +181,8 @@ def test_evaluate_three_matchers_two_tasks(tmp_path, capsys):
         assert (tmp_path / "r" / f"predictions_{name}.csv").exists()
     # k columns present: 1, 3, 5
     assert set(doc["reports"][0]["top_k"]) == {"1", "3", "5"}
+    digest = json.loads((tmp_path / "c" / "manifest.json").read_text())["digest"]
+    assert {r["corpus_digest"] for r in doc["reports"]} == {digest}
 
 
 def test_evaluate_with_external_stub(tmp_path):

@@ -116,6 +116,8 @@ def test_save_load_round_trip(tmp_path):
     digest = save_corpus(corpus, tmp_path)
     loaded = load_corpus(tmp_path)
     assert loaded == corpus
+    # the verified digest rides along, outside the corpus's value
+    assert (loaded.digest, corpus.digest) == (digest, "")
     # saving the loaded corpus again is byte-identical
     digest2 = save_corpus(loaded, tmp_path / "again")
     assert digest2 == digest

@@ -3,7 +3,8 @@ import random
 import string
 import sys
 from datetime import date
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +16,12 @@ from helpers import (
     reference_jl_scores,
     reference_lev_ratio,
     reference_levenshtein,
+    reference_name_similarity,
     reference_sf,
 )
 
-from lakeforge.common import EvaluationError, levenshtein, token_jaccard
+from lakeforge import common
+from lakeforge.common import PACK_BITS, EvaluationError, levenshtein, levenshtein_rows
 from lakeforge.matchers import (
     DELETION_MAX_EDITS,
     MatchPrediction,
@@ -31,7 +34,6 @@ from lakeforge.matchers import (
     instance_containment,
     jl_match,
     match_corpus,
-    name_similarity,
     parse_predictions_csv,
     profile,
     reachable_columns,
@@ -260,11 +262,29 @@ _headers = st.one_of(
 )
 
 
+_row_text = st.text(st.sampled_from("ab \u00e9\u0130\U0001d518\U0001f600"), max_size=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(texts=st.lists(_row_text, max_size=5), patterns=st.lists(_row_text, max_size=12), bound=st.integers(1, 40))
+# the bound itself: repeated and empty strings in one pack, a pattern longer
+# than a pack, and a pattern set whose total crosses it
+@example(texts=["", "ab", "ab"], patterns=["", "ab", "ab", "", "\U0001f600"], bound=PACK_BITS)
+@example(texts=["ab\U0001f600", "", "b"], patterns=["ab", "a" * (PACK_BITS + 1), "b"], bound=PACK_BITS)
+@example(texts=["ba", "\u00e9"], patterns=["ab" * 100] * 11 + ["\u00e9"], bound=PACK_BITS)
+def test_levenshtein_rows_equal_reference_dp(texts, patterns, bound):
+    # a smaller pack bound makes short pattern lists span several packs
+    with mock.patch.object(common, "PACK_BITS", bound):
+        rows = levenshtein_rows(texts, patterns)
+    assert rows == [[reference_levenshtein(t, p) for p in patterns] for t in texts]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(a=_headers, b=_headers)
 def test_name_similarity_equals_reference(a, b):
-    want = max(reference_lev_ratio(a.lower(), b.lower()), token_jaccard(a, b))
-    assert name_similarity(a, b) == want
+    tables = [table("A", [a], []), table("B", [b], [])]
+    sims = profile(tables, "hybrid")["header_sims"]
+    assert sims[(a, b) if a <= b else (b, a)] == reference_name_similarity(a, b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -450,6 +470,71 @@ def test_pair_matchers_symmetric_canonical_and_bounded(pair, matcher):
     assert all(0.0 <= score <= 1.0 for _key, score in ab)
 
 
+_NAMES = ["A", "a", "Ab", "aB", "\u0130", "i\u0307", "Ledger", "PID", "Person ID"]
+
+
+def _unordered_pairs(names):
+    """Every unordered pair of the names, each with itself included, as the
+    similarity tables key them."""
+    return {(x, y) if x <= y else (y, x) for x, y in combinations_with_replacement(set(names), 2)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    spec=st.lists(
+        st.tuples(st.sampled_from(_NAMES), st.lists(st.sampled_from(_NAMES + _HEADERS), max_size=3, unique=True)),
+        min_size=1, max_size=4, unique_by=lambda t: t[0],
+    )
+)
+# names that differ only in case, "İ", whose lowered form is two characters
+# long, shared and distinct headers, a zero-column table, a single table
+@example(spec=[("\u0130", ["\u0130", "i\u0307"]), ("i\u0307", ["PID"]), ("A", [])])
+@example(spec=[("a", ["Ab", "aB"])])
+def test_name_similarity_tables_equal_per_pair_definition(spec):
+    tables = [table(name, headers, []) for name, headers in spec]
+    headers = [h for _name, hs in spec for h in hs]
+    sf, hybrid = profile(tables, "sf"), profile(tables, "hybrid")
+    assert sf["header_sims"] == {
+        (x, y): reference_lev_ratio(x.lower(), y.lower()) for x, y in _unordered_pairs(headers)
+    }
+    assert sf["table_sims"] == {
+        (x, y): reference_lev_ratio(x.lower(), y.lower()) for x, y in _unordered_pairs(t.name for t in tables)
+    }
+    assert hybrid["header_sims"] == {(x, y): reference_name_similarity(x, y) for x, y in _unordered_pairs(headers)}
+    # the tables hold every key a pair matcher reads, a table with itself included
+    for a, b in combinations_with_replacement(tables, 2):
+        sf_match(a, b, **sf)
+        hybrid_match(a, b, **hybrid)
+
+
+@st.composite
+def _shuffled_tables(draw):
+    """Two to four tables of distinct names, in an order other than their
+    names' as often as not, each with zero to three columns of pool values."""
+    names = draw(st.permutations(draw(st.lists(st.sampled_from(["A", "B", "a", "Ledger", "Ledger 2"]),
+                                               min_size=2, max_size=4, unique=True))))
+    tables = []
+    for name in names:
+        headers = draw(st.lists(st.sampled_from(_HEADERS), max_size=3, unique=True))
+        columns = [draw(_pool_values) for _ in headers]
+        rows = [tuple(col[i] if i < len(col) else "" for col in columns) for i in range(max(map(len, columns), default=0))]
+        tables.append(table(name, headers, rows))
+    return tables
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(tables=_shuffled_tables(), matcher=st.sampled_from(sorted(PAIR_MATCHERS)))
+def test_match_corpus_keys_strictly_increase_and_cover_every_pair(tables, matcher):
+    keys = [p.key() for p in match_corpus(Corpus(tables=tables), matcher)]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert set(keys) == {
+        tuple(sorted([(a.name, ca), (b.name, cb)]))
+        for a, b in combinations(tables, 2)
+        for ca in a.schema.column_names()
+        for cb in b.schema.column_names()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Similarity Flooding
 # ---------------------------------------------------------------------------
@@ -564,12 +649,11 @@ def test_hybrid_identical_headers_and_values():
 def test_hybrid_cryptified_header_closed_form():
     a = column_table("A", "Person ID", ["1", "2", "3"])
     b = column_table("B", "PID", ["1", "2", "3"])
-    preds = hybrid_match(a, b, 0.5, 0.5, **profile([a, b], "hybrid"))
-    expect = 0.5 * name_similarity("Person ID", "PID") + 0.5 * 1.0
-    assert preds[0].score == pytest.approx(expect)
-    assert name_similarity("Person ID", "PID") == pytest.approx(
-        max(reference_lev_ratio("person id", "pid"), 0.0)
-    )
+    shared = profile([a, b], "hybrid")
+    preds = hybrid_match(a, b, 0.5, 0.5, **shared)
+    name = shared["header_sims"][("PID", "Person ID")]
+    assert preds[0].score == pytest.approx(0.5 * name + 0.5 * 1.0)
+    assert name == pytest.approx(max(reference_lev_ratio("person id", "pid"), 0.0))
 
 
 def test_hybrid_weight_validation():

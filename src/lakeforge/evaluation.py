@@ -2,26 +2,25 @@
 precision/recall/F1, top-k precision, and the easy/difficult decomposition of
 the non-exact semantic pairs. The positive rule is strict: score > threshold.
 
-evaluate scores one matcher's predictions for every task in one pass: they
-are deduplicated, ranked, thresholded and matched against the semantic pairs
-once, and only the truth set differs from task to task.
+evaluate scores one matcher's Predictions (a score per column pair, in
+canonical order) for every task in one pass. It takes three things straight
+from the score list once: the positives, the top max(ks) pairs and the
+difficulty cells. Only the truth set differs from task to task.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, replace
 
 from .common import EvaluationError
 from .model import (
-    ColumnRef,
     JoinPair,
     KIND_EXACT,
     KIND_PKFK,
     KIND_SEMANTIC,
 )
-from .matchers import MatchPrediction, dedupe_predictions
+from .matchers import PairKey, Predictions
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_KS = (1, 3, 5)
@@ -30,8 +29,6 @@ TASK_EXACT = "exact_joins"
 TASK_SEMANTIC = "semantic_joins"
 TASK_ALL = "all"
 TASKS = (TASK_EXACT, TASK_SEMANTIC, TASK_ALL)
-
-PairKey = tuple[ColumnRef, ColumnRef]
 
 
 def task_truth(
@@ -55,17 +52,10 @@ def task_truth(
     return {p.key() for p in pairs if p.kind in kinds}
 
 
-def precision_recall_f1(
-    preds: list[MatchPrediction], truth: set[PairKey], threshold: float = DEFAULT_THRESHOLD
-) -> tuple[float, float, float, bool]:
-    """Returns (precision, recall, f1, degenerate). Positives are predictions
-    with score strictly above the threshold. degenerate=True flags an empty
-    truth set rather than silently reporting zeros."""
-    positives = {p.key() for p in dedupe_predictions(preds) if p.score > threshold}
-    return _precision_recall_f1(positives, truth)
-
-
-def _precision_recall_f1(positives: set[PairKey], truth: set[PairKey]) -> tuple[float, float, float, bool]:
+def precision_recall_f1(positives: set[PairKey], truth: set[PairKey]) -> tuple[float, float, float, bool]:
+    """Returns (precision, recall, f1, degenerate) of the positive pairs
+    (Predictions.positives). degenerate=True flags an empty truth set rather
+    than silently reporting zeros."""
     tp = len(positives & truth)
     precision = tp / len(positives) if positives else 0.0
     degenerate = not truth
@@ -74,29 +64,17 @@ def _precision_recall_f1(positives: set[PairKey], truth: set[PairKey]) -> tuple[
     return precision, recall, f1, degenerate
 
 
-def top_k_precision(preds: list[MatchPrediction], truth: set[PairKey], k: int) -> float:
-    """Truth hits among the k highest-scored predictions, divided by k.
-
-    Ties break on canonical pair order; if fewer than k predictions exist the
-    missing slots count as misses."""
+def top_k_precision(ranked: list[PairKey], truth: set[PairKey], k: int) -> float:
+    """Truth hits among the k highest-scored pairs of a ranking
+    (Predictions.ranked, ties in canonical order), divided by k. If the
+    ranking is shorter than k, the missing slots count as misses."""
     _check_k(k)
-    return _top_k_precision([p.key() for p in _ranked(dedupe_predictions(preds), k)], truth, k)
+    return sum(1 for key in ranked[:k] if key in truth) / k
 
 
 def _check_k(k: int) -> None:
     if k < 1:
         raise EvaluationError("k must be >= 1")
-
-
-def _ranked(unique: list[MatchPrediction], n: int) -> list[MatchPrediction]:
-    """The n highest-scored predictions, highest first. dedupe_predictions
-    returns canonical pair order, and nsmallest is a stable selection, so
-    ties break on it."""
-    return heapq.nsmallest(n, unique, key=lambda p: -p.score)
-
-
-def _top_k_precision(ranked: list[PairKey], truth: set[PairKey], k: int) -> float:
-    return sum(1 for key in ranked[:k] if key in truth) / k
 
 
 @dataclass
@@ -109,27 +87,20 @@ class DifficultyCell:
 
 
 def difficulty_breakdown(
-    preds: list[MatchPrediction],
+    preds: Predictions,
     truth_pairs: list[JoinPair],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> dict[str, DifficultyCell]:
     """Per-difficulty hit counts over the non-exactly but semantically joinable
     pairs (kind == semantic; exact overlap pairs are excluded by kind
-    exclusivity)."""
-    return _difficulty_breakdown(dedupe_predictions(preds), truth_pairs, threshold)
-
-
-def _difficulty_breakdown(
-    unique: list[MatchPrediction], truth_pairs: list[JoinPair], threshold: float
-) -> dict[str, DifficultyCell]:
-    score_of = {p.key(): p.score for p in unique}
+    exclusivity). A pair not predicted scores 0.0."""
     cells = {"easy": DifficultyCell(), "difficult": DifficultyCell()}
     for pair in truth_pairs:
         if pair.kind != KIND_SEMANTIC:
             continue
         cell = cells[pair.difficulty]
         cell.total += 1
-        if score_of.get(pair.key(), 0.0) > threshold:
+        if preds.score_of(pair.key()) > threshold:
             cell.correct += 1
     return cells
 
@@ -170,7 +141,7 @@ class EvalReport:
 
 
 def evaluate(
-    preds: list[MatchPrediction],
+    preds: Predictions,
     ground_truth: list[JoinPair],
     tasks: list[str],
     matcher: str = "",
@@ -180,21 +151,20 @@ def evaluate(
     semantic_includes_exact: bool = True,
 ) -> list[EvalReport]:
     """One matcher's report for each task, in the order given. The
-    predictions are deduplicated, ranked (as far as the largest k) and
-    thresholded once for all tasks; the difficulty cells do not depend on the
-    task, and each report gets its own copy."""
+    predictions are ranked (as far as the largest k) and thresholded once for
+    all tasks; the difficulty cells do not depend on the task, and each
+    report gets its own copy."""
     if isinstance(tasks, str):
         raise EvaluationError(f"tasks must be a list of task names, not the string {tasks!r}")
     for k in ks:
         _check_k(k)
     truths = [task_truth(ground_truth, task, semantic_includes_exact) for task in tasks]
-    unique = dedupe_predictions(preds)
-    positives = {p.key() for p in unique if p.score > threshold}
-    top = [p.key() for p in _ranked(unique, max(ks, default=0))]
-    difficulty = _difficulty_breakdown(unique, ground_truth, threshold)
+    positives = preds.positives(threshold)
+    top = preds.ranked(max(ks, default=0))
+    difficulty = difficulty_breakdown(preds, ground_truth, threshold)
     reports = []
     for task, truth in zip(tasks, truths):
-        precision, recall, f1, degenerate = _precision_recall_f1(positives, truth)
+        precision, recall, f1, degenerate = precision_recall_f1(positives, truth)
         reports.append(
             EvalReport(
                 matcher=matcher,
@@ -203,12 +173,12 @@ def evaluate(
                 precision=precision,
                 recall=recall,
                 f1=f1,
-                top_k={k: _top_k_precision(top, truth, k) for k in ks},
+                top_k={k: top_k_precision(top, truth, k) for k in ks},
                 difficulty={name: replace(cell) for name, cell in difficulty.items()},
                 corpus_digest=corpus_digest,
                 degenerate=degenerate,
                 truth_size=len(truth),
-                prediction_count=len(unique),
+                prediction_count=len(preds),
             )
         )
     return reports

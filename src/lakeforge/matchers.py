@@ -24,9 +24,14 @@ samples, jl's neighbour map and reach sets, hybrid's share sets
 similarity tables: header_sims over every header pair for sf and hybrid, and
 table_sims over every table-name pair for sf. Each table's edit distances
 come from one packed bit-parallel pass (common.levenshtein_rows). The pair
-matchers build nothing; they only read the profile they are given.
+matchers build nothing; they only read the profile they are given, and
+return one score per column pair: a's sorted columns by b's, the tables in
+name order.
 match_corpus profiles the whole corpus once and scores every table pair
-through it, in canonical order.
+through it. Its Predictions are a score list aligned with ColumnPairs, the
+corpus's cross-table column pairs in canonical order, held per column rather
+than per pair. parse_predictions_csv gives an external matcher's rows
+the same form, the highest score kept for a pair given more than once.
 
 All matchers are stateless and symmetric; scores live in [0, 1].
 """
@@ -34,50 +39,133 @@ All matchers are stateless and symmetric; scores live in [0, 1].
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import subprocess
+from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
-from operator import add, sub
+from itertools import accumulate, chain, groupby
+from operator import add, itemgetter, sub
 
 from .common import EvaluationError, levenshtein, levenshtein_rows, seeded_rng, token_jaccard, word_set
-from .model import ColumnRef, Corpus, TableData, keys_increasing
+from .model import ColumnRef, Corpus, TableData
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
 JL_DELTA = 0.8  # jl: least normalized Levenshtein similarity of two equal values
 
-
-@dataclass
-class MatchPrediction:
-    left: ColumnRef
-    right: ColumnRef
-    score: float
-
-    def __post_init__(self):
-        self.left = tuple(self.left)
-        self.right = tuple(self.right)
-        if self.right < self.left:
-            self.left, self.right = self.right, self.left
-
-    def key(self) -> tuple[ColumnRef, ColumnRef]:
-        return (self.left, self.right)
+PairKey = tuple[ColumnRef, ColumnRef]
 
 
-def dedupe_predictions(preds: list[MatchPrediction]) -> list[MatchPrediction]:
-    """Canonical ordering, max score kept on duplicates. Predictions already
-    in strictly increasing key order, as match_corpus returns them, are only
-    copied."""
-    if keys_increasing(preds):
-        return list(preds)
-    best: dict[tuple, MatchPrediction] = {}
-    for p in preds:
-        cur = best.get(p.key())
-        if cur is None or p.score > cur.score:
-            best[p.key()] = p
-    return [best[k] for k in sorted(best)]
+def _sorted_columns(t: TableData) -> list[ColumnRef]:
+    return [(t.name, c) for c in sorted(t.schema.column_names())]
+
+
+class ColumnPairs:
+    """A column-pair list in canonical order: each pair (left, right) with
+    left <= right, the pairs strictly increasing. It is held by rows: row r
+    pairs lefts[r] with each of rights[lo:hi], (lo, hi) = bounds[r], in order,
+    and its pairs start at offsets[r]. A corpus's list (of_tables) shares one
+    rights list, every column in canonical order, across its rows, so it
+    takes memory per column, not per pair."""
+
+    def __init__(self, lefts: list[ColumnRef], rights: list[ColumnRef], bounds: list[tuple[int, int]]):
+        self.lefts, self.rights, self.bounds = lefts, rights, bounds
+        self.offsets = list(accumulate((hi - lo for lo, hi in bounds), initial=0))
+        self._row_of = {ref: r for r, ref in enumerate(lefts)}
+
+    @classmethod
+    def of_tables(cls, tables: Iterable[TableData]) -> ColumnPairs:
+        """Every cross-table column pair: for each table in name order, each
+        of its columns in name order with every column of the later tables.
+        validate rejects duplicate table and column names, so these are
+        exactly the canonical keys, in order."""
+        refs: list[ColumnRef] = []
+        ends: list[int] = []
+        for t in sorted(tables, key=lambda t: t.name):
+            refs += _sorted_columns(t)
+            ends += [len(refs)] * len(t.schema.columns)
+        return cls(refs, refs, [(end, len(refs)) for end in ends])
+
+    @classmethod
+    def of_keys(cls, keys: list[PairKey]) -> ColumnPairs:
+        """The list of the given canonical keys, which must be strictly
+        increasing."""
+        lefts, rights, bounds = [], [], []
+        for left, row in groupby(keys, itemgetter(0)):
+            lo = len(rights)
+            rights += [right for _left, right in row]
+            lefts.append(left)
+            bounds.append((lo, len(rights)))
+        return cls(lefts, rights, bounds)
+
+    def __len__(self) -> int:
+        return self.offsets[-1]
+
+    def __iter__(self) -> Iterator[PairKey]:
+        for left, (lo, hi) in zip(self.lefts, self.bounds):
+            for right in self.rights[lo:hi]:
+                yield left, right
+
+    def key(self, i: int) -> PairKey:
+        """The i-th pair."""
+        r = bisect_right(self.offsets, i) - 1
+        return self.lefts[r], self.rights[self.bounds[r][0] + i - self.offsets[r]]
+
+    def index(self, key: PairKey) -> int | None:
+        """The position of a canonical key, None when the list lacks it."""
+        left, right = key
+        r = self._row_of.get(left)
+        if r is None:
+            return None
+        lo, hi = self.bounds[r]
+        j = bisect_left(self.rights, right, lo, hi)
+        return self.offsets[r] + j - lo if j < hi and self.rights[j] == right else None
+
+
+@dataclass(eq=False)
+class Predictions:
+    """One matcher's output: scores[i] is the score of pairs.key(i). Its
+    length is the prediction count."""
+
+    pairs: ColumnPairs
+    scores: list[float]
+
+    @classmethod
+    def best_of(cls, rows: Iterable[tuple[ColumnRef, ColumnRef, float]]) -> Predictions:
+        """Predictions from (left, right, score) rows in any order: each pair
+        taken in canonical order, the highest score kept for a pair given more
+        than once."""
+        best: dict[PairKey, float] = {}
+        for left, right, score in rows:
+            key = (left, right) if left <= right else (right, left)
+            if key not in best or score > best[key]:
+                best[key] = score
+        keys = sorted(best)
+        return cls(ColumnPairs.of_keys(keys), [best[k] for k in keys])
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def items(self) -> Iterator[tuple[PairKey, float]]:
+        return zip(self.pairs, self.scores)
+
+    def score_of(self, key: PairKey) -> float:
+        """The score of a canonical key, 0.0 for a pair not predicted."""
+        i = self.pairs.index(key)
+        return 0.0 if i is None else self.scores[i]
+
+    def positives(self, threshold: float) -> set[PairKey]:
+        """The pairs scored strictly above the threshold."""
+        return {self.pairs.key(i) for i, s in enumerate(self.scores) if s > threshold}
+
+    def ranked(self, n: int) -> list[PairKey]:
+        """The n highest-scored pairs, highest first. nlargest is a stable
+        selection, so ties break on canonical order."""
+        top = heapq.nlargest(n, range(len(self.scores)), key=self.scores.__getitem__)
+        return [self.pairs.key(i) for i in top]
 
 
 def sample_values(table: TableData, column: str, seed: int = 0) -> list[str]:
@@ -359,10 +447,6 @@ def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> flo
     return _fuzzy_jaccard_indexed(sa, sb, value_neighbours(sa | sb, delta))
 
 
-def _sorted_columns(t: TableData) -> list[ColumnRef]:
-    return [(t.name, c) for c in sorted(t.schema.column_names())]
-
-
 def jl_match(
     a: TableData,
     b: TableData,
@@ -370,22 +454,24 @@ def jl_match(
     samples: dict[ColumnRef, frozenset[str]],
     neighbours: dict[str, set[str]],
     reach: dict[ColumnRef, frozenset[ColumnRef]],
-) -> list[MatchPrediction]:
+) -> list[float]:
     """fuzzy_jaccard over every column pair, read from profile(..., "jl"):
     the column samples, their neighbour map at JL_DELTA and the reach sets.
     A pair outside the reach sets scores exactly 0.0 without being looked
-    at. The tables are taken in name order, so the predictions come in
-    canonical order and both argument orders give the same ones."""
+    at. The tables are taken in name order and the scores come for a's
+    sorted columns by b's, so they follow canonical order and both argument
+    orders give the same ones."""
     if b.name < a.name:
         a, b = b, a
     cols_b = _sorted_columns(b)
-    preds = []
+    scores = []
     for ref_a in _sorted_columns(a):
         va, reach_a = samples[ref_a], reach[ref_a]
-        for ref_b in cols_b:
-            score = _fuzzy_jaccard_indexed(va, samples[ref_b], neighbours) if ref_b in reach_a else 0.0
-            preds.append(MatchPrediction(ref_a, ref_b, score))
-    return preds
+        scores += [
+            _fuzzy_jaccard_indexed(va, samples[ref_b], neighbours) if ref_b in reach_a else 0.0
+            for ref_b in cols_b
+        ]
+    return scores
 
 
 # --------------------------------------------------------------------------
@@ -433,10 +519,11 @@ def sf_match(
     graphs: dict[str, SchemaGraph],
     header_sims: dict[tuple[str, str], float],
     table_sims: dict[tuple[str, str], float],
-) -> tuple[list[MatchPrediction], bool]:
+) -> tuple[list[float], bool]:
     """Similarity-flooding fixpoint over the pairwise connectivity graph.
 
-    Returns (predictions for column pairs, converged flag). The pair graph
+    Returns (column-pair scores, converged flag), the scores for a's sorted
+    columns by b's, the tables in name order. The pair graph
     has one table pair, every column pair and every datatype pair. Initial
     scores are name similarities (plus a small datatype-equality bonus for
     columns) and datatype equality. Propagation coefficients are the inverse
@@ -509,13 +596,12 @@ def sf_match(
             break
 
     # back to canonical order: a's sorted columns by b's
-    preds: list[MatchPrediction] = [None] * (na * nb)
-    scores = iter(col)
+    scores = [0.0] * (na * nb)
+    in_schema_order = iter(col)
     for i in ga.ranks:
-        ref_a = ga.columns[i]
         for j in gb.ranks:
-            preds[i * nb + j] = MatchPrediction(ref_a, gb.columns[j], max(0.0, min(1.0, next(scores))))
-    return preds, converged
+            scores[i * nb + j] = max(0.0, min(1.0, next(in_schema_order)))
+    return scores, converged
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +610,10 @@ def sf_match(
 
 
 def instance_containment(values_a: Iterable[str], values_b: Iterable[str]) -> float:
-    sa, sb = set(values_a), set(values_b)
+    """The share of the smaller value set that the other holds. Sets are read
+    as given, other iterables copied into sets."""
+    sa = values_a if isinstance(values_a, Set) else set(values_a)
+    sb = values_b if isinstance(values_b, Set) else set(values_b)
     if not sa or not sb:
         return 0.0
     return len(sa & sb) / min(len(sa), len(sb))
@@ -539,28 +628,28 @@ def hybrid_match(
     samples: dict[ColumnRef, frozenset[str]],
     share: dict[ColumnRef, frozenset[ColumnRef]],
     header_sims: dict[tuple[str, str], float],
-) -> list[MatchPrediction]:
+) -> list[float]:
     """COMA-style blend: header similarity (max of normalized Levenshtein and
     token-set Jaccard) weighted against instance containment, which is 0.0
     for a pair outside the share sets. The column samples, share sets and
     header-similarity table are read from profile(..., "hybrid"). The tables
-    are taken in name order, so the predictions come in canonical order and
-    both argument orders give the same ones."""
+    are taken in name order and the scores come for a's sorted columns by
+    b's, so they follow canonical order and both argument orders give the
+    same ones."""
     if w_name < 0 or w_instance < 0 or abs(w_name + w_instance - 1.0) > 1e-9:
         raise EvaluationError("hybrid weights must be non-negative and sum to 1")
     if b.name < a.name:
         a, b = b, a
     cols_b = _sorted_columns(b)
-    preds = []
+    scores = []
     for ref_a in _sorted_columns(a):
         va, share_a, name_a = samples[ref_a], share[ref_a], ref_a[1]
         for ref_b in cols_b:
             containment = instance_containment(va, samples[ref_b]) if ref_b in share_a else 0.0
             name_b = ref_b[1]
             name = header_sims[(name_a, name_b) if name_a <= name_b else (name_b, name_a)]
-            score = w_name * name + w_instance * containment
-            preds.append(MatchPrediction(ref_a, ref_b, score))
-    return preds
+            scores.append(w_name * name + w_instance * containment)
+    return scores
 
 
 # --------------------------------------------------------------------------
@@ -607,24 +696,24 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
 _PAIR_PARAMS = {"jl": (), "sf": ("epsilon", "max_iters"), "hybrid": ("w_name", "w_instance")}
 
 
-def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction]:
+def match_corpus(corpus: Corpus, matcher: str, **params) -> Predictions:
     """Run a built-in matcher over every cross-table column pair: the corpus
     is profiled once, then each table pair is scored through the module's
     jl_match, sf_match or hybrid_match, with `params` passed on. A keyword
     the pair matcher does not take raises EvaluationError.
 
-    The predictions come in canonical order by construction. A pair matcher
-    returns table a's sorted columns by b's, and validate rejects duplicate
-    table and column names, so for each table a in name order, each of its
-    columns takes its row of every later table's block, in name order."""
+    The scores come in the order of that list by construction. A pair matcher
+    scores table a's sorted columns by b's, so for each table a in name
+    order, each of its columns takes its row of every later table's block,
+    in name order."""
     shared = profile(corpus.tables, matcher, corpus.seed)
     for name in params:
         if name not in _PAIR_PARAMS[matcher]:
             raise EvaluationError(f"matcher {matcher!r} takes no keyword {name!r}")
     tables = sorted(corpus.tables, key=lambda t: t.name)
-    preds: list[MatchPrediction] = []
+    scores: list[float] = []
     for i, a in enumerate(tables):
-        blocks = []  # (predictions of a with b, b's column count)
+        blocks = []  # (scores of a with b, b's column count)
         for b in tables[i + 1:]:
             if matcher == "jl":
                 block = jl_match(a, b, **params, **shared)
@@ -635,14 +724,15 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> list[MatchPrediction
             blocks.append((block, len(b.schema.columns)))
         for r in range(len(a.schema.columns)):
             for block, nb in blocks:
-                preds.extend(block[r * nb:(r + 1) * nb])
-    return preds
+                scores += block[r * nb:(r + 1) * nb]
+    return Predictions(ColumnPairs.of_tables(tables), scores)
 
 
-def write_predictions_csv(preds: list[MatchPrediction]) -> str:
-    """The predictions interchange CSV, one row per deduplicated prediction.
-    Quoting is decided field by field, so each column's two cells are
-    CSV-encoded once and a row joins them with the score."""
+def write_predictions_csv(preds: Predictions) -> str:
+    """The predictions interchange CSV, one row per prediction, in canonical
+    order. Quoting is decided field by field, so each column's two cells are
+    CSV-encoded once, and a row joins its left column's cells, its right
+    column's and the score."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
@@ -653,17 +743,29 @@ def write_predictions_csv(preds: list[MatchPrediction]) -> str:
         return buf.getvalue()
 
     encoded: dict[ColumnRef, str] = {}
+
+    def encode(ref: ColumnRef) -> str:
+        text = encoded.get(ref)
+        if text is None:
+            text = encoded[ref] = row_text(ref)[:-1]
+        return text
+
+    pairs, scores = preds.pairs, preds.scores
+    rights = list(map(encode, pairs.rights))
     lines = [row_text(["left_table", "left_column", "right_table", "right_column", "score"])]
-    for p in dedupe_predictions(preds):
-        for ref in (p.left, p.right):
-            if ref not in encoded:
-                encoded[ref] = row_text(ref)[:-1]
-        lines.append(f"{encoded[p.left]},{encoded[p.right]},{p.score:.6f}\n")
+    for left, (lo, hi), offset in zip(pairs.lefts, pairs.bounds, pairs.offsets):
+        prefix = encode(left)
+        lines += [
+            f"{prefix},{right},{score:.6f}\n"
+            for right, score in zip(rights[lo:hi], scores[offset:offset + hi - lo])
+        ]
     return "".join(lines)
 
 
-def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> list[MatchPrediction]:
-    """Parse and validate the predictions interchange CSV (line-precise errors)."""
+def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> Predictions:
+    """Parse and validate the predictions interchange CSV (line-precise
+    errors). Rows may come in any order; a pair given more than once keeps
+    its highest score."""
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows:
@@ -671,7 +773,7 @@ def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> list[Match
     start = 1 if rows[0][:1] == ["left_table"] or rows[0] == [
         "left_table", "left_column", "right_table", "right_column", "score",
     ] else 0
-    preds = []
+    parsed = []
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if not row:
             continue
@@ -691,13 +793,13 @@ def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> list[Match
                         f"predictions line {lineno}: unknown table {tbl!r}"
                     )
                 corpus.table(tbl).schema.column_index(col)
-        preds.append(MatchPrediction((lt, lc), (rt, rc), score))
-    return dedupe_predictions(preds)
+        parsed.append(((lt, lc), (rt, rc), score))
+    return Predictions.best_of(parsed)
 
 
 def external_match(
     corpus_dir: str, command_template: str, corpus: Corpus | None = None, timeout: float = 600.0
-) -> list[MatchPrediction]:
+) -> Predictions:
     """Run an external matcher: the template's {corpus} placeholder is replaced
     with the corpus directory; predictions are read from stdout (CSV). A
     command that cannot start or outlives `timeout` seconds is an

@@ -208,12 +208,25 @@ class LineageEvent:
 
     @staticmethod
     def from_dict(d: dict) -> "LineageEvent":
+        """The event of a manifest's lineage entry. A missing key raises
+        KeyError, and a source or result of the wrong shape CorpusError."""
+        if not isinstance(d, dict):
+            raise CorpusError(f"not an object: {d!r}")
+        source, result = d["source"], d["result"]
+        for key, value in (("source", source), ("result", result)):
+            if not (
+                isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+                and (value[1] is None or isinstance(value[1], str))
+            ):
+                raise CorpusError(
+                    f"{key!r} is not a list of a string and a string or null: {value!r}"
+                )
         cells = d.get("cell_changes")
         return LineageEvent(
             event_id=d["event_id"],
             op=d["op"],
-            source=tuple(d["source"]),
-            result=tuple(d["result"]),
+            source=tuple(source),
+            result=tuple(result),
             params=d.get("params", {}),
             value_map=d.get("value_map"),
             cell_changes=[(c[0], c[1], c[2]) for c in cells] if cells else None,
@@ -593,12 +606,6 @@ def _load_corpus(directory: Path) -> Corpus:
             raise CorpusError(
                 f"table {entry['name']!r}: CSV header {header} != schema columns"
             )
-        width = len(schema.columns)
-        for i, row in enumerate(rows[1:], start=1):
-            if len(row) != width:
-                raise CorpusError(
-                    f"table {entry['name']!r} row {i}: arity {len(row)} != column count {width}"
-                )
         tables.append(TableData(schema=schema, rows=rows[1:]))
 
     try:
@@ -608,7 +615,12 @@ def _load_corpus(directory: Path) -> Corpus:
                 ground_truth.append(JoinPair.from_dict(d))
             except CorpusError as exc:
                 raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {exc}") from None
-        lineage = [LineageEvent.from_dict(d) for d in manifest.get("lineage", [])]
+        lineage = []
+        for n, d in enumerate(manifest.get("lineage", []), start=1):
+            try:
+                lineage.append(LineageEvent.from_dict(d))
+            except CorpusError as exc:
+                raise CorpusError(f"{manifest_path}: lineage entry {n}: {exc}") from None
     except KeyError as exc:
         raise CorpusError(
             f"{manifest_path}: ground-truth or lineage entry lacks key {exc.args[0]!r}"
@@ -625,12 +637,14 @@ def _load_corpus(directory: Path) -> Corpus:
         stats=stats,
     )
 
+    # validated ahead of the digest, so a row of the wrong arity is named
+    # (validate checks each row's arity, once per load)
+    corpus.validate()
     files = {t["name"]: t["file"] for t in manifest.get("tables", [])}
     expect = _digest(_manifest_core(corpus, files), corpus.ground_truth, blobs)
     if expect != manifest.get("digest"):
         raise CorpusError(
             f"digest mismatch: manifest says {manifest.get('digest')}, contents give {expect}"
         )
-    corpus.validate()
     corpus.digest = expect
     return corpus

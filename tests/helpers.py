@@ -294,13 +294,21 @@ def pairs_as_set(pairs) -> set[tuple]:
     return {(p.left, p.right, p.kind, p.key_side, p.mapping_id) for p in pairs}
 
 
-def confusion_oracle(preds, truth: set, threshold: float) -> tuple[float, float, float]:
-    """Naive confusion-matrix recount (independent of the evaluation module)."""
+def best_scores(rows) -> dict[tuple, float]:
+    """The highest score given to each pair among (left, right, score) rows,
+    keyed by the pair with its lesser column ref first."""
     best: dict[tuple, float] = {}
-    for p in preds:
-        key = p.key()
-        if key not in best or p.score > best[key]:
-            best[key] = p.score
+    for left, right, score in rows:
+        key = tuple(sorted([tuple(left), tuple(right)]))
+        if key not in best or score > best[key]:
+            best[key] = score
+    return best
+
+
+def confusion_oracle(rows, truth: set, threshold: float) -> tuple[float, float, float]:
+    """Naive confusion-matrix recount over (left, right, score) rows
+    (independent of the evaluation module)."""
+    best = best_scores(rows)
     tp = fp = 0
     for key, score in best.items():
         if score > threshold:
@@ -315,18 +323,61 @@ def confusion_oracle(preds, truth: set, threshold: float) -> tuple[float, float,
     return precision, recall, f1
 
 
-def topk_oracle(preds, truth: set, k: int) -> float:
-    best: dict[tuple, float] = {}
-    for p in preds:
-        key = p.key()
-        if key not in best or p.score > best[key]:
-            best[key] = p.score
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+def topk_oracle(rows, truth: set, k: int) -> float:
+    """Truth hits among the k best pairs of a full sort (ties in pair order),
+    over k: a slot beyond the pairs there are is a miss."""
+    ranked = sorted(best_scores(rows).items(), key=lambda kv: (-kv[1], kv[0]))
     hits = 0
     for key, _score in ranked[:k]:
         if key in truth:
             hits += 1
     return hits / k
+
+
+_TASK_KINDS = {
+    "exact_joins": {"exact", "pkfk"},
+    "semantic_joins": {"exact", "pkfk", "semantic"},
+    "all": {"exact", "pkfk", "semantic"},
+}
+
+
+def report_oracle(rows, ground_truth, task: str, threshold: float, ks) -> dict:
+    """The scoring fields of evaluate's report of one task, by brute force
+    over (left, right, score) rows: the highest score per pair, P/R/F1 by
+    recount, top-k by full sort and the difficulty cells of the semantic
+    pairs, a pair not predicted scoring 0.0."""
+    best = best_scores(rows)
+    truth = {tuple(sorted([tuple(p.left), tuple(p.right)])) for p in ground_truth if p.kind in _TASK_KINDS[task]}
+    precision, recall, f1 = confusion_oracle(rows, truth, threshold)
+    difficulty = {"easy": {"total": 0, "correct": 0}, "difficult": {"total": 0, "correct": 0}}
+    for p in ground_truth:
+        if p.kind == "semantic":
+            cell = difficulty[p.difficulty]
+            cell["total"] += 1
+            cell["correct"] += best.get(tuple(sorted([tuple(p.left), tuple(p.right)])), 0.0) > threshold
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f1": f1,
+        "top_k": {str(k): topk_oracle(rows, truth, k) for k in ks},
+        "difficulty": difficulty,
+        "degenerate": not truth,
+        "truth_size": len(truth),
+        "prediction_count": len(best),
+    }
+
+
+def pair_keys(a, b) -> list[tuple]:
+    """The pairs a pair matcher scores, in its order: the tables in name
+    order, the first's sorted columns by the second's, each pair with its
+    lesser column ref first."""
+    if b.name < a.name:
+        a, b = b, a
+    return [
+        tuple(sorted([(a.name, x), (b.name, y)]))
+        for x in sorted(a.schema.column_names())
+        for y in sorted(b.schema.column_names())
+    ]
 
 
 def reference_levenshtein(a: str, b: str) -> int:

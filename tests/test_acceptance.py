@@ -16,6 +16,7 @@ from helpers import (
     fig1_text,
     finance_ontology_text,
     optimal_fuzzy_jaccard,
+    pair_keys,
     pairs_as_set,
     recount_from_csvs,
     topk_oracle,
@@ -26,7 +27,7 @@ from lakeforge.evaluation import difficulty_breakdown, evaluate, precision_recal
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import generate_base_tables, plan_generation
 from lakeforge.ground_truth import recompute_ground_truth
-from lakeforge.matchers import MatchPrediction, fuzzy_jaccard, match_corpus, profile, sf_match
+from lakeforge.matchers import Predictions, fuzzy_jaccard, match_corpus, profile, sf_match
 from lakeforge.model import load_corpus
 from lakeforge.ontology import build_dependency_graph, ontology_to_schemas, parse_ontology
 from lakeforge.perturb import apply_plan, parse_plan
@@ -109,28 +110,29 @@ def test_acceptance_03_ground_truth_oracle_equivalence():
 
 def _random_metric_fixture(rng):
     names = [f"T{i}" for i in range(26)]
-    preds = [
-        MatchPrediction((a, "c"), (b, "c"), rng.random())
+    rows = [
+        ((a, "c"), (b, "c"), rng.random())
         for a, b in (rng.sample(names, 2) for _ in range(rng.randint(1, 200)))
     ]
     truth = {
         tuple(sorted([(a, "c"), (b, "c")]))
         for a, b in (rng.sample(names, 2) for _ in range(rng.randint(1, 200)))
     }
-    return preds, truth
+    return rows, truth
 
 
 def test_acceptance_04_metric_oracle_equivalence():
     rng = random.Random(8675309)
     for i in range(100):
-        preds, truth = _random_metric_fixture(rng)
+        rows, truth = _random_metric_fixture(rng)
+        preds = Predictions.best_of(rows)
         threshold = rng.choice([0.25, 0.5, 0.75])
-        p, r, f1, _ = precision_recall_f1(preds, truth, threshold)
-        op, orr, of1 = confusion_oracle(preds, truth, threshold)
+        p, r, f1, _ = precision_recall_f1(preds.positives(threshold), truth)
+        op, orr, of1 = confusion_oracle(rows, truth, threshold)
         assert (p, r, f1) == pytest.approx((op, orr, of1), abs=1e-12)
         for k in (1, 3, 5):
-            assert top_k_precision(preds, truth, k) == pytest.approx(
-                topk_oracle(preds, truth, k), abs=1e-12
+            assert top_k_precision(preds.ranked(k), truth, k) == pytest.approx(
+                topk_oracle(rows, truth, k), abs=1e-12
             )
     _report(4, "100 fixtures: P/R/F1 and top-1/3/5 equal the enumeration oracle")
 
@@ -183,14 +185,14 @@ def test_acceptance_06_sf_behavior():
                 pair_count += 1
     # identical-schema self-match: top-1 per column is its namesake
     for t in corpus.tables:
-        preds, converged = sf_match(t, t, **profile([t], "sf"))
+        scores, converged = sf_match(t, t, **profile([t], "sf"))
         assert converged
         best: dict[str, tuple[float, str]] = {}
-        for p in preds:
-            ca, cb = p.left[1], p.right[1]
+        for (left, right), score in zip(pair_keys(t, t), scores):
+            ca, cb = left[1], right[1]
             for x, y in ((ca, cb), (cb, ca)):
-                if x not in best or p.score > best[x][0]:
-                    best[x] = (p.score, y)
+                if x not in best or score > best[x][0]:
+                    best[x] = (score, y)
         for col, (_score, partner) in best.items():
             assert partner == col, f"top-1 for {col!r} was {partner!r}"
     _report(6, f"converged on {pair_count} schema pairs; self-match maps identity")

@@ -185,6 +185,28 @@ def test_evaluate_three_matchers_two_tasks(tmp_path, capsys):
     assert {r["corpus_digest"] for r in doc["reports"]} == {digest}
 
 
+def test_evaluate_matchers_together_equal_each_alone(tmp_path):
+    # each predictions CSV and each report row of a multi-matcher run is what
+    # that matcher gives on its own
+    run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
+         "--row-cap", "15"])
+    matchers = ["jl", "sf", "hybrid"]
+    for spec in [",".join(matchers), *matchers]:
+        assert run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / spec),
+                    "--matchers", spec, "--tasks", "exact_joins,semantic_joins"]) == 0
+    together = tmp_path / ",".join(matchers)
+    text = (together / "report.txt").read_text(encoding="utf-8").splitlines()
+    reports = json.loads((together / "report.json").read_text(encoding="utf-8"))["reports"]
+    for m in matchers:
+        alone = tmp_path / m
+        csv_name = f"predictions_{m}.csv"
+        assert (together / csv_name).read_bytes() == (alone / csv_name).read_bytes()
+        rows = (alone / "report.txt").read_text(encoding="utf-8").splitlines()
+        assert rows[:2] == text[:2] and rows[2:] == [line for line in text[2:] if line.split()[0] == m]
+        doc = json.loads((alone / "report.json").read_text(encoding="utf-8"))["reports"]
+        assert doc == [r for r in reports if r["matcher"] == m]
+
+
 def test_evaluate_with_external_stub(tmp_path):
     run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
          "--row-cap", "15"])
@@ -458,6 +480,17 @@ def _break_csv_encoding(corpus):
         _bad_pair_entry("key_side", ["left"]),
         _bad_pair_entry("mapping_id", 7),
         _bad_pair_entry(None, ["left", "right"]),
+        _set_manifest_value(
+            ("lineage",),
+            [{"event_id": "e1", "op": "rename", "source": ["T", None], "result": []}],
+            "lineage entry 1: 'result' is not a list",
+        ),
+        _set_manifest_value(
+            ("lineage",),
+            [{"event_id": "e1", "op": "rename", "source": ["T", 3], "result": ["U", None]}],
+            "lineage entry 1: 'source' is not a list",
+        ),
+        _set_manifest_value(("lineage",), ["e1"], "lineage entry 1: not an object"),
         _set_manifest_value(("stats", "foo"), 1, "stats: not an object with keys among"),
         _set_manifest_value(("stats",), [], "stats: not an object"),
         _set_manifest_value(("tables", 0, "columns"), 5, "table entry 1: 'columns' is not a list of objects"),
@@ -478,6 +511,9 @@ def _break_csv_encoding(corpus):
         "pair-key-side-list",
         "pair-mapping-id-integer",
         "pair-entry-not-object",
+        "lineage-result-empty",
+        "lineage-source-column-integer",
+        "lineage-entry-not-object",
         "stats-unknown-key",
         "stats-not-object",
         "table-columns-integer",

@@ -263,6 +263,10 @@ def _duplicate_key(corpus):
     corpus.tables[0].rows.append(corpus.tables[0].rows[0])
 
 
+def _bad_arity(corpus):
+    corpus.tables[1].rows.append(("4", "1002", "extra"))
+
+
 def _orphan_event(corpus):
     corpus.lineage.append(
         LineageEvent(event_id="ev00001", op="sample_rows", source=("Accounts", None), result=("Gone", None))
@@ -271,7 +275,12 @@ def _orphan_event(corpus):
 
 @pytest.mark.parametrize(
     "breakage, message",
-    [(_stale_stats, "stats out of date"), (_duplicate_key, "duplicate primary key"), (_orphan_event, "missing")],
+    [
+        (_stale_stats, "stats out of date"),
+        (_duplicate_key, "duplicate primary key"),
+        (_bad_arity, "'Payments' row 4: arity 3"),
+        (_orphan_event, "missing"),
+    ],
 )
 def test_save_rejects_a_broken_corpus_before_writing_any_file(tmp_path, breakage, message):
     corpus = small_corpus()

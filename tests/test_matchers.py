@@ -11,8 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    best_scores,
     finance_ontology_text,
     optimal_fuzzy_jaccard,
+    pair_keys,
     reference_jl_scores,
     reference_lev_ratio,
     reference_levenshtein,
@@ -24,10 +26,9 @@ from lakeforge import common
 from lakeforge.common import PACK_BITS, EvaluationError, levenshtein, levenshtein_rows
 from lakeforge.matchers import (
     DELETION_MAX_EDITS,
-    MatchPrediction,
+    Predictions,
     _deletion_variants,
     _max_bipartite_matching,
-    dedupe_predictions,
     external_match,
     fuzzy_jaccard,
     hybrid_match,
@@ -126,23 +127,21 @@ def test_fuzzy_crossing_structure_beats_greedy():
 def test_jl_match_on_tables():
     a = column_table("A", "Name", ["Apple Inc.", "Microsoft Inc."])
     b = column_table("B", "Name", ["Apple Inc", "Microsoft Inc."])
-    preds = jl_match(a, b, **profile([a, b], "jl"))
-    assert preds[0].score == 1.0
+    scores = jl_match(a, b, **profile([a, b], "jl"))
+    assert scores[0] == 1.0
 
 
 def test_jl_empty_column_scores_zero():
     a = column_table("A", "Name", [""])
     b = column_table("B", "Name", ["x"])
-    assert jl_match(a, b, **profile([a, b], "jl"))[0].score == 0.0
+    assert jl_match(a, b, **profile([a, b], "jl"))[0] == 0.0
 
 
 def test_jl_symmetry():
     a = column_table("A", "Name", ["alpha", "beta", "gamma"])
     b = column_table("B", "Title", ["alpha", "delta"])
     shared = profile([a, b], "jl")
-    ab = {p.key(): p.score for p in jl_match(a, b, **shared)}
-    ba = {p.key(): p.score for p in jl_match(b, a, **shared)}
-    assert ab == ba
+    assert jl_match(a, b, **shared) == jl_match(b, a, **shared)
 
 
 def test_matching_long_augmenting_path_is_iterative():
@@ -307,7 +306,7 @@ def test_value_neighbours_equal_brute_force(values, delta):
 
 def test_match_corpus_jl_equals_per_pair_reference(small_finance_corpus):
     preds = match_corpus(small_finance_corpus, "jl")
-    assert {p.key(): p.score for p in preds} == reference_jl_scores(small_finance_corpus)
+    assert dict(preds.items()) == reference_jl_scores(small_finance_corpus)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -359,7 +358,7 @@ def test_jl_blocking_is_lossless(columns_per_table):
         rows = [tuple(col[i] if i < len(col) else "" for col in columns) for i in range(n)]
         tables.append(table(f"T{t}", [f"c{j}" for j in range(len(columns))], rows))
     corpus = Corpus(tables=tables, seed=3)
-    scores = {p.key(): p.score for p in match_corpus(corpus, "jl")}
+    scores = dict(match_corpus(corpus, "jl").items())
     assert scores == reference_jl_scores(corpus)
 
     samples = {(t.name, c): frozenset(sample_values(t, c, seed=3)) for t in tables for c in t.schema.column_names()}
@@ -426,16 +425,13 @@ def test_two_table_profile_equals_match_corpus(small_finance_corpus, matcher):
     for i, a in enumerate(tables):
         for b in tables[i + 1:]:
             shared = profile([a, b], matcher, seed)
-            # either table order gives the same predictions, in canonical order
+            # either table order gives the same scores, one per column pair
             chunk = pair_matcher(a, b, **shared)
             swapped = pair_matcher(b, a, **shared)
-            assert [p.key() for p in chunk] == sorted(p.key() for p in chunk)
-            assert [(p.key(), p.score) for p in swapped] == [(p.key(), p.score) for p in chunk]
-            pairwise += chunk
+            assert swapped == chunk and len(chunk) == len(a.schema.columns) * len(b.schema.columns)
+            pairwise += zip(pair_keys(a, b), chunk)
     corpus_wide = match_corpus(small_finance_corpus, matcher)
-    assert [(p.key(), p.score) for p in dedupe_predictions(pairwise)] == [
-        (p.key(), p.score) for p in corpus_wide
-    ]
+    assert sorted(pairwise) == list(corpus_wide.items())
 
 
 _HEADERS = ["id", "ID", "Name", "name", "Code", "Account Number", "acct_no", "Listed Date"]
@@ -462,12 +458,11 @@ def _table_pair(draw):
 def test_pair_matchers_symmetric_canonical_and_bounded(pair, matcher):
     a, b = pair
     shared = profile(pair, matcher)
-    ab = [(p.key(), p.score) for p in PAIR_MATCHERS[matcher](a, b, **shared)]
-    ba = [(p.key(), p.score) for p in PAIR_MATCHERS[matcher](b, a, **shared)]
+    ab = PAIR_MATCHERS[matcher](a, b, **shared)
+    ba = PAIR_MATCHERS[matcher](b, a, **shared)
     assert ab == ba
-    keys = [key for key, _score in ab]
-    assert keys == sorted(set(keys)) and len(keys) == len(a.schema.columns) * len(b.schema.columns)
-    assert all(0.0 <= score <= 1.0 for _key, score in ab)
+    assert len(ab) == len(a.schema.columns) * len(b.schema.columns)
+    assert all(0.0 <= score <= 1.0 for score in ab)
 
 
 _NAMES = ["A", "a", "Ab", "aB", "\u0130", "i\u0307", "Ledger", "PID", "Person ID"]
@@ -525,8 +520,15 @@ def _shuffled_tables(draw):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(tables=_shuffled_tables(), matcher=st.sampled_from(sorted(PAIR_MATCHERS)))
 def test_match_corpus_keys_strictly_increase_and_cover_every_pair(tables, matcher):
-    keys = [p.key() for p in match_corpus(Corpus(tables=tables), matcher)]
+    preds = match_corpus(Corpus(tables=tables), matcher)
+    pairs = preds.pairs
+    keys = list(pairs)
+    assert len(preds) == len(pairs) == len(keys)
     assert all(x < y for x, y in zip(keys, keys[1:]))
+    # the compact index finds each pair where iteration puts it
+    assert [pairs.key(i) for i in range(len(keys))] == keys
+    assert [pairs.index(key) for key in keys] == list(range(len(keys)))
+    assert pairs.index(((tables[0].name, "no such column"), (tables[1].name, "id"))) is None
     assert set(keys) == {
         tuple(sorted([(a.name, ca), (b.name, cb)]))
         for a, b in combinations(tables, 2)
@@ -550,13 +552,13 @@ def test_sf_identity_mapping_on_identical_schemas():
     spec = [("Ticker", "text"), ("Price", "decimal"), ("Listed Date", "date")]
     a = three_col_schema("A", spec)
     b = three_col_schema("B", spec)
-    preds, converged = sf_match(a, b, **profile([a, b], "sf"))
+    scores, converged = sf_match(a, b, **profile([a, b], "sf"))
     assert converged
     by_left = {}
-    for p in preds:
-        col_a = p.left[1] if p.left[0] == "A" else p.right[1]
-        col_b = p.right[1] if p.right[0] == "B" else p.left[1]
-        by_left.setdefault(col_a, []).append((p.score, col_b))
+    for (left, right), score in zip(pair_keys(a, b), scores):
+        col_a = left[1] if left[0] == "A" else right[1]
+        col_b = right[1] if right[0] == "B" else left[1]
+        by_left.setdefault(col_a, []).append((score, col_b))
     for col, scored in by_left.items():
         best = max(scored)[1]
         assert best == col, f"top-1 for {col} is {best}"
@@ -565,9 +567,9 @@ def test_sf_identity_mapping_on_identical_schemas():
 def test_sf_disjoint_schemas_below_threshold():
     a = three_col_schema("A", [("aaa", "text"), ("bbb", "text")])
     b = three_col_schema("B", [("xxxxx", "date"), ("zzzzz", "decimal")])
-    preds, converged = sf_match(a, b, **profile([a, b], "sf"))
+    scores, converged = sf_match(a, b, **profile([a, b], "sf"))
     assert converged
-    assert all(p.score < 0.5 for p in preds)
+    assert all(score < 0.5 for score in scores)
 
 
 def test_sf_converges_on_fig1_pairs(fig1_corpus):
@@ -575,9 +577,9 @@ def test_sf_converges_on_fig1_pairs(fig1_corpus):
     for i in range(len(tables)):
         for j in range(i + 1, len(tables)):
             pair = [tables[i], tables[j]]
-            preds, converged = sf_match(*pair, epsilon=1e-3, max_iters=200, **profile(pair, "sf"))
+            scores, converged = sf_match(*pair, epsilon=1e-3, max_iters=200, **profile(pair, "sf"))
             assert converged
-            assert all(0.0 <= p.score <= 1.0 for p in preds)
+            assert all(0.0 <= score <= 1.0 for score in scores)
 
 
 def test_sf_invariant_under_column_order():
@@ -585,8 +587,8 @@ def test_sf_invariant_under_column_order():
     a1 = three_col_schema("A", spec)
     a2 = three_col_schema("A", list(reversed(spec)))
     b = three_col_schema("B", [("Symbol", "text"), ("Cost", "decimal")])
-    s1 = {p.key(): round(p.score, 12) for p in sf_match(a1, b, **profile([a1, b], "sf"))[0]}
-    s2 = {p.key(): round(p.score, 12) for p in sf_match(a2, b, **profile([a2, b], "sf"))[0]}
+    s1 = {key: round(s, 12) for key, s in zip(pair_keys(a1, b), sf_match(a1, b, **profile([a1, b], "sf"))[0])}
+    s2 = {key: round(s, 12) for key, s in zip(pair_keys(a2, b), sf_match(a2, b, **profile([a2, b], "sf"))[0])}
     assert s1 == s2
 
 
@@ -594,9 +596,7 @@ def test_sf_symmetry():
     a = three_col_schema("A", [("Ticker", "text"), ("Price", "decimal")])
     b = three_col_schema("B", [("Symbol", "text"), ("Cost", "decimal")])
     shared = profile([a, b], "sf")
-    ab = [(p.key(), p.score) for p in sf_match(a, b, **shared)[0]]
-    ba = [(p.key(), p.score) for p in sf_match(b, a, **shared)[0]]
-    assert ab == ba
+    assert sf_match(a, b, **shared)[0] == sf_match(b, a, **shared)[0]
 
 
 # a schema: up to five distinct headers in drawn (not sorted) order, with
@@ -629,8 +629,8 @@ def test_sf_equals_reference_propagation(spec_a, spec_b, names, itself, max_iter
     shared = profile([a] if itself else [a, b], "sf")
     want = reference_sf(a, b, epsilon, max_iters)
     for x, y in ((a, b), (b, a)):
-        preds, converged = sf_match(x, y, epsilon, max_iters, **shared)
-        assert ([(p.key(), p.score) for p in preds], converged) == want
+        scores, converged = sf_match(x, y, epsilon, max_iters, **shared)
+        assert (list(zip(pair_keys(x, y), scores)), converged) == want
 
 
 # ---------------------------------------------------------------------------
@@ -641,18 +641,18 @@ def test_sf_equals_reference_propagation(spec_a, spec_b, names, itself, max_iter
 def test_hybrid_identical_headers_and_values():
     a = column_table("A", "Currency", ["USD", "EUR"])
     b = column_table("B", "Currency", ["USD", "EUR"])
-    preds = hybrid_match(a, b, **profile([a, b], "hybrid"))
-    assert preds[0].score == pytest.approx(1.0)
-    assert preds[0].score > 0.5
+    scores = hybrid_match(a, b, **profile([a, b], "hybrid"))
+    assert scores[0] == pytest.approx(1.0)
+    assert scores[0] > 0.5
 
 
 def test_hybrid_cryptified_header_closed_form():
     a = column_table("A", "Person ID", ["1", "2", "3"])
     b = column_table("B", "PID", ["1", "2", "3"])
     shared = profile([a, b], "hybrid")
-    preds = hybrid_match(a, b, 0.5, 0.5, **shared)
+    scores = hybrid_match(a, b, 0.5, 0.5, **shared)
     name = shared["header_sims"][("PID", "Person ID")]
-    assert preds[0].score == pytest.approx(0.5 * name + 0.5 * 1.0)
+    assert scores[0] == pytest.approx(0.5 * name + 0.5 * 1.0)
     assert name == pytest.approx(max(reference_lev_ratio("person id", "pid"), 0.0))
 
 
@@ -667,8 +667,8 @@ def test_hybrid_monotone_in_containment():
     a = column_table("A", "Code", [f"v{i}" for i in range(10)])
     partial = column_table("B", "Code", ["v0", "v1", "zzz1", "zzz2", "zzz3"])
     full = column_table("B", "Code", ["v0", "v1", "v2", "v3", "v4"])
-    s_partial = hybrid_match(a, partial, **profile([a, partial], "hybrid"))[0].score
-    s_full = hybrid_match(a, full, **profile([a, full], "hybrid"))[0].score
+    s_partial = hybrid_match(a, partial, **profile([a, partial], "hybrid"))[0]
+    s_full = hybrid_match(a, full, **profile([a, full], "hybrid"))[0]
     assert s_full > s_partial
 
 
@@ -691,18 +691,18 @@ def test_match_corpus_runs_all_table_pairs(small_finance_corpus):
         for j in range(i + 1, len(tables)):
             expect_pairs += len(tables[i].schema.columns) * len(tables[j].schema.columns)
     assert len(preds) == expect_pairs
-    assert all(0.0 <= p.score <= 1.0 for p in preds)
+    assert all(0.0 <= score <= 1.0 for score in preds.scores)
 
 
 def test_predictions_csv_round_trip():
-    preds = [
-        MatchPrediction(("B", "y"), ("A", "x"), 0.75),
-        MatchPrediction(("A", "x"), ("C", "z"), 0.25),
-    ]
+    preds = Predictions.best_of([
+        (("B", "y"), ("A", "x"), 0.75),
+        (("A", "x"), ("C", "z"), 0.25),
+    ])
     text = write_predictions_csv(preds)
     assert "0.750000" in text
     again = parse_predictions_csv(text)
-    assert {p.key(): p.score for p in again} == {p.key(): p.score for p in dedupe_predictions(preds)}
+    assert list(again.items()) == list(preds.items()) == [((("A", "x"), ("B", "y")), 0.75), ((("A", "x"), ("C", "z")), 0.25)]
 
 
 def test_predictions_csv_quotes_each_cell_like_csv_writer():
@@ -710,25 +710,65 @@ def test_predictions_csv_quotes_each_cell_like_csv_writer():
     import io
 
     odd = [("T,1", 'c"x'), ("U\nV", " y"), ("U\nV", ""), ("W", "z\r")]
-    preds = [MatchPrediction(a, b, 0.125 * (i + j)) for i, a in enumerate(odd) for j, b in enumerate(odd) if i < j]
-    preds.append(MatchPrediction(odd[1], odd[0], 0.9))  # a duplicate key: the higher score wins
+    rows = [(a, b, 0.125 * (i + j)) for i, a in enumerate(odd) for j, b in enumerate(odd) if i < j]
+    rows.append((odd[1], odd[0], 0.9))  # a duplicate key: the higher score wins
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["left_table", "left_column", "right_table", "right_column", "score"])
-    for p in dedupe_predictions(preds):
-        writer.writerow([*p.left, *p.right, f"{p.score:.6f}"])
-    assert write_predictions_csv(preds) == buf.getvalue()
+    for (left, right), score in sorted(best_scores(rows).items()):
+        writer.writerow([*left, *right, f"{score:.6f}"])
+    assert write_predictions_csv(Predictions.best_of(rows)) == buf.getvalue()
 
 
-def test_dedupe_predictions_sorted_input_and_duplicates():
-    a, b, c = ("A", "x"), ("B", "y"), ("C", "z")
-    ordered = [MatchPrediction(a, b, 0.5), MatchPrediction(a, c, 0.25), MatchPrediction(b, c, 0.75)]
-    assert dedupe_predictions(ordered) == ordered and dedupe_predictions(ordered) is not ordered
-    assert dedupe_predictions(ordered[::-1]) == ordered
-    doubled = [ordered[0], MatchPrediction(b, a, 0.9), *ordered[1:]]
-    assert [(p.key(), p.score) for p in dedupe_predictions(doubled)] == [
-        (ordered[0].key(), 0.9), (ordered[1].key(), 0.25), (ordered[2].key(), 0.75)
+# names that need quoting, a dotted capital whose lowered form is longer, and
+# a character outside the basic multilingual plane
+_ODD_NAMES = ["A", "a,b", 'q"t', "l\nf", "c\rr", "\u0130", "i\u0307", "\U0001d518", " s "]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    spec=st.lists(
+        st.tuples(st.sampled_from(_ODD_NAMES), st.lists(st.sampled_from(_ODD_NAMES), max_size=3, unique=True)),
+        min_size=2, max_size=3, unique_by=lambda t: t[0],
+    ),
+    matcher=st.sampled_from(sorted(PAIR_MATCHERS)),
+)
+def test_predictions_csv_equals_csv_writer_reference(spec, matcher):
+    import csv
+    import io
+
+    tables = [
+        table(name, headers, [tuple(f"v{(i + j) % 3}" for j in range(len(headers))) for i in range(2)])
+        for name, headers in spec
     ]
+    # the reference: every table pair scored on its own, each row encoded
+    # whole by csv.writer, in sorted pair order
+    shared = profile(tables, matcher)
+    scores = {}
+    for a, b in combinations(tables, 2):
+        scores.update(zip(pair_keys(a, b), PAIR_MATCHERS[matcher](a, b, **shared)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = []
+    for cells in [["left_table", "left_column", "right_table", "right_column", "score"]] + [
+        [*left, *right, f"{score:.6f}"] for (left, right), score in sorted(scores.items())
+    ]:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(cells)
+        rows.append(buf.getvalue())
+    text = write_predictions_csv(match_corpus(Corpus(tables=tables), matcher))
+    assert text == "".join(rows)
+
+
+def test_predictions_best_of_sorted_input_and_duplicates():
+    a, b, c = ("A", "x"), ("B", "y"), ("C", "z")
+    ordered = [(a, b, 0.5), (a, c, 0.25), (b, c, 0.75)]
+    items = [((a, b), 0.5), ((a, c), 0.25), ((b, c), 0.75)]
+    assert list(Predictions.best_of(ordered).items()) == items
+    assert list(Predictions.best_of(ordered[::-1]).items()) == items
+    doubled = [ordered[0], (b, a, 0.9), *ordered[1:]]
+    assert list(Predictions.best_of(doubled).items()) == [((a, b), 0.9), ((a, c), 0.25), ((b, c), 0.75)]
 
 
 def test_predictions_csv_score_range_error():
@@ -746,7 +786,7 @@ def test_external_match_stub(tmp_path, small_finance_corpus):
     )
     preds = external_match(str(tmp_path), f"{sys.executable} {stub}", small_finance_corpus)
     assert len(preds) == 1
-    assert preds[0].score == 0.9
+    assert preds.scores[0] == 0.9
 
 
 def test_external_match_nonzero_exit(tmp_path):

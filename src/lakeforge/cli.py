@@ -99,6 +99,8 @@ def cmd_schema(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.row_cap < 0:
+        raise GenerationError(f"--row-cap: {args.row_cap} is below 0")
     onto = _read_ontology(args.ontology)
     schema_set, warnings = ontology_to_schemas(onto, GroupingConfig(min_props=args.min_props))
     graph = build_dependency_graph(schema_set)
@@ -157,6 +159,8 @@ def cmd_evaluate(args) -> int:
         if t not in TASKS:
             raise EvaluationError(f"unknown task {t!r} (choose from {', '.join(TASKS)})")
     ks = _parse_ks(args.k)
+    if not 0.0 <= args.threshold <= 1.0:  # NaN fails both comparisons
+        raise EvaluationError(f"--threshold: {args.threshold} is not a number in [0, 1]")
 
     reports = []
     for spec in [m.strip() for m in args.matchers.split(",") if m.strip()]:

@@ -3,11 +3,15 @@
 jl_match     fuzzy Jaccard over distinct instance values, where two values
              count as equal when their normalized Levenshtein similarity
              reaches the threshold; the value matching is optimal (maximum
-             cardinality), computed with Hopcroft-Karp over the admissible
-             pairs. The fuzzy-equality relation is computed once over all
-             sampled values (value_neighbours: inverted-index candidates,
-             each confirmed by the bit-parallel edit distance), not per
-             column pair.
+             cardinality): a greedy maximal matching, which is maximum when
+             it covers the smaller side, else Hopcroft-Karp from it. The
+             fuzzy-equality relation is computed once over all sampled
+             values, not per column pair (value_neighbours: deletion-variant
+             or partition candidates, each window value's variants built
+             once per length band, each candidate confirmed by its Hamming
+             or bit-parallel edit distance). The values are interned to ids
+             in sorted value order, and the relation is held as CSR: one
+             offsets array and one flat array('i') of neighbour ids.
 sf_match     similarity flooding over typed schema graphs (table -column->
              column -type-> datatype): iterate sigma' = normalize(sigma0 +
              sigma + propagate(sigma)) over the pairwise connectivity graph
@@ -19,14 +23,14 @@ hybrid_match weighted blend of header similarity and instance containment.
 external_match  run an external matcher process and read its predictions CSV.
 
 profile builds what a pair matcher reads, once over a set of tables: column
-samples, jl's neighbour map and reach sets, hybrid's share sets
-(reachable_columns), one schema graph per table for sf, and complete name
-similarity tables: header_sims over every header pair for sf and hybrid, and
-table_sims over every table-name pair for sf. Each table's edit distances
-come from one packed bit-parallel pass (common.levenshtein_rows). The pair
-matchers build nothing; they only read the profile they are given, and
-return one score per column pair: a's sorted columns by b's, the tables in
-name order.
+samples (value ids for jl), jl's neighbour relation and reach sets, hybrid's
+share sets (reachable_columns), one schema graph per table for sf, and
+complete name similarity tables: header_sims over every header pair for sf
+and hybrid, and table_sims over every table-name pair for sf. Each table's
+edit distances come from one packed bit-parallel pass
+(common.levenshtein_rows). The pair matchers build nothing; they only read
+the profile they are given, and return one score per column pair: a's
+sorted columns by b's, the tables in name order.
 match_corpus profiles the whole corpus once and scores every table pair
 through it. Its Predictions are a score list aligned with ColumnPairs, the
 corpus's cross-table column pairs in canonical order, held per column rather
@@ -44,11 +48,11 @@ import io
 import subprocess
 from bisect import bisect_left, bisect_right
 from collections import deque
-from collections.abc import Iterable, Iterator, Set
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, groupby
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, ne, sub
 
 from .common import EvaluationError, levenshtein, levenshtein_rows, seeded_rng, token_jaccard, word_set
 from .model import ColumnRef, Corpus, TableData
@@ -187,21 +191,23 @@ def column_samples(tables: Iterable[TableData], seed: int = 0) -> dict[ColumnRef
 
 
 def reachable_columns(
-    samples: dict[ColumnRef, frozenset[str]], neighbours: dict[str, set[str]] | None = None
+    samples: dict[ColumnRef, frozenset[str]], neighbours: ValueNeighbours | None = None
 ) -> dict[ColumnRef, frozenset[ColumnRef]]:
     """Each column's share set: the columns whose samples hold one of its
     sampled values, read off a value -> columns posting index. Given the
-    neighbour map, its reach set instead: the share set plus the columns
-    holding a neighbour of one of its values. A column pair outside these
-    sets has no equal (no admissible) value pair."""
-    postings: dict[str, list[ColumnRef]] = {}
+    neighbour relation (over every sampled value), its reach set instead: the
+    share set plus the columns holding a neighbour of one of its values. A
+    column pair outside these sets has no equal (no admissible) value pair."""
+    if neighbours is not None:
+        samples = {ref: neighbours.intern(values) for ref, values in samples.items()}
+    postings: dict = {}
     for ref, values in samples.items():
         for v in values:
             postings.setdefault(v, []).append(ref)
     reach = {}
     for ref, values in samples.items():
         if neighbours is not None:
-            values = values.union(*(neighbours[v] for v in values & neighbours.keys()))
+            values = values.union(*map(neighbours.__getitem__, values))
         reach[ref] = frozenset(chain.from_iterable(map(postings.__getitem__, values)))
     return reach
 
@@ -242,45 +248,62 @@ def _name_similarities(names: Iterable[str]) -> dict[tuple[str, str], float]:
 # --------------------------------------------------------------------------
 
 
-def _max_bipartite_matching(adj: dict[int, list[int]], n_left: int, n_right: int) -> int:
-    """Hopcroft-Karp maximum cardinality matching size."""
+def _max_bipartite_matching(adj, n_left: int, n_right: int) -> int:
+    """Maximum cardinality matching size: adj[u] lists the right vertices of
+    left vertex u, for every u in range(n_left), and there are n_right right
+    vertices (any hashable values). A greedy maximal matching comes first;
+    when it covers the smaller side it is maximum, otherwise Hopcroft-Karp
+    augments it to a maximum one."""
     INF = float("inf")
-    match_l = [-1] * n_left
-    match_r = [-1] * n_right
+    match_l: list = [None] * n_left
+    match_r: dict = {}
+    for u in range(n_left):
+        for v in adj[u]:
+            if v not in match_r:
+                match_l[u] = v
+                match_r[v] = u
+                break
+    size = len(match_r)
+    if size == min(n_left, n_right):
+        return size
     dist = [0.0] * n_left
 
     def bfs() -> bool:
+        """Layer the left vertices by alternating-path length from the free
+        ones, up to the first layer with an edge to a free right vertex."""
         q = deque()
         for u in range(n_left):
-            if match_l[u] == -1:
+            if match_l[u] is None:
                 dist[u] = 0
                 q.append(u)
             else:
                 dist[u] = INF
-        found = False
+        limit = INF  # one past that layer
         while q:
             u = q.popleft()
-            for v in adj.get(u, ()):
-                w = match_r[v]
-                if w == -1:
-                    found = True
+            if dist[u] >= limit:
+                break
+            for v in adj[u]:
+                w = match_r.get(v)
+                if w is None:
+                    limit = dist[u] + 1
                 elif dist[w] == INF:
                     dist[w] = dist[u] + 1
                     q.append(w)
-        return found
+        return limit != INF
 
     def augment(root: int) -> bool:
         """Layered DFS from a free left vertex, iterative so that long
         augmenting paths cannot exhaust the interpreter stack. path[i] left
         the layer through right vertex via[i]."""
         path = [root]
-        edges = [iter(adj.get(root, ()))]
+        edges = [iter(adj[root])]
         via: list[int] = []
         while path:
             u = path[-1]
             for v in edges[-1]:
-                w = match_r[v]
-                if w == -1:
+                w = match_r.get(v)
+                if w is None:
                     via.append(v)
                     for x, y in zip(path, via):
                         match_l[x] = y
@@ -289,7 +312,7 @@ def _max_bipartite_matching(adj: dict[int, list[int]], n_left: int, n_right: int
                 if dist[w] == dist[u] + 1:
                     via.append(v)
                     path.append(w)
-                    edges.append(iter(adj.get(w, ())))
+                    edges.append(iter(adj[w]))
                     break
             else:
                 dist[u] = INF
@@ -299,10 +322,9 @@ def _max_bipartite_matching(adj: dict[int, list[int]], n_left: int, n_right: int
                     via.pop()
         return False
 
-    size = 0
     while bfs():
         for u in range(n_left):
-            if match_l[u] == -1 and augment(u):
+            if match_l[u] is None and augment(u):
                 size += 1
     return size
 
@@ -327,32 +349,38 @@ def _deletion_variants(s: str, drop: int) -> set[str]:
     return {s[:i] + s[i + 1:j] + s[j + 1:] for i in range(n) for j in range(i + 1, n)}
 
 
-def _deletion_candidates(longs: list[str], window: list[str], k: int):
-    """Candidate partners of each value of length m = len(longs[0]) among
-    `window` (every value with length in [m - k, m]).
+def _deletion_candidates(values: list[str], longs: list[int], window: list[int], k: int):
+    """Candidate partners of each value of length m = len(values[longs[0]])
+    among `window` (every value with length in [m - k, m]), all given by id.
 
     Two strings within k edits, the longer of length m, share a subsequence
     of length m - k (FastSS-style deletion neighbourhoods), so the values
     that share a length-(m - k) deletion variant are a lossless candidate set.
-    Digit strings and dates share long prefixes but few such variants."""
-    target = max(len(longs[0]) - k, 0)
-    postings: dict[str, list[str]] = {}
+    Digit strings and dates share long prefixes but few such variants. Each
+    window value's variants are built once; a long value (the window holds
+    them all) keeps the posting lists its variants fell in, not the
+    variants, and gathers them once every window value is posted."""
+    m = len(values[longs[0]])
+    target = max(m - k, 0)
+    postings: dict[str, list[int]] = {}
+    gathered = []  # (long value, its variants' posting lists)
     for w in window:
-        for var in _deletion_variants(w, len(w) - target):
-            postings.setdefault(var, []).append(w)
-    for v in longs:
-        found: set[str] = set()
-        for var in _deletion_variants(v, len(v) - target):
-            found.update(postings[var])
-        yield v, found
+        s = values[w]
+        lists = [postings.setdefault(var, []) for var in _deletion_variants(s, len(s) - target)]
+        for posting in lists:
+            posting.append(w)
+        if len(s) == m:
+            gathered.append((w, lists))
+    for v, lists in gathered:
+        yield v, set().union(*lists)
 
 
-def _partition_candidates(longs: list[str], window: list[str], k: int):
+def _partition_candidates(values: list[str], longs: list[int], window: list[int], k: int):
     """Candidate partners by partition signatures (Pass-Join, Li et al.,
     VLDB 2012): cut each value of length m into k + 1 segments. k edits leave
     at least one segment intact, and it reappears in the partner shifted by
-    at most k positions."""
-    m = len(longs[0])
+    at most k positions. Values are given by id, as to _deletion_candidates."""
+    m = len(values[longs[0]])
     base, extra = divmod(m, k + 1)
     if base == 0:  # segments would be empty: every window value qualifies
         for v in longs:
@@ -364,33 +392,58 @@ def _partition_candidates(longs: list[str], window: list[str], k: int):
         length = base + (i >= k + 1 - extra)
         segments.append((start, length))
         start += length
-    postings: dict[tuple[int, str], list[str]] = {}
+    postings: dict[tuple[int, str], list[int]] = {}
     for v in longs:
+        s = values[v]
         for i, (st, ln) in enumerate(segments):
-            postings.setdefault((i, v[st:st + ln]), []).append(v)
-    found: dict[str, set[str]] = {v: set() for v in longs}
+            postings.setdefault((i, s[st:st + ln]), []).append(v)
+    found: dict[int, set[int]] = {v: set() for v in longs}
     for w in window:
-        lw = len(w)
+        s = values[w]
+        lw = len(s)
         for i, (st, ln) in enumerate(segments):
             for p in range(max(0, st - k), min(lw - ln, st + k) + 1):
-                for v in postings.get((i, w[p:p + ln]), ()):
+                for v in postings.get((i, s[p:p + ln]), ()):
                     found[v].add(w)
     yield from found.items()
 
 
-def value_neighbours(values: Iterable[str], delta: float) -> dict[str, set[str]]:
-    """Fuzzy-equality relation over distinct values: value -> every other
-    value u with lev_ratio(value, u) >= delta.
+class ValueNeighbours:
+    """A fuzzy-equality relation over interned values. `values` holds the
+    distinct values in sorted order, and a value's id is its position there
+    (`ids` maps it back). The relation is held as CSR: the neighbours of id i
+    are targets[offsets[i]:offsets[i + 1]], each once, so a value's entry
+    costs four bytes, not a set slot and a string reference."""
+
+    def __init__(self, values: list[str], offsets: Sequence[int], targets: Sequence[int]):
+        self.values, self.offsets, self.targets = values, offsets, targets
+        self.ids = {v: i for i, v in enumerate(values)}
+
+    def __getitem__(self, i: int) -> Sequence[int]:
+        """The neighbour ids of id i."""
+        return self.targets[self.offsets[i]:self.offsets[i + 1]]
+
+    def intern(self, values: Iterable[str]) -> frozenset[int]:
+        """The ids of values the relation holds."""
+        return frozenset(map(self.ids.__getitem__, values))
+
+
+def value_neighbours(values: Iterable[str], delta: float) -> ValueNeighbours:
+    """Fuzzy-equality relation over the distinct values: each value's
+    neighbours are every other value u with lev_ratio(value, u) >= delta.
 
     Pairs are grouped by the longer value's length m, which fixes the edit
     budget k. Candidates come from an inverted index over the values whose
     length lies within k of m (deletion variants while k is small, partition
-    signatures beyond), and each candidate is confirmed with its exact edit
-    distance. Values without neighbours have no entry."""
-    by_len: dict[int, list[str]] = {}
-    for v in set(values):
-        by_len.setdefault(len(v), []).append(v)
-    neighbours: dict[str, set[str]] = {}
+    signatures beyond), and each candidate is confirmed exactly: by its
+    Hamming distance when that settles it, else by its edit distance."""
+    from array import array
+
+    values = sorted(set(values))
+    by_len: dict[int, list[int]] = {}
+    for i, v in enumerate(values):
+        by_len.setdefault(len(v), []).append(i)
+    adj = [array("i") for _ in values]
     for m in sorted(by_len):
         k = _max_edits(m, delta)
         if k <= 0:
@@ -398,40 +451,53 @@ def value_neighbours(values: Iterable[str], delta: float) -> dict[str, set[str]]
         longs = by_len[m]
         window = [w for n in range(max(m - k, 0), m + 1) for w in by_len.get(n, ())]
         generate = _deletion_candidates if k <= DELETION_MAX_EDITS else _partition_candidates
-        for v, found in generate(longs, window, k):
+        for v, found in generate(values, longs, window, k):
+            s = values[v]
             for w in found:
-                # a pair of two length-m values is seen from both ends; check it once
-                if (len(w) == m and w <= v) or levenshtein(v, w) > k:
+                t = values[w]
+                if len(t) < m:
+                    if levenshtein(s, t) > k:
+                        continue
+                elif w <= v:  # a pair of two length-m values is seen from both ends; check it once
                     continue
-                neighbours.setdefault(v, set()).add(w)
-                neighbours.setdefault(w, set()).add(v)
-    return neighbours
+                elif sum(map(ne, s, t)) > k:
+                    # of equal length, the edit distance is at most the
+                    # Hamming distance, and one edit is a substitution
+                    if k == 1 or levenshtein(s, t) > k:
+                        continue
+                adj[v].append(w)
+                adj[w].append(v)
+    offsets = array("q", accumulate(map(len, adj), initial=0))
+    targets = array("i", [0]) * offsets[-1]
+    for i, lo in enumerate(offsets[:-1]):
+        targets[lo:offsets[i + 1]] = adj[i]
+        adj[i] = None
+    return ValueNeighbours(values, offsets, targets)
 
 
-def _fuzzy_jaccard_indexed(sa: Set[str], sb: Set[str], neighbours: dict[str, set[str]]) -> float:
-    """fuzzy_jaccard over two distinct-value sets, given a neighbour map that
-    covers both: the admissible pairs are the equal values plus each value's
-    neighbours on the other side."""
+def _fuzzy_jaccard_indexed(sa: Set[int], sb: Set[int], neighbours: ValueNeighbours) -> float:
+    """fuzzy_jaccard over two sets of value ids, given a neighbour relation
+    that covers both: the admissible pairs are the equal values plus each
+    value's neighbours on the other side."""
     if not sa or not sb:
         return 0.0
-    fuzzy = {}
-    for va in sa & neighbours.keys():
-        hits = neighbours[va] & sb
-        if hits:
-            fuzzy[va] = hits
+    offsets, targets = neighbours.offsets, neighbours.targets
     equal = sa & sb
+    fuzzy = {}  # a value of sa -> its admissible partners, when it has a neighbour in sb
+    for va in sa:
+        lo, hi = offsets[va], offsets[va + 1]
+        if lo != hi:
+            hits = sb.intersection(targets[lo:hi])
+            if hits:
+                fuzzy[va] = hits | {va} if va in equal else hits
     matched = len(equal)
     if fuzzy:
         # an equal value with no fuzzy edge on either side is an isolated
-        # edge, in every maximum matching; the rest goes to Hopcroft-Karp
+        # edge, in every maximum matching; the rest goes to the matching
         touched = set().union(*fuzzy.values())
-        shared = [v for v in equal if v in fuzzy or v in touched]
-        right = {v: j for j, v in enumerate(touched.union(shared))}
-        left = {va: [right[u] for u in hits] for va, hits in fuzzy.items()}
-        for v in shared:
-            left.setdefault(v, []).append(right[v])
-        adj = dict(enumerate(left.values()))
-        matched += _max_bipartite_matching(adj, len(adj), len(right)) - len(shared)
+        shared = equal & touched
+        adj = [*fuzzy.values(), *((v,) for v in shared.difference(fuzzy))]
+        matched += _max_bipartite_matching(adj, len(adj), len(touched)) - len(shared)
     union = len(sa) + len(sb) - matched
     return matched / union if union else 0.0
 
@@ -443,29 +509,31 @@ def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> flo
     every admissible pair, so the score never depends on tie-breaking. With
     delta = 1.0 this reduces to classical Jaccard over the distinct sets.
     """
-    sa, sb = set(values_a), set(values_b)
-    return _fuzzy_jaccard_indexed(sa, sb, value_neighbours(sa | sb, delta))
+    neighbours = value_neighbours(chain(values_a, values_b), delta)
+    return _fuzzy_jaccard_indexed(neighbours.intern(values_a), neighbours.intern(values_b), neighbours)
 
 
 def jl_match(
     a: TableData,
     b: TableData,
     *,
-    samples: dict[ColumnRef, frozenset[str]],
-    neighbours: dict[str, set[str]],
+    samples: dict[ColumnRef, frozenset[int]],
+    neighbours: ValueNeighbours,
     reach: dict[ColumnRef, frozenset[ColumnRef]],
+    columns: dict[str, list[ColumnRef]],
 ) -> list[float]:
     """fuzzy_jaccard over every column pair, read from profile(..., "jl"):
-    the column samples, their neighbour map at JL_DELTA and the reach sets.
+    the column samples as value ids, their neighbour relation at JL_DELTA,
+    the reach sets and each table's sorted column refs.
     A pair outside the reach sets scores exactly 0.0 without being looked
     at. The tables are taken in name order and the scores come for a's
     sorted columns by b's, so they follow canonical order and both argument
     orders give the same ones."""
     if b.name < a.name:
         a, b = b, a
-    cols_b = _sorted_columns(b)
+    cols_b = columns[b.name]
     scores = []
-    for ref_a in _sorted_columns(a):
+    for ref_a in columns[a.name]:
         va, reach_a = samples[ref_a], reach[ref_a]
         scores += [
             _fuzzy_jaccard_indexed(va, samples[ref_b], neighbours) if ref_b in reach_a else 0.0
@@ -661,7 +729,9 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
     """The keyword arguments the pair matcher of `matcher` reads, built once
     over `tables` (every pair scored through them must come from there):
 
-    jl      samples, neighbours (value_neighbours at JL_DELTA), reach
+    jl      samples (each column's value ids), neighbours
+            (value_neighbours at JL_DELTA), reach and columns (each
+            table's sorted column refs)
     sf      graphs (one schema graph per table), header_sims (the lowered
             headers' normalized Levenshtein similarity) and table_sims (the
             same over the table names)
@@ -689,7 +759,12 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
             "header_sims": _name_similarities(headers),
         }
     neighbours = value_neighbours(frozenset().union(*samples.values()), JL_DELTA)
-    return {"samples": samples, "neighbours": neighbours, "reach": reachable_columns(samples, neighbours)}
+    return {
+        "samples": {ref: neighbours.intern(values) for ref, values in samples.items()},
+        "neighbours": neighbours,
+        "reach": reachable_columns(samples, neighbours),
+        "columns": {t.name: _sorted_columns(t) for t in tables},
+    }
 
 
 # the keywords match_corpus passes on to each pair matcher
@@ -730,29 +805,31 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> Predictions:
 
 def write_predictions_csv(preds: Predictions) -> str:
     """The predictions interchange CSV, one row per prediction, in canonical
-    order. Quoting is decided field by field, so each column's two cells are
-    CSV-encoded once, and a row joins its left column's cells, its right
-    column's and the score."""
+    order, each row ended by LF. Quoting is decided field by field, so each
+    column's two cells are CSV-encoded once, and a row joins its left
+    column's cells, its right column's and the score. A cell holding a CR or
+    an LF is quoted, so csv.reader reads each cell back whole."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # csv.writer quotes a cell holding any character of its line terminator
+    writer = csv.writer(buf, lineterminator="\r\n")
 
     def row_text(cells) -> str:
         buf.seek(0)
         buf.truncate()
         writer.writerow(cells)
-        return buf.getvalue()
+        return buf.getvalue()[:-2]
 
     encoded: dict[ColumnRef, str] = {}
 
     def encode(ref: ColumnRef) -> str:
         text = encoded.get(ref)
         if text is None:
-            text = encoded[ref] = row_text(ref)[:-1]
+            text = encoded[ref] = row_text(ref)
         return text
 
     pairs, scores = preds.pairs, preds.scores
     rights = list(map(encode, pairs.rights))
-    lines = [row_text(["left_table", "left_column", "right_table", "right_column", "score"])]
+    lines = [row_text(["left_table", "left_column", "right_table", "right_column", "score"]) + "\n"]
     for left, (lo, hi), offset in zip(pairs.lefts, pairs.bounds, pairs.offsets):
         prefix = encode(left)
         lines += [

@@ -754,9 +754,6 @@ OPS: dict[str, OpSpec] = {
     "sample_rows": OpSpec(SHAPE, _sample_rows_step),
 }
 
-VALUE_OPS = tuple(op for op, spec in OPS.items() if spec.kind == VALUE)
-SCHEMA_OPS = tuple(op for op, spec in OPS.items() if spec.kind == SCHEMA)
-SHAPE_OPS = tuple(op for op, spec in OPS.items() if spec.kind == SHAPE)
 ALL_OPS = tuple(OPS)
 
 

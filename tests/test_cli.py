@@ -263,6 +263,14 @@ def test_stats_empty_corpus(tmp_path, capsys):
     assert "0.0" in capsys.readouterr().out
 
 
+def test_generate_negative_row_cap_exit_3(tmp_path, capsys):
+    code = run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
+                "--row-cap", "-5"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: --row-cap: -5 is below 0\n"
+    assert not (tmp_path / "c").exists()
+
+
 def test_finance_generate_twenty_tables(tmp_path):
     onto = tmp_path / "fin.onto"
     onto.write_text(finance_ontology_text(20))
@@ -353,6 +361,24 @@ def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):
     assert code == 5
     assert capsys.readouterr().err == "error: unknown matcher 'nope'\n"
     assert not (tmp_path / "r" / "report.json").exists()
+
+
+@pytest.mark.parametrize("threshold, code", [
+    ("nan", 5), ("inf", 5), ("-inf", 5), ("-0.01", 5), ("1.5", 5), ("7", 5), ("0", 0), ("1", 0),
+])
+def test_evaluate_threshold_must_be_finite_in_unit_interval(tmp_path, capsys, threshold, code):
+    run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
+         "--row-cap", "5"])
+    capsys.readouterr()
+    assert run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"),
+                "--matchers", "sf", f"--threshold={threshold}"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: --threshold: {float(threshold)} is not a number in [0, 1]\n"
+        assert not (tmp_path / "r" / "report.json").exists()
+    else:
+        doc = json.loads((tmp_path / "r" / "report.json").read_text(encoding="utf-8"))
+        assert {r["threshold"] for r in doc["reports"]} == {float(threshold)}
 
 
 @pytest.mark.parametrize("ks, message", [("1,x", "'x' is not an integer"), ("3,0", "0 is below 1")])

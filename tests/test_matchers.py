@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _kuhn_matching,
     best_scores,
     finance_ontology_text,
     optimal_fuzzy_jaccard,
@@ -150,6 +151,30 @@ def test_matching_long_augmenting_path_is_iterative():
     n = 3000
     adj = {i: [j for j in (i + 1, i) if j < n] for i in range(n)}
     assert _max_bipartite_matching(adj, n, n) == n
+
+
+_bipartite = st.integers(1, 6).flatmap(
+    lambda n_right: st.tuples(
+        st.lists(st.lists(st.integers(0, n_right - 1), unique=True, max_size=n_right), max_size=7),
+        st.just(n_right),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(graph=_bipartite)
+# the greedy start strands left vertex 2; its augmenting path runs through
+# both matched left vertices
+@example(graph=([[0, 1], [1, 2], [0]], 3))
+# the greedy start strands two left vertices, one augmenting path each
+@example(graph=([[0, 1], [2, 3], [0], [2]], 4))
+def test_matching_equals_kuhn(graph):
+    adj, n_right = graph
+    want = _kuhn_matching(adj, n_right)
+    assert _max_bipartite_matching(adj, len(adj), n_right) == want
+    # right vertices may be any hashable values, as the jl matcher passes value ids
+    relabelled = [[f"r{v}" for v in row] for row in adj]
+    assert _max_bipartite_matching(relabelled, len(adj), n_right) == want
 
 
 _digit_runs = st.builds(
@@ -301,7 +326,15 @@ def test_value_neighbours_equal_brute_force(values, delta):
         for b in values:
             if a != b and reference_lev_ratio(a, b) >= delta:
                 want.setdefault(a, set()).add(b)
-    assert value_neighbours(values, delta) == want
+    neighbours = value_neighbours(values, delta)
+    assert neighbours.values == sorted(set(values))
+    got = {}
+    for i, v in enumerate(neighbours.values):
+        ids = list(neighbours[i])
+        assert len(set(ids)) == len(ids)
+        if ids:
+            got[v] = {neighbours.values[j] for j in ids}
+    assert got == want
 
 
 def test_match_corpus_jl_equals_per_pair_reference(small_finance_corpus):
@@ -705,19 +738,32 @@ def test_predictions_csv_round_trip():
     assert list(again.items()) == list(preds.items()) == [((("A", "x"), ("B", "y")), 0.75), ((("A", "x"), ("C", "z")), 0.25)]
 
 
-def test_predictions_csv_quotes_each_cell_like_csv_writer():
+def _csv_line(cells) -> str:
+    """One row as the predictions CSV holds it: csv.writer's minimal quoting,
+    with CR and LF both in its line terminator so that a cell holding either
+    is quoted, and the row ended by LF."""
     import csv
     import io
 
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+_CSV_HEADER = ["left_table", "left_column", "right_table", "right_column", "score"]
+
+
+def test_predictions_csv_quotes_each_cell_like_csv_writer():
     odd = [("T,1", 'c"x'), ("U\nV", " y"), ("U\nV", ""), ("W", "z\r")]
     rows = [(a, b, 0.125 * (i + j)) for i, a in enumerate(odd) for j, b in enumerate(odd) if i < j]
     rows.append((odd[1], odd[0], 0.9))  # a duplicate key: the higher score wins
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["left_table", "left_column", "right_table", "right_column", "score"])
-    for (left, right), score in sorted(best_scores(rows).items()):
-        writer.writerow([*left, *right, f"{score:.6f}"])
-    assert write_predictions_csv(Predictions.best_of(rows)) == buf.getvalue()
+    want = [_csv_line(_CSV_HEADER)] + [
+        _csv_line([*left, *right, f"{score:.6f}"]) for (left, right), score in sorted(best_scores(rows).items())
+    ]
+    text = write_predictions_csv(Predictions.best_of(rows))
+    assert text == "".join(want)
+    assert 'W,"z\r"' in text
+    assert list(parse_predictions_csv(text).items()) == sorted(best_scores(rows).items())
 
 
 # names that need quoting, a dotted capital whose lowered form is longer, and
@@ -734,9 +780,6 @@ _ODD_NAMES = ["A", "a,b", 'q"t', "l\nf", "c\rr", "\u0130", "i\u0307", "\U0001d51
     matcher=st.sampled_from(sorted(PAIR_MATCHERS)),
 )
 def test_predictions_csv_equals_csv_writer_reference(spec, matcher):
-    import csv
-    import io
-
     tables = [
         table(name, headers, [tuple(f"v{(i + j) % 3}" for j in range(len(headers))) for i in range(2)])
         for name, headers in spec
@@ -747,18 +790,15 @@ def test_predictions_csv_equals_csv_writer_reference(spec, matcher):
     scores = {}
     for a, b in combinations(tables, 2):
         scores.update(zip(pair_keys(a, b), PAIR_MATCHERS[matcher](a, b, **shared)))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = []
-    for cells in [["left_table", "left_column", "right_table", "right_column", "score"]] + [
-        [*left, *right, f"{score:.6f}"] for (left, right), score in sorted(scores.items())
-    ]:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow(cells)
-        rows.append(buf.getvalue())
+    rows = [_csv_line(_CSV_HEADER)] + [
+        _csv_line([*left, *right, f"{score:.6f}"]) for (left, right), score in sorted(scores.items())
+    ]
     text = write_predictions_csv(match_corpus(Corpus(tables=tables), matcher))
     assert text == "".join(rows)
+    # the file parses back to its pairs and printed scores
+    assert list(parse_predictions_csv(text).items()) == [
+        (key, float(f"{score:.6f}")) for key, score in sorted(scores.items())
+    ]
 
 
 def test_predictions_best_of_sorted_input_and_duplicates():

@@ -36,12 +36,19 @@ EXIT_PERTURBATION = 4
 EXIT_EVALUATION = 5
 
 
+def _read_text(path: Path, error: type[LakeforgeError]) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_ontology(path: str):
     p = Path(path)
     if not p.exists():
         raise OntologyError(f"ontology file not found: {path}")
     fmt = "turtle" if p.suffix.lower() in (".ttl", ".turtle") else "native"
-    return parse_ontology(p.read_text(encoding="utf-8"), format=fmt)
+    return parse_ontology(_read_text(p, OntologyError), format=fmt)
 
 
 def _gateway(args) -> LlmGateway:
@@ -121,7 +128,7 @@ def cmd_perturb(args) -> int:
         plan_path = Path(args.plan)
         if not plan_path.exists():
             raise CorpusError(f"plan file not found: {args.plan}")
-        plan = parse_plan(plan_path.read_text(encoding="utf-8"))
+        plan = parse_plan(_read_text(plan_path, CorpusError))
     else:
         plan = default_plan()
     gateway = _gateway(args) if args.backend == "llm" else None

@@ -142,14 +142,19 @@ def _write_json(obj: object, nl: str, emit) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def slugify(name: str) -> str:
     """Filesystem-safe slug for a table name."""
     s = re.sub(r"[^a-z0-9]+", "_", name.lower()).strip("_")
     return s or "t"
+
+
+def unique_name(name: str, taken: set[str]) -> str:
+    """The first of name, name_2, name_3, ... that is not in `taken`."""
+    candidate, k = name, 2
+    while candidate in taken:
+        candidate = f"{name}_{k}"
+        k += 1
+    return candidate
 
 
 def norm_header(header: str) -> str:
@@ -275,6 +280,4 @@ def token_jaccard(ta: frozenset[str], tb: frozenset[str]) -> float:
 
 def round_half_up(x: float) -> int:
     """Round halves away from zero (0.5 -> 1), unlike banker's rounding."""
-    import math
-
     return int(math.floor(x + 0.5))

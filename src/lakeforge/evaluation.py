@@ -31,21 +31,13 @@ TASK_ALL = "all"
 TASKS = (TASK_EXACT, TASK_SEMANTIC, TASK_ALL)
 
 
-def task_truth(
-    pairs: list[JoinPair], task: str, semantic_includes_exact: bool = True
-) -> set[PairKey]:
+def task_truth(pairs: list[JoinPair], task: str) -> set[PairKey]:
     """Truth set for a task. The exact task covers {exact, pkfk}; the semantic
-    task includes the exact pairs by default (every pkfk/exact pair is also
-    joinable under an identity mapping), configurable to semantic-only."""
+    task, like the all task, covers every kind, since every pkfk/exact pair is
+    also joinable under an identity mapping."""
     if task == TASK_EXACT:
         kinds = {KIND_EXACT, KIND_PKFK}
-    elif task == TASK_SEMANTIC:
-        kinds = (
-            {KIND_EXACT, KIND_PKFK, KIND_SEMANTIC}
-            if semantic_includes_exact
-            else {KIND_SEMANTIC}
-        )
-    elif task == TASK_ALL:
+    elif task in (TASK_SEMANTIC, TASK_ALL):
         kinds = {KIND_EXACT, KIND_PKFK, KIND_SEMANTIC}
     else:
         raise EvaluationError(f"unknown task {task!r}")
@@ -148,7 +140,6 @@ def evaluate(
     threshold: float = DEFAULT_THRESHOLD,
     ks: tuple[int, ...] = DEFAULT_KS,
     corpus_digest: str = "",
-    semantic_includes_exact: bool = True,
 ) -> list[EvalReport]:
     """One matcher's report for each task, in the order given. The
     predictions are ranked (as far as the largest k) and thresholded once for
@@ -158,7 +149,7 @@ def evaluate(
         raise EvaluationError(f"tasks must be a list of task names, not the string {tasks!r}")
     for k in ks:
         _check_k(k)
-    truths = [task_truth(ground_truth, task, semantic_includes_exact) for task in tasks]
+    truths = [task_truth(ground_truth, task) for task in tasks]
     positives = preds.positives(threshold)
     top = preds.ranked(max(ks, default=0))
     difficulty = difficulty_breakdown(preds, ground_truth, threshold)

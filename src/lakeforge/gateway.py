@@ -11,6 +11,7 @@ hashed byte-exact, configuration fields are whitespace-normalized.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .common import CacheMiss, GatewayError, canonical_json, sha256_hex
+from .common import CacheMiss, GatewayError, canonical_json
 
 DEFAULT_MODEL = "text-davinci-003"
 # Diversity for value generation, fidelity for perturbation.
@@ -52,7 +53,7 @@ def request_digest(req: CompletionRequest) -> str:
         "max_tokens": int(req.max_tokens),
         "temperature": float(req.temperature),
     }
-    return sha256_hex(canonical_json(core).encode("utf-8"))
+    return hashlib.sha256(canonical_json(core).encode("utf-8")).hexdigest()
 
 
 @dataclass

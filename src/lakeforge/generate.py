@@ -22,38 +22,27 @@ from .synth import needs_value_window, synthesize_offline
 
 BATCH_ROWS = 5  # rows requested per prompt, matching the example-list output shape
 DEP_CHUNK_BUDGET = 100  # referenced values embedded per prompt
-DEFAULT_ROW_CAP = 1000
 
 
 @dataclass
 class GenerationPlan:
     waves: list[list[str]]
-    row_caps: dict[str, int]
+    row_cap: int  # rows per table
     backend: str = "offline"  # offline | llm
 
-    def cap(self, table: str) -> int:
-        return self.row_caps.get(table, DEFAULT_ROW_CAP)
 
-
-def plan_generation(
-    graph: DependencyGraph,
-    row_caps: dict[str, int] | int | None = None,
-    backend: str = "offline",
-) -> GenerationPlan:
+def plan_generation(graph: DependencyGraph, row_caps: int, backend: str = "offline") -> GenerationPlan:
     """Generate in the graph's waves: wave k holds tables whose dependencies
-    all sit in waves < k, ordered lexicographically for determinism."""
-    if isinstance(row_caps, int):
-        caps = {n: row_caps for n in graph.nodes}
-    else:
-        caps = dict(row_caps or {})
-    return GenerationPlan(waves=[list(w) for w in graph.waves], row_caps=caps, backend=backend)
+    all sit in waves < k, ordered lexicographically for determinism. Every
+    table gets `row_caps` rows."""
+    return GenerationPlan(waves=[list(w) for w in graph.waves], row_cap=row_caps, backend=backend)
 
 
 # --------------------------------------------------------------------------
 # prompting
 # --------------------------------------------------------------------------
 
-DEFAULT_FEW_SHOT = (
+FEW_SHOT_CLAUSE = (
     "For example, the table named Retail Order has columns: "
     "['Order Number', 'Item', 'Unit Price', 'Placed By Customer Account']. "
     "And column 'Placed By Customer Account' comes from the 'Account Number' "
@@ -61,25 +50,18 @@ DEFAULT_FEW_SHOT = (
     "'Example 1: 771204; Desk Lamp; 34.50; 200114; Example 2: 771205; "
     "Bookshelf; 89.99; 200117'."
 )
-
-
-@dataclass
-class PromptTemplate:
-    few_shot_example: str = DEFAULT_FEW_SHOT
-    schema_clause: str = (
-        "Now, the table named {table} has the following columns: {columns}."
-    )
-    dependency_clause: str = (
-        "The entries from column '{column}' comes from '{ref_column}' of table "
-        "'{ref_table}'. Given the entries of column '{column}' are {values}."
-    )
-    # Naming the partition keeps batch prompts distinct, so record/replay
-    # caching cannot collapse successive batches of a dependency-free table.
-    partition_clause: str = "This is partition {partition} of the table."
-    instruction_clause: str = (
-        "Generate {batch} row examples for the table, one per line, in the form "
-        "'Example k: v1; v2; ...' with exactly {width} values per row."
-    )
+SCHEMA_CLAUSE = "Now, the table named {table} has the following columns: {columns}."
+DEPENDENCY_CLAUSE = (
+    "The entries from column '{column}' comes from '{ref_column}' of table "
+    "'{ref_table}'. Given the entries of column '{column}' are {values}."
+)
+# Naming the partition keeps batch prompts distinct, so record/replay
+# caching cannot collapse successive batches of a dependency-free table.
+PARTITION_CLAUSE = "This is partition {partition} of the table."
+INSTRUCTION_CLAUSE = (
+    "Generate {batch} row examples for the table, one per line, in the form "
+    "'Example k: v1; v2; ...' with exactly {width} values per row."
+)
 
 
 @dataclass
@@ -91,7 +73,6 @@ class DepValues:
 
 
 def render_prompt(
-    template: PromptTemplate,
     schema: TableSchema,
     deps: list[DepValues],
     batch: int = BATCH_ROWS,
@@ -106,15 +87,15 @@ def render_prompt(
                 f"dependency values for column {dep.column!r} must be non-empty"
             )
     parts = ["The task is to generate row examples for the table."]
-    parts.append(template.few_shot_example)
+    parts.append(FEW_SHOT_CLAUSE)
     parts.append(
-        template.schema_clause.format(
+        SCHEMA_CLAUSE.format(
             table=schema.name, columns=str(schema.column_names())
         )
     )
     for dep in deps:
         parts.append(
-            template.dependency_clause.format(
+            DEPENDENCY_CLAUSE.format(
                 column=dep.column,
                 ref_column=dep.ref_column,
                 ref_table=dep.ref_table,
@@ -122,9 +103,9 @@ def render_prompt(
             )
         )
     if partition is not None:
-        parts.append(template.partition_clause.format(partition=partition))
+        parts.append(PARTITION_CLAUSE.format(partition=partition))
     parts.append(
-        template.instruction_clause.format(batch=batch, width=len(schema.columns))
+        INSTRUCTION_CLAUSE.format(batch=batch, width=len(schema.columns))
     )
     return "\n".join(parts)
 
@@ -248,10 +229,8 @@ def _generate_offline(
 def _generate_llm(
     schema: TableSchema,
     n: int,
-    seed: int,
     deps: list[DepValues],
     gateway: LlmGateway,
-    template: PromptTemplate,
     report: TableReport,
 ) -> list[tuple[str, ...]]:
     import math
@@ -276,7 +255,7 @@ def _generate_llm(
         sliced = [
             DepValues(d.column, d.ref_table, d.ref_column, dep_slice(d, i)) for d in deps
         ]
-        prompt = render_prompt(template, schema, sliced, batch=BATCH_ROWS, partition=i + 1)
+        prompt = render_prompt(schema, sliced, batch=BATCH_ROWS, partition=i + 1)
         report.prompts += 1
         completion = gateway.complete(CompletionRequest(prompt=prompt))
         try:
@@ -327,7 +306,6 @@ def generate_base_tables(
     plan: GenerationPlan,
     gateway: LlmGateway | None = None,
     seed: int = 0,
-    template: PromptTemplate | None = None,
 ) -> tuple[Corpus, GenerationReport]:
     """Populate every table wave by wave and assemble the base corpus.
 
@@ -341,39 +319,32 @@ def generate_base_tables(
     schema_set.validate()
     if plan.backend == "llm" and gateway is None:
         raise GenerationError("llm backend requires a gateway")
-    template = template or PromptTemplate()
     spaces = _space_registry(schema_set)
     report = GenerationReport()
     tables: dict[str, TableData] = {}
     schemas = {t.name: t for t in schema_set.tables}
+    n = plan.row_cap
 
     for wave in plan.waves:
         for name in wave:
             schema = schemas[name]
             treport = TableReport()
-            n = plan.cap(name)
             joins = _deps_for(schema_set, name)
             fk_pools: dict[str, list[str]] = {}
             dep_values: list[DepValues] = []
+            # every table has n rows and a non-null key, so with n > 0 no
+            # referenced key pool is empty
             for j in joins:
                 ref = tables[j.target_table]
                 pool = sorted(ref.value_set(j.target_column))
-                if not pool and n > 0:
-                    raise GenerationError(
-                        f"cannot satisfy FK {name}.{j.source_column}: referenced table "
-                        f"{j.target_table!r} has no rows"
-                    )
                 fk_pools[j.source_column] = pool
-                if pool:
-                    dep_values.append(
-                        DepValues(j.source_column, j.target_table, j.target_column, pool)
-                    )
+                dep_values.append(DepValues(j.source_column, j.target_table, j.target_column, pool))
             if n <= 0:
                 rows: list[tuple[str, ...]] = []
             elif plan.backend == "offline":
                 rows = _generate_offline(schema, n, seed, spaces, fk_pools)
             else:
-                rows = _generate_llm(schema, n, seed, dep_values, gateway, template, treport)
+                rows = _generate_llm(schema, n, dep_values, gateway, treport)
                 rows, repaired = _repair_fk(rows, schema, fk_pools, seed)
                 treport.repaired = repaired
             treport.rows = len(rows)

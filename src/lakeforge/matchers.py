@@ -191,15 +191,14 @@ def column_samples(tables: Iterable[TableData], seed: int = 0) -> dict[ColumnRef
 
 
 def reachable_columns(
-    samples: dict[ColumnRef, frozenset[str]], neighbours: ValueNeighbours | None = None
+    samples: dict[ColumnRef, frozenset], neighbours: ValueNeighbours | None = None
 ) -> dict[ColumnRef, frozenset[ColumnRef]]:
     """Each column's share set: the columns whose samples hold one of its
     sampled values, read off a value -> columns posting index. Given the
-    neighbour relation (over every sampled value), its reach set instead: the
-    share set plus the columns holding a neighbour of one of its values. A
-    column pair outside these sets has no equal (no admissible) value pair."""
-    if neighbours is not None:
-        samples = {ref: neighbours.intern(values) for ref, values in samples.items()}
+    neighbour relation (over every sampled value) and the samples as its
+    value ids, its reach set instead: the share set plus the columns holding a
+    neighbour of one of its values. A column pair outside these sets has no
+    equal (no admissible) value pair."""
     postings: dict = {}
     for ref, values in samples.items():
         for v in values:
@@ -476,9 +475,11 @@ def value_neighbours(values: Iterable[str], delta: float) -> ValueNeighbours:
 
 
 def _fuzzy_jaccard_indexed(sa: Set[int], sb: Set[int], neighbours: ValueNeighbours) -> float:
-    """fuzzy_jaccard over two sets of value ids, given a neighbour relation
-    that covers both: the admissible pairs are the equal values plus each
-    value's neighbours on the other side."""
+    """Fuzzy Jaccard of two sets of value ids: Jaccard with Levenshtein-
+    thresholded equality. Given a neighbour relation that covers both sets,
+    the admissible pairs are the equal values plus each value's neighbours on
+    the other side. The value-to-value matching is maximum cardinality over
+    every admissible pair, so the score never depends on tie-breaking."""
     if not sa or not sb:
         return 0.0
     offsets, targets = neighbours.offsets, neighbours.targets
@@ -502,17 +503,6 @@ def _fuzzy_jaccard_indexed(sa: Set[int], sb: Set[int], neighbours: ValueNeighbou
     return matched / union if union else 0.0
 
 
-def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> float:
-    """Jaccard over two value sets with Levenshtein-thresholded equality.
-
-    The value-to-value matching is maximum cardinality (Hopcroft-Karp) over
-    every admissible pair, so the score never depends on tie-breaking. With
-    delta = 1.0 this reduces to classical Jaccard over the distinct sets.
-    """
-    neighbours = value_neighbours(chain(values_a, values_b), delta)
-    return _fuzzy_jaccard_indexed(neighbours.intern(values_a), neighbours.intern(values_b), neighbours)
-
-
 def jl_match(
     a: TableData,
     b: TableData,
@@ -522,7 +512,8 @@ def jl_match(
     reach: dict[ColumnRef, frozenset[ColumnRef]],
     columns: dict[str, list[ColumnRef]],
 ) -> list[float]:
-    """fuzzy_jaccard over every column pair, read from profile(..., "jl"):
+    """Fuzzy Jaccard (_fuzzy_jaccard_indexed) of every column pair, read from
+    profile(..., "jl"):
     the column samples as value ids, their neighbour relation at JL_DELTA,
     the reach sets and each table's sorted column refs.
     A pair outside the reach sets scores exactly 0.0 without being looked
@@ -759,23 +750,21 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
             "header_sims": _name_similarities(headers),
         }
     neighbours = value_neighbours(frozenset().union(*samples.values()), JL_DELTA)
+    ids = {ref: neighbours.intern(values) for ref, values in samples.items()}
     return {
-        "samples": {ref: neighbours.intern(values) for ref, values in samples.items()},
+        "samples": ids,
         "neighbours": neighbours,
-        "reach": reachable_columns(samples, neighbours),
+        "reach": reachable_columns(ids, neighbours),
         "columns": {t.name: _sorted_columns(t) for t in tables},
     }
-
-
-# the keywords match_corpus passes on to each pair matcher
-_PAIR_PARAMS = {"jl": (), "sf": ("epsilon", "max_iters"), "hybrid": ("w_name", "w_instance")}
 
 
 def match_corpus(corpus: Corpus, matcher: str, **params) -> Predictions:
     """Run a built-in matcher over every cross-table column pair: the corpus
     is profiled once, then each table pair is scored through the module's
-    jl_match, sf_match or hybrid_match, with `params` passed on. A keyword
-    the pair matcher does not take raises EvaluationError.
+    jl_match, sf_match or hybrid_match. `params` are hybrid's weights
+    (w_name, w_instance), passed on to hybrid_match; any other keyword raises
+    EvaluationError.
 
     The scores come in the order of that list by construction. A pair matcher
     scores table a's sorted columns by b's, so for each table a in name
@@ -783,7 +772,7 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> Predictions:
     in name order."""
     shared = profile(corpus.tables, matcher, corpus.seed)
     for name in params:
-        if name not in _PAIR_PARAMS[matcher]:
+        if matcher != "hybrid" or name not in ("w_name", "w_instance"):
             raise EvaluationError(f"matcher {matcher!r} takes no keyword {name!r}")
     tables = sorted(corpus.tables, key=lambda t: t.name)
     scores: list[float] = []
@@ -791,9 +780,9 @@ def match_corpus(corpus: Corpus, matcher: str, **params) -> Predictions:
         blocks = []  # (scores of a with b, b's column count)
         for b in tables[i + 1:]:
             if matcher == "jl":
-                block = jl_match(a, b, **params, **shared)
+                block = jl_match(a, b, **shared)
             elif matcher == "sf":
-                block = sf_match(a, b, **params, **shared)[0]
+                block = sf_match(a, b, **shared)[0]
             else:
                 block = hybrid_match(a, b, **params, **shared)
             blocks.append((block, len(b.schema.columns)))
@@ -883,7 +872,11 @@ def external_match(
     EvaluationError naming it."""
     import shlex
 
-    cmd = [part.replace("{corpus}", str(corpus_dir)) for part in shlex.split(command_template)]
+    try:
+        parts = shlex.split(command_template)
+    except ValueError as exc:  # an unclosed quote or a trailing escape
+        raise EvaluationError(f"external matcher command {command_template!r}: {exc}") from None
+    cmd = [part.replace("{corpus}", str(corpus_dir)) for part in parts]
     if not cmd:
         raise EvaluationError("external matcher command is empty")
     try:

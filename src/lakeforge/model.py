@@ -18,11 +18,11 @@ import gc
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .common import NULL, CorpusError, _write_json, canonical_json, slugify
+from .common import NULL, CorpusError, _write_json, canonical_json, slugify, unique_name
 
 DATATYPES = ("text", "integer", "decimal", "date", "categorical")
 
@@ -71,10 +71,7 @@ class TableSchema:
         return [c.name for c in self.columns]
 
     def column(self, name: str) -> Column:
-        for c in self.columns:
-            if c.name == name:
-                return c
-        raise CorpusError(f"table {self.name!r} has no column {name!r}")
+        return self.columns[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
         for i, c in enumerate(self.columns):
@@ -209,7 +206,7 @@ class LineageEvent:
     @staticmethod
     def from_dict(d: dict) -> "LineageEvent":
         """The event of a manifest's lineage entry. A missing key raises
-        KeyError, and a source or result of the wrong shape CorpusError."""
+        KeyError, and a value of the wrong type or shape CorpusError."""
         if not isinstance(d, dict):
             raise CorpusError(f"not an object: {d!r}")
         source, result = d["source"], d["result"]
@@ -221,16 +218,37 @@ class LineageEvent:
                 raise CorpusError(
                     f"{key!r} is not a list of a string and a string or null: {value!r}"
                 )
-        cells = d.get("cell_changes")
+        event_id, op = d["event_id"], d["op"]
+        params, value_map, cells = d.get("params", {}), d.get("value_map"), d.get("cell_changes")
+        for key, value in (("event_id", event_id), ("op", op)):
+            if not isinstance(value, str):
+                raise CorpusError(f"{key!r} is not a string: {value!r}")
+        if not isinstance(params, dict):
+            raise CorpusError(f"'params' is not an object: {params!r}")
+        # the maps can be large, so the messages do not repeat them
+        if not (
+            value_map is None
+            or (isinstance(value_map, dict) and all(isinstance(v, str) for v in value_map.values()))
+        ):
+            raise CorpusError("'value_map' is neither null nor an object of strings")
+        if not (cells is None or (isinstance(cells, list) and all(map(_is_cell_change, cells)))):
+            raise CorpusError("'cell_changes' is neither null nor a list of [int, str, str]")
         return LineageEvent(
-            event_id=d["event_id"],
-            op=d["op"],
+            event_id=event_id,
+            op=op,
             source=tuple(source),
             result=tuple(result),
-            params=d.get("params", {}),
-            value_map=d.get("value_map"),
+            params=params,
+            value_map=value_map,
             cell_changes=[(c[0], c[1], c[2]) for c in cells] if cells else None,
         )
+
+
+def _is_cell_change(value: object) -> bool:
+    return (
+        isinstance(value, list) and len(value) == 3 and type(value[0]) is int
+        and isinstance(value[1], str) and isinstance(value[2], str)
+    )
 
 
 def replay_mapping(
@@ -258,14 +276,7 @@ class CorpusStats:
     semantic_joins: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "tables": self.tables,
-            "base_tables": self.base_tables,
-            "avg_rows": self.avg_rows,
-            "avg_cols": self.avg_cols,
-            "exact_joins": self.exact_joins,
-            "semantic_joins": self.semantic_joins,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusStats":
@@ -415,12 +426,7 @@ def _table_files(corpus: Corpus) -> dict[str, str]:
     files: dict[str, str] = {}
     used: set[str] = set()
     for name in sorted(corpus.table_names()):
-        base = slugify(name)
-        candidate = base
-        k = 2
-        while candidate in used:
-            candidate = f"{base}_{k}"
-            k += 1
+        candidate = unique_name(slugify(name), used)
         used.add(candidate)
         files[name] = candidate + ".csv"
     return files
@@ -576,6 +582,21 @@ def _load_corpus(directory: Path) -> Corpus:
             if not (isinstance(columns, list) and all(isinstance(c, dict) for c in columns)):
                 raise CorpusError(
                     f"{manifest_path}: table entry {n}: 'columns' is not a list of objects: {columns!r}"
+                )
+            strings = [("name", entry["name"]), ("file", entry["file"])] + [
+                (f"columns[{i}].{key}", c[key])
+                for i, c in enumerate(columns)
+                for key in ("name", "semantic_type", "datatype")
+            ]
+            for key, value in strings:
+                if not isinstance(value, str):
+                    raise CorpusError(
+                        f"{manifest_path}: table entry {n}: {key!r} is not a string: {value!r}"
+                    )
+            if not (entry.get("primary_key") is None or isinstance(entry["primary_key"], str)):
+                raise CorpusError(
+                    f"{manifest_path}: table entry {n}: 'primary_key' is neither a string nor null: "
+                    f"{entry['primary_key']!r}"
                 )
             schema = TableSchema(
                 name=entry["name"],

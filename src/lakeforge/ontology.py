@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .common import OntologyError, slugify, split_words
+from .common import OntologyError, slugify, split_words, unique_name
 from .model import Column, DATATYPES, TableSchema
 
 VOWELS = set("aeiou")
@@ -196,21 +196,6 @@ def _parse_native(source: str) -> Ontology:
     return onto
 
 
-def serialize_ontology(onto: Ontology) -> str:
-    """Native-format text; parse_ontology(serialize_ontology(o)) == o structurally."""
-    out: list[str] = []
-    for c in onto.concepts:
-        out.append(f"concept {c.name}")
-        for p in c.data_properties:
-            kw = "key" if p.is_key else "prop"
-            out.append(f"  {kw} {p.name}: {p.datatype} [{p.semantic_type}]")
-        out.append("")
-    for op in onto.object_properties:
-        suffix = " [self]" if op.allow_self else ""
-        out.append(f"relation {op.name}: {op.domain_concept} -> {op.range_concept}{suffix}")
-    return "\n".join(out).rstrip() + "\n"
-
-
 # ---------------------------------------------------------------------------
 # turtle subset
 # ---------------------------------------------------------------------------
@@ -376,7 +361,7 @@ def parse_ontology(source: str, format: str = "native") -> Ontology:
     """Parse ontology text in the given format ("native" or "turtle")."""
     if format == "native":
         return _parse_native(source)
-    if format in ("turtle", "ttl", "turtle-subset"):
+    if format == "turtle":
         return _parse_turtle(source)
     raise OntologyError(f"unknown ontology format {format!r}")
 
@@ -464,16 +449,12 @@ def ontology_to_schemas(
         schema = tables[host]
         existing = set(schema.column_names())
         for p in onto.concept(small).data_properties:
-            name = p.name
-            if name in existing:
-                k = 2
-                while f"{name}_{k}" in existing:
-                    k += 1
+            name = unique_name(p.name, existing)
+            if name != p.name:
                 warnings.append(
                     f"merge conflict: property {p.name!r} of {small!r} renamed to "
-                    f"{name}_{k!r} in table {host!r}"
+                    f"{name} in table {host!r}"
                 )
-                name = f"{name}_{k}"
             existing.add(name)
             schema.columns.append(Column(name, p.semantic_type, p.datatype))
 
@@ -501,16 +482,13 @@ def ontology_to_schemas(
         pk_col = target.column(pk)
         schema = tables[range_t]
         existing = set(schema.column_names())
-        ref_name = _passive_column_name(op.name)
-        if ref_name in existing:
-            k = 2
-            while f"{ref_name}_{k}" in existing:
-                k += 1
+        passive = _passive_column_name(op.name)
+        ref_name = unique_name(passive, existing)
+        if ref_name != passive:
             warnings.append(
-                f"reference column {ref_name!r} already exists in {range_t!r}; "
-                f"renamed to {ref_name}_{k!r}"
+                f"reference column {passive!r} already exists in {range_t!r}; "
+                f"renamed to {ref_name}"
             )
-            ref_name = f"{ref_name}_{k}"
         schema.columns.append(Column(ref_name, pk_col.semantic_type, pk_col.datatype))
         relationships.append(
             DeclaredJoin(

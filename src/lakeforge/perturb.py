@@ -69,6 +69,7 @@ from .synth import (
 log = logging.getLogger(__name__)
 
 VOWELS = set("aeiouAEIOU")
+VARIANT_CHUNK_SIZE = 100  # distinct values per semantic-variant prompt
 
 DEFAULT_PLAN_TEXT = """\
 # Default derived-corpus plan: per base table, two vertical splits (one with a
@@ -553,23 +554,6 @@ def _semantic_value_perturb(values, params, rng, source):
     return new_values, mapping, None
 
 
-def apply_value_noise(
-    values: list[str], op: str, params: dict, seed: int
-) -> tuple[list[str], dict[str, str] | None, list[tuple[int, str, str]] | None]:
-    """Apply one column-value noise op.
-
-    Returns (new values, value_map, cell_changes): value-consistent ops
-    (jitter, text, format) fill value_map, cell-level ops (nulls, duplicates)
-    fill cell_changes. Replaying the returned mapping over the input
-    reproduces the output byte-for-byte. semantic_value_perturb, which reads
-    the corpus, is not a noise op.
-    """
-    spec = OPS.get(op)
-    if spec is None or spec.kind != VALUE or spec.snapshot:
-        raise PerturbationError(f"unknown value op {op!r}")
-    return spec.handler(values, params, seeded_rng("noise", seed, op), None)
-
-
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
 
 
@@ -604,7 +588,6 @@ def semantic_value_perturb(
     joinable: set[str],
     gateway: LlmGateway | None = None,
     backend: str = "offline",
-    chunk_size: int = 100,
 ) -> tuple[list[str], dict[str, str]]:
     """Rewrite a joinable column's values into semantically equivalent ones.
 
@@ -631,8 +614,8 @@ def semantic_value_perturb(
         raise PerturbationError("llm backend requires a gateway")
     distinct = sorted({v for v in values if v != NULL})
     mapping: dict[str, str] = {}
-    for i in range(0, len(distinct), chunk_size):
-        chunk = distinct[i : i + chunk_size]
+    for i in range(0, len(distinct), VARIANT_CHUNK_SIZE):
+        chunk = distinct[i : i + VARIANT_CHUNK_SIZE]
         prompt = _render_variant_prompt(t, column, chunk)
         response = gateway.complete(
             CompletionRequest(prompt=prompt, temperature=PERTURB_TEMPERATURE)
@@ -753,8 +736,6 @@ OPS: dict[str, OpSpec] = {
     "remove_columns": OpSpec(SHAPE, _remove_columns_step),
     "sample_rows": OpSpec(SHAPE, _sample_rows_step),
 }
-
-ALL_OPS = tuple(OPS)
 
 
 # --------------------------------------------------------------------------
@@ -947,7 +928,6 @@ def _run_step(
             for cname in cols:
                 idx = child.schema.column_index(cname)
                 source = _Source(src, original_name[cname], joinable, gateway)
-                # the same draws as apply_value_noise with this column's seed
                 rng = seeded_rng("noise", stable_hash(step_seed, name, cname), op)
                 new_values, vmap, cell_changes = spec.handler(
                     [r[idx] for r in child.rows], step.params, rng, source

@@ -5,6 +5,11 @@ they check: naive double loops for metrics, the textbook dynamic program for
 edit distance, recursive backtracking for optimal fuzzy matching, exhaustive
 pairwise classification for ground truth (its own classifier, written from
 the definition in `lakeforge.ground_truth` without importing that module).
+
+It also holds the thin entry points over package internals that only tests
+call, next to the oracles they are checked against: `fuzzy_jaccard` (jl's
+score of two value lists), `apply_value_noise` (one value op on one column)
+and `ALL_OPS` (every op name).
 """
 
 from __future__ import annotations
@@ -14,9 +19,12 @@ import json
 import re
 from pathlib import Path
 
-from lakeforge.common import split_words
-from lakeforge.matchers import DATATYPE_BONUS, sample_values
+from itertools import chain
+
+from lakeforge.common import PerturbationError, seeded_rng, split_words
+from lakeforge.matchers import DATATYPE_BONUS, _fuzzy_jaccard_indexed, sample_values, value_neighbours
 from lakeforge.model import Corpus
+from lakeforge.perturb import OPS, VALUE
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -442,6 +450,15 @@ def optimal_fuzzy_jaccard(values_a, values_b, delta: float) -> float:
     return best / union if union else 0.0
 
 
+def fuzzy_jaccard(values_a: list[str], values_b: list[str], delta: float) -> float:
+    """Jaccard over two value sets with Levenshtein-thresholded equality, by
+    the package's path: one value_neighbours relation over both lists, then
+    _fuzzy_jaccard_indexed on the interned sets. With delta = 1.0 this reduces
+    to classical Jaccard over the distinct sets."""
+    neighbours = value_neighbours(chain(values_a, values_b), delta)
+    return _fuzzy_jaccard_indexed(neighbours.intern(values_a), neighbours.intern(values_b), neighbours)
+
+
 def _kuhn_matching(admissible: list[list[int]], n_right: int) -> int:
     """Maximum bipartite matching size by one augmenting-path search per left
     vertex (Kuhn's algorithm)."""
@@ -681,3 +698,23 @@ def uppercase_variant_transport(req) -> str:
         if m:
             out.append(f"{m.group(1)}. {m.group(2).upper()}")
     return "\n".join(out)
+
+
+ALL_OPS = tuple(OPS)
+
+
+def apply_value_noise(
+    values: list[str], op: str, params: dict, seed: int
+) -> tuple[list[str], dict[str, str] | None, list[tuple[int, str, str]] | None]:
+    """Apply one column-value noise op through its `perturb.OPS` handler,
+    with the RNG seeded from (seed, op).
+
+    Returns (new values, value_map, cell_changes): value-consistent ops
+    (jitter, text, format) fill value_map, cell-level ops (nulls, duplicates)
+    fill cell_changes. semantic_value_perturb, which reads the corpus, is not
+    a noise op.
+    """
+    spec = OPS.get(op)
+    if spec is None or spec.kind != VALUE or spec.snapshot:
+        raise PerturbationError(f"unknown value op {op!r}")
+    return spec.handler(values, params, seeded_rng("noise", seed, op), None)

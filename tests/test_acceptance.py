@@ -15,6 +15,7 @@ from helpers import (
     confusion_oracle,
     fig1_text,
     finance_ontology_text,
+    fuzzy_jaccard,
     optimal_fuzzy_jaccard,
     pair_keys,
     pairs_as_set,
@@ -27,7 +28,7 @@ from lakeforge.evaluation import difficulty_breakdown, evaluate, precision_recal
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import generate_base_tables, plan_generation
 from lakeforge.ground_truth import recompute_ground_truth
-from lakeforge.matchers import Predictions, fuzzy_jaccard, match_corpus, profile, sf_match
+from lakeforge.matchers import Predictions, match_corpus, profile, sf_match
 from lakeforge.model import load_corpus
 from lakeforge.ontology import build_dependency_graph, ontology_to_schemas, parse_ontology
 from lakeforge.perturb import apply_plan, parse_plan

@@ -32,6 +32,23 @@ def test_schema_missing_file_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["schema", "perturb"])
+def test_input_file_not_utf8_exit_2(tmp_path, capsys, stage):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes(b"concept A\n  prop x: text\xff\n")
+    if stage == "schema":
+        argv = ["schema", "--ontology", str(bad), "--out", str(tmp_path / "s")]
+    else:
+        run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "base"), "--seed", "3",
+             "--row-cap", "5"])
+        argv = ["perturb", "--corpus", str(tmp_path / "base"), "--out", str(tmp_path / "drv"),
+                "--plan", str(bad)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{bad}: not UTF-8" in err
+
+
 def test_schema_min_props_changes_output(tmp_path):
     onto = tmp_path / "o.onto"
     onto.write_text(
@@ -414,6 +431,13 @@ def test_evaluate_external_cannot_start_exit_5(tmp_path, capsys, kind, reason):
     assert not (tmp_path / "r" / "report.json").exists()
 
 
+def test_evaluate_external_unclosed_quote_exit_5(tmp_path, capsys):
+    capsys.readouterr()
+    assert _evaluate_external(tmp_path, "'abc") == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "external matcher command \"'abc\": No closing quotation" in err
+
+
 def test_evaluate_external_timeout_exit_5(tmp_path, capsys, monkeypatch):
     import functools
 
@@ -479,6 +503,11 @@ def _set_manifest_value(keys, value, message):
     return damage
 
 
+def _lineage_entry(**values):
+    """One lineage entry of the right shape, with `values` set."""
+    return [{"event_id": "e1", "op": "rename", "source": ["T", None], "result": ["U", None], **values}]
+
+
 def _replace_manifest(text):
     def damage(corpus):
         (corpus / "manifest.json").write_text(text, encoding="utf-8")
@@ -517,11 +546,34 @@ def _break_csv_encoding(corpus):
             "lineage entry 1: 'source' is not a list",
         ),
         _set_manifest_value(("lineage",), ["e1"], "lineage entry 1: not an object"),
+        _set_manifest_value(("lineage",), _lineage_entry(event_id=1), "lineage entry 1: 'event_id' is not a string"),
+        _set_manifest_value(("lineage",), _lineage_entry(op=None), "lineage entry 1: 'op' is not a string"),
+        _set_manifest_value(("lineage",), _lineage_entry(params=[]), "lineage entry 1: 'params' is not an object"),
+        _set_manifest_value(
+            ("lineage",), _lineage_entry(value_map=["a"]), "lineage entry 1: 'value_map' is neither null"
+        ),
+        _set_manifest_value(
+            ("lineage",), _lineage_entry(value_map={"a": 1}), "lineage entry 1: 'value_map' is neither null"
+        ),
+        _set_manifest_value(
+            ("lineage",), _lineage_entry(cell_changes=[["0", "a", "b"]]), "lineage entry 1: 'cell_changes' is neither"
+        ),
+        _set_manifest_value(
+            ("lineage",), _lineage_entry(cell_changes={"0": "a"}), "lineage entry 1: 'cell_changes' is neither"
+        ),
         _set_manifest_value(("stats", "foo"), 1, "stats: not an object with keys among"),
         _set_manifest_value(("stats",), [], "stats: not an object"),
         _set_manifest_value(("tables", 0, "columns"), 5, "table entry 1: 'columns' is not a list of objects"),
         _set_manifest_value(("tables", 0, "columns", 0), "id", "table entry 1: 'columns' is not a list"),
         _set_manifest_value(("tables", 0), "T.csv", "table entry 1 is not an object"),
+        _set_manifest_value(("tables", 0, "name"), 5, "table entry 1: 'name' is not a string: 5"),
+        _set_manifest_value(("tables", 0, "file"), None, "table entry 1: 'file' is not a string: None"),
+        _set_manifest_value(
+            ("tables", 0, "primary_key"), ["id"], "table entry 1: 'primary_key' is neither a string nor null"
+        ),
+        _set_manifest_value(
+            ("tables", 0, "columns", 1, "datatype"), 3, "table entry 1: 'columns[1].datatype' is not a string: 3"
+        ),
         _replace_manifest("{not json"),
         _replace_manifest("[]"),
         _break_csv_encoding,
@@ -540,11 +592,22 @@ def _break_csv_encoding(corpus):
         "lineage-result-empty",
         "lineage-source-column-integer",
         "lineage-entry-not-object",
+        "lineage-event-id-integer",
+        "lineage-op-null",
+        "lineage-params-list",
+        "lineage-value-map-list",
+        "lineage-value-map-integer-value",
+        "lineage-cell-change-index-string",
+        "lineage-cell-changes-object",
         "stats-unknown-key",
         "stats-not-object",
         "table-columns-integer",
         "table-column-not-object",
         "table-entry-not-object",
+        "table-name-integer",
+        "table-file-null",
+        "table-primary-key-list",
+        "table-column-datatype-integer",
         "manifest-not-json",
         "manifest-not-object",
         "csv-not-utf8",

@@ -67,6 +67,14 @@ def test_table_lookup_by_name():
         corpus.table("Ghost")
 
 
+def test_table_files_take_the_first_free_suffix():
+    names = ["A b", "a-b", "a_b", "A_B_2", "!!"]
+    corpus = Corpus(tables=[TableData(TableSchema(n, [Column("c", "C")]), []) for n in names])
+    assert model._table_files(corpus) == {
+        "!!": "t.csv", "A b": "a_b.csv", "A_B_2": "a_b_2.csv", "a-b": "a_b_3.csv", "a_b": "a_b_4.csv",
+    }
+
+
 def test_duplicate_table_names_rejected():
     first, second = (
         TableData(schema=TableSchema(name="T", columns=[Column("c", "Tag")]), rows=rows)

@@ -194,7 +194,6 @@ def test_task_truth_filters():
     ]
     assert len(task_truth(pairs, "exact_joins")) == 2
     assert len(task_truth(pairs, "semantic_joins")) == 3  # superset reading
-    assert len(task_truth(pairs, "semantic_joins", semantic_includes_exact=False)) == 1
     assert len(task_truth(pairs, "all")) == 3
 
 

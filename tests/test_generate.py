@@ -15,8 +15,8 @@ from lakeforge.common import GenerationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import (
     DEP_CHUNK_BUDGET,
+    FEW_SHOT_CLAUSE,
     DepValues,
-    PromptTemplate,
     TableReport,
     _generate_llm,
     generate_base_tables,
@@ -49,7 +49,7 @@ def wave_index(plan) -> dict[str, int]:
 
 def test_fig1_waves(fig1_schema_set):
     graph = build_dependency_graph(fig1_schema_set)
-    plan = plan_generation(graph)
+    plan = plan_generation(graph, row_caps=10)
     assert plan.waves[0] == ["Organization"]
     wave_of = wave_index(plan)
     assert wave_of["Listed Security"] > wave_of["Organization"]
@@ -59,7 +59,7 @@ def test_fig1_waves(fig1_schema_set):
 def test_edgeless_graph_single_wave():
     text = "concept A\n  prop x: text\n  prop y: text\nconcept B\n  prop z: text\n  prop w: text\n"
     _, graph = graph_of(text)
-    plan = plan_generation(graph)
+    plan = plan_generation(graph, row_caps=10)
     assert plan.waves == [["A", "B"]]
 
 
@@ -72,7 +72,7 @@ def test_chain_waves_match_topological_oracle():
         "relation ab: B -> A\nrelation bc: C -> B\n"
     )
     schema_set, graph = graph_of(text)
-    plan = plan_generation(graph)
+    plan = plan_generation(graph, row_caps=10)
     assert plan.waves == [["C"], ["B"], ["A"]]
     # oracle: every dependency generated in an earlier wave
     wave_of = wave_index(plan)
@@ -82,7 +82,7 @@ def test_chain_waves_match_topological_oracle():
 
 def test_wave_property_on_finance_graph():
     schema_set, graph = graph_of(finance_ontology_text(20))
-    plan = plan_generation(graph)
+    plan = plan_generation(graph, row_caps=10)
     seen = [t for wave in plan.waves for t in wave]
     assert sorted(seen) == sorted(graph.nodes)
     assert len(seen) == len(set(seen))  # each table in exactly one wave
@@ -124,7 +124,7 @@ def test_render_prompt_embeds_dependency_values():
             ["Apple Inc.", "Microsoft Inc.", "Amazon Inc.", "Alphabet Inc.", "Facebook Inc."],
         )
     ]
-    prompt = render_prompt(PromptTemplate(), LS_SCHEMA, deps, batch=5)
+    prompt = render_prompt(LS_SCHEMA, deps, batch=5)
     assert "Listed Security" in prompt
     for col in LS_SCHEMA.column_names():
         assert col in prompt
@@ -134,15 +134,43 @@ def test_render_prompt_embeds_dependency_values():
 
 
 def test_render_prompt_without_deps_has_no_dependency_sentence():
-    prompt = render_prompt(PromptTemplate(), LS_SCHEMA, [], batch=5)
-    assert "comes from" not in prompt.replace(
-        PromptTemplate().few_shot_example, ""
+    prompt = render_prompt(LS_SCHEMA, [], batch=5)
+    assert "comes from" not in prompt.replace(FEW_SHOT_CLAUSE, "")
+
+
+_PROMPT_HEAD = (
+    "The task is to generate row examples for the table.\n"
+    "For example, the table named Retail Order has columns: ['Order Number', 'Item', "
+    "'Unit Price', 'Placed By Customer Account']. And column 'Placed By Customer Account' "
+    "comes from the 'Account Number' of table 'Customer Account'. The row examples should "
+    "look like 'Example 1: 771204; Desk Lamp; 34.50; 200114; Example 2: 771205; Bookshelf; "
+    "89.99; 200117'.\n"
+    "Now, the table named Listed Security has the following columns: ['Ticker Symbol', "
+    "'Legal Name', 'Currency', 'Last Traded Value Monetary Amount'].\n"
+)
+_PROMPT_TAIL = (
+    "Generate 5 row examples for the table, one per line, in the form "
+    "'Example k: v1; v2; ...' with exactly 4 values per row."
+)
+
+
+def test_render_prompt_text_is_pinned():
+    # a prompt is part of its gateway cache key, so a changed byte would make
+    # every recorded reply miss
+    deps = [DepValues("Legal Name", "Organization", "Legal Name", ["Apple Inc.", "Microsoft Inc."])]
+    assert render_prompt(LS_SCHEMA, deps, batch=5, partition=3) == (
+        _PROMPT_HEAD
+        + "The entries from column 'Legal Name' comes from 'Legal Name' of table 'Organization'. "
+        "Given the entries of column 'Legal Name' are ['Apple Inc.', 'Microsoft Inc.'].\n"
+        "This is partition 3 of the table.\n"
+        + _PROMPT_TAIL
     )
+    assert render_prompt(LS_SCHEMA, [], batch=5) == _PROMPT_HEAD + _PROMPT_TAIL
 
 
 def test_render_prompt_rejects_empty_dep_values():
     with pytest.raises(GenerationError, match="non-empty"):
-        render_prompt(PromptTemplate(), LS_SCHEMA, [DepValues("c", "T", "x", [])])
+        render_prompt(LS_SCHEMA, [DepValues("c", "T", "x", [])])
 
 
 def test_chunking_partitions_input():
@@ -158,7 +186,7 @@ def test_chunking_partitions_input():
 
     report = TableReport()
     gateway = LlmGateway(GatewayConfig(mode="live"), transport=transport)
-    rows = _generate_llm(schema, 10, 1, [DepValues("ref", "R", "id", values)], gateway, PromptTemplate(), report)
+    rows = _generate_llm(schema, 10, [DepValues("ref", "R", "id", values)], gateway, report)
     assert rows == [("k1", "v0")]
     assert report.prompts == len(prompts) == 50 == len(values) // DEP_CHUNK_BUDGET
     chunks = [dep_values_in_prompt(p)["ref"] for p in prompts]
@@ -387,13 +415,6 @@ def test_llm_backend_requires_gateway():
     plan = plan_generation(graph, row_caps=5, backend="llm")
     with pytest.raises(GenerationError, match="gateway"):
         generate_base_tables(schema_set, plan, gateway=None, seed=1)
-
-
-def test_fk_on_empty_referenced_table_errors():
-    schema_set, graph = build(fig1_text())
-    plan = plan_generation(graph, row_caps={"Organization": 0}, backend="offline")
-    with pytest.raises(GenerationError, match="no rows"):
-        generate_base_tables(schema_set, plan, seed=1)
 
 
 def test_dictionary_values_safe_for_completion_format():

@@ -14,6 +14,7 @@ from helpers import (
     _kuhn_matching,
     best_scores,
     finance_ontology_text,
+    fuzzy_jaccard,
     optimal_fuzzy_jaccard,
     pair_keys,
     reference_jl_scores,
@@ -31,7 +32,6 @@ from lakeforge.matchers import (
     _deletion_variants,
     _max_bipartite_matching,
     external_match,
-    fuzzy_jaccard,
     hybrid_match,
     instance_containment,
     jl_match,
@@ -395,7 +395,8 @@ def test_jl_blocking_is_lossless(columns_per_table):
     assert scores == reference_jl_scores(corpus)
 
     samples = {(t.name, c): frozenset(sample_values(t, c, seed=3)) for t in tables for c in t.schema.column_names()}
-    reach = reachable_columns(samples, value_neighbours(frozenset().union(*samples.values()), 0.8))
+    neighbours = value_neighbours(frozenset().union(*samples.values()), 0.8)
+    reach = reachable_columns({ref: neighbours.intern(v) for ref, v in samples.items()}, neighbours)
     for (left, right), score in scores.items():
         admissible = any(
             x == y or reference_lev_ratio(x, y) >= 0.8 for x in samples[left] for y in samples[right]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_levenshtein, uppercase_variant_transport
+from helpers import ALL_OPS, apply_value_noise, reference_levenshtein, uppercase_variant_transport
 
 from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
@@ -19,10 +19,8 @@ from lakeforge.model import (
 )
 import lakeforge.perturb as perturb_module
 from lakeforge.perturb import (
-    ALL_OPS,
     OPS,
     apply_plan,
-    apply_value_noise,
     cryptify_headers,
     default_plan,
     header_typos,

@@ -200,37 +200,9 @@ def _myers(text: str, peq: dict[str, int], mask: int, lows: int) -> tuple[int, i
     return pv, mv
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (unit-cost insert, delete, substitute), bit-parallel:
-    the one-pattern case of _myers, the shorter string the pattern. A common
-    prefix and suffix never change the distance, so they are stripped
-    first."""
-    if a == b:
-        return 0
-    n = min(len(a), len(b))
-    start = 0
-    while start < n and a[start] == b[start]:
-        start += 1
-    end = 0
-    while end < n - start and a[-1 - end] == b[-1 - end]:
-        end += 1
-    if start or end:
-        a, b = a[start:len(a) - end], b[start:len(b) - end]
-    if len(a) < len(b):
-        a, b = b, a
-    m = len(b)
-    if m == 0:
-        return len(a)
-    peq: dict[str, int] = {}  # character -> bitmask of its positions in b
-    for i, ch in enumerate(b):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    pv, mv = _myers(a, peq, (1 << m) - 1, 1)
-    return len(a) + pv.bit_count() - mv.bit_count()
-
-
 def levenshtein_rows(texts: list[str], patterns: list[str]) -> list[list[int]]:
-    """levenshtein(t, p) for every text t by every pattern p, one row per
-    text. The patterns are packed into bit fields of at most PACK_BITS bits
+    """The edit distance (unit-cost insert, delete, substitute) of every
+    text t to every pattern p, one row per text. The patterns are packed into bit fields of at most PACK_BITS bits
     (a longer pattern is a pack of its own), so each text runs _myers once
     per pack (Hyyrö, Fredriksson and Navarro, JEA 2005)."""
     rows = [[0] * len(patterns) for _ in texts]

@@ -8,8 +8,10 @@ jl_match     fuzzy Jaccard over distinct instance values, where two values
              fuzzy-equality relation is computed once over all sampled
              values, not per column pair (value_neighbours: deletion-variant
              or partition candidates, each window value's variants built
-             once per length band, each candidate confirmed by its Hamming
-             or bit-parallel edit distance). The values are interned to ids
+             once per length band; an equal-length candidate is confirmed by
+             its Hamming distance when that settles it, and the rest of a
+             value's candidates by one packed bit-parallel edit-distance
+             pass, common.levenshtein_rows). The values are interned to ids
              in sorted value order, and the relation is held as CSR: one
              offsets array and one flat array('i') of neighbour ids.
 sf_match     similarity flooding over typed schema graphs (table -column->
@@ -51,10 +53,10 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, combinations, groupby
 from operator import add, itemgetter, ne, sub
 
-from .common import EvaluationError, levenshtein, levenshtein_rows, seeded_rng, token_jaccard, word_set
+from .common import EvaluationError, levenshtein_rows, seeded_rng, token_jaccard, word_set
 from .model import ColumnRef, Corpus, TableData
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
@@ -338,14 +340,9 @@ DELETION_MAX_EDITS = 2  # beyond, partition signatures: deletion variants grow a
 
 
 def _deletion_variants(s: str, drop: int) -> set[str]:
-    """Every string left after deleting exactly `drop` characters of s, for
-    drop up to DELETION_MAX_EDITS, built by slicing."""
-    n = len(s)
-    if drop == 0:
-        return {s}
-    if drop == 1:
-        return {s[:i] + s[i + 1:] for i in range(n)}
-    return {s[:i] + s[i + 1:j] + s[j + 1:] for i in range(n) for j in range(i + 1, n)}
+    """Every string left after deleting exactly `drop` characters of s: its
+    subsequences of length len(s) - drop."""
+    return set(map("".join, combinations(s, len(s) - drop)))
 
 
 def _deletion_candidates(values: list[str], longs: list[int], window: list[int], k: int):
@@ -435,7 +432,8 @@ def value_neighbours(values: Iterable[str], delta: float) -> ValueNeighbours:
     budget k. Candidates come from an inverted index over the values whose
     length lies within k of m (deletion variants while k is small, partition
     signatures beyond), and each candidate is confirmed exactly: by its
-    Hamming distance when that settles it, else by its edit distance."""
+    Hamming distance when that settles it, else by its edit distance, all of
+    a value's remaining candidates in one levenshtein_rows call."""
     from array import array
 
     values = sorted(set(values))
@@ -452,18 +450,24 @@ def value_neighbours(values: Iterable[str], delta: float) -> ValueNeighbours:
         generate = _deletion_candidates if k <= DELETION_MAX_EDITS else _partition_candidates
         for v, found in generate(values, longs, window, k):
             s = values[v]
+            near = []
+            unsettled = []
             for w in found:
                 t = values[w]
                 if len(t) < m:
-                    if levenshtein(s, t) > k:
-                        continue
+                    unsettled.append(w)
                 elif w <= v:  # a pair of two length-m values is seen from both ends; check it once
                     continue
-                elif sum(map(ne, s, t)) > k:
+                elif sum(map(ne, s, t)) <= k:
                     # of equal length, the edit distance is at most the
-                    # Hamming distance, and one edit is a substitution
-                    if k == 1 or levenshtein(s, t) > k:
-                        continue
+                    # Hamming distance
+                    near.append(w)
+                elif k > 1:  # one edit between equal lengths is a substitution
+                    unsettled.append(w)
+            if unsettled:
+                distances = levenshtein_rows([s], [values[w] for w in unsettled])[0]
+                near += [w for w, d in zip(unsettled, distances) if d <= k]
+            for w in near:
                 adj[v].append(w)
                 adj[w].append(v)
     offsets = array("q", accumulate(map(len, adj), initial=0))

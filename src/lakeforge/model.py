@@ -3,12 +3,15 @@ on-disk layout (one RFC-4180 CSV per table plus a JSON manifest with a content
 digest). All cell values are strings; the empty string is the null token.
 
 The manifest is `json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`
-of its values, and the digest is SHA-256 over the CSVs and the
-`canonical_json` of the manifest without its digest. Ground-truth pairs, most
-of a large manifest, are written straight from `JoinPair`s through two fixed
-templates, one per JSON form, rather than through a dict per pair. Loading
-checks each ground-truth entry's types first, which is what keeps a loaded
-pair within those templates.
+of its values plus a final newline, so its first member is the digest, on
+the manifest's second line. The digest is SHA-256 over the bytes on disk: the
+manifest without that line, then each CSV in the manifest's table order as
+file name, NUL, CSV bytes, NUL. Saving hashes the manifest text it writes, and
+loading hashes the bytes it reads, so neither serializes the manifest a second
+time. Ground-truth pairs, most of a large manifest, are written straight from
+`JoinPair`s through a fixed template rather than through a dict per pair.
+Loading checks each ground-truth entry's types first, which is what keeps a
+loaded pair within that template.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 
-from .common import NULL, CorpusError, _write_json, canonical_json, slugify, unique_name
+from .common import NULL, CorpusError, _write_json, slugify, unique_name
 
 DATATYPES = ("text", "integer", "decimal", "date", "categorical")
 
@@ -35,7 +38,7 @@ EASY = "easy"
 DIFFICULT = "difficult"
 
 MANIFEST_NAME = "manifest.json"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -455,13 +458,9 @@ def _manifest_core(corpus: Corpus, files: dict[str, str]) -> dict:
     }
 
 
-# A ground-truth pair as a JSON object, keys sorted: compact as in
-# canonical_json, and indented as json.dumps(..., indent=2) writes an entry
-# of the manifest's top-level "ground_truth" list. The slots take the JSON
-# text of _pair_fields.
-_PAIR_COMPACT = (
-    '{"difficulty":%s,"key_side":%s,"kind":%s,"left":[%s,%s],"mapping_id":%s,"right":[%s,%s]}'
-)
+# A ground-truth pair as json.dumps(..., indent=2) writes an entry of the
+# manifest's top-level "ground_truth" list, keys sorted. The slots take the
+# JSON text of _pair_fields.
 _PAIR_INDENTED = (
     '{\n      "difficulty": %s,\n      "key_side": %s,\n      "kind": %s,\n'
     '      "left": [\n        %s,\n        %s\n      ],\n      "mapping_id": %s,\n'
@@ -482,40 +481,25 @@ def _pair_fields(p: JoinPair) -> tuple[str, ...]:
     )
 
 
-def _write_manifest(values: dict, pairs: list[JoinPair], emit, indent: bool) -> None:
-    """Emit the JSON text of `values` with `pairs` as its "ground_truth", in
-    pieces: `canonical_json`'s text, or with `indent`
-    `json.dumps(..., sort_keys=True, indent=2, ensure_ascii=False)`'s."""
-    # newlines at depths 1 and 2, with their indent
-    nl, item, colon, template = (
-        ("\n  ", "\n    ", ": ", _PAIR_INDENTED) if indent else ("", "", ":", _PAIR_COMPACT)
-    )
-    sep = "{" + nl
+def _write_manifest(values: dict, pairs: list[JoinPair], emit) -> None:
+    """Emit, in pieces, `json.dumps(..., sort_keys=True, indent=2,
+    ensure_ascii=False)`'s text of `values` with `pairs` as its
+    "ground_truth"."""
+    sep = "{\n  "
     for key in sorted([*values, "ground_truth"]):
-        emit(f"{sep}{encode_basestring(key)}{colon}")
-        sep = "," + nl
+        emit(f"{sep}{encode_basestring(key)}: ")
+        sep = ",\n  "
         if key != "ground_truth":
-            if indent:
-                _write_json(values[key], nl, emit)
-            else:
-                emit(canonical_json(values[key]))
+            _write_json(values[key], "\n  ", emit)
         elif pairs:
-            item_sep = "[" + item
+            item_sep = "[\n    "
             for p in pairs:
-                emit(item_sep + template % _pair_fields(p))
-                item_sep = "," + item
-            emit(nl + "]")
+                emit(item_sep + _PAIR_INDENTED % _pair_fields(p))
+                item_sep = ",\n    "
+            emit("\n  ]")
         else:
             emit("[]")
-    emit("\n}" if indent else "}")
-
-
-def _digest(core: dict, pairs: list[JoinPair], blobs: dict[str, bytes]) -> str:
-    h = hashlib.sha256()
-    for name in sorted(blobs):
-        h.update(name.encode("utf-8") + b"\x00" + blobs[name] + b"\x00")
-    _write_manifest(core, pairs, lambda text: h.update(text.encode("utf-8")), indent=False)
-    return h.hexdigest()
+    emit("\n}")
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> str:
@@ -525,24 +509,32 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     do not validate the corpora they build: invariant violations abort
     before anything is written. Identical corpora produce byte-identical
     manifests, in the layout of `json.dumps(..., sort_keys=True, indent=2,
-    ensure_ascii=False)`.
+    ensure_ascii=False)`. The manifest is written as bytes, so the bytes
+    hashed are the bytes on disk on every platform.
     """
     corpus.validate()
     directory = Path(directory)
     files = _table_files(corpus)
-    blobs = {files[t.name]: _csv_bytes(t) for t in corpus.tables}
-    pairs = dedupe_pairs(corpus.ground_truth)
-    manifest = _manifest_core(corpus, files)
-    digest = _digest(manifest, pairs, blobs)
-    manifest["digest"] = digest
-
     parts: list[str] = []
-    _write_manifest(manifest, pairs, parts.append, indent=True)
+    _write_manifest(_manifest_core(corpus, files), dedupe_pairs(corpus.ground_truth), parts.append)
     parts.append("\n")
+    # the manifest without its digest line: "{\n" and the members after it
+    body = "".join(parts).encode("utf-8")
+    del parts
+    h = hashlib.sha256(body)
+    # in name order, the order of the manifest's "tables"
+    blobs = {fname: _csv_bytes(corpus.table(name)) for name, fname in files.items()}
+    for fname, blob in blobs.items():
+        h.update(fname.encode("utf-8") + b"\x00" + blob + b"\x00")
+    digest = h.hexdigest()
+
     directory.mkdir(parents=True, exist_ok=True)
     for fname, blob in blobs.items():
         (directory / fname).write_bytes(blob)
-    (directory / MANIFEST_NAME).write_text("".join(parts), encoding="utf-8")
+    with open(directory / MANIFEST_NAME, "wb") as f, memoryview(body) as view:
+        f.write(view[:2])
+        f.write(f'  "digest": "{digest}",\n'.encode("ascii"))
+        f.write(view[2:])
     return digest
 
 
@@ -565,15 +557,33 @@ def _load_corpus(directory: Path) -> Corpus:
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no {MANIFEST_NAME} in {directory}")
+    # hash the manifest's bytes at once and drop them, so no full-size copy
+    # outlives the parse; the digest covers every line but the second, the
+    # digest member's
+    raw = manifest_path.read_bytes()
+    start = raw.find(b"\n") + 1
+    end = raw.find(b"\n", start) + 1 or len(raw)
+    h = hashlib.sha256()
+    with memoryview(raw) as view:
+        h.update(view[:start])
+        h.update(view[end:])
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        text = raw.decode("utf-8")
+        del raw
+        manifest = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorpusError(f"{manifest_path}: not a JSON manifest: {exc}") from None
+    del text
     if not isinstance(manifest, dict):
         raise CorpusError(f"{manifest_path}: not a JSON manifest: top level is not an object")
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CorpusError(
+            f"{manifest_path}: format_version {version!r} cannot be verified: only version "
+            f"{FORMAT_VERSION} digests are checked; regenerate the corpus"
+        )
 
     tables: list[TableData] = []
-    blobs: dict[str, bytes] = {}
     for n, entry in enumerate(manifest.get("tables", []), start=1):
         if not isinstance(entry, dict):
             raise CorpusError(f"{manifest_path}: table entry {n} is not an object: {entry!r}")
@@ -611,7 +621,7 @@ def _load_corpus(directory: Path) -> Corpus:
         if not path.exists():
             raise CorpusError(f"manifest references missing CSV {entry['file']!r}")
         blob = path.read_bytes()
-        blobs[entry["file"]] = blob
+        h.update(entry["file"].encode("utf-8") + b"\x00" + blob + b"\x00")
         try:
             text = blob.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -661,11 +671,12 @@ def _load_corpus(directory: Path) -> Corpus:
     # validated ahead of the digest, so a row of the wrong arity is named
     # (validate checks each row's arity, once per load)
     corpus.validate()
-    files = {t["name"]: t["file"] for t in manifest.get("tables", [])}
-    expect = _digest(_manifest_core(corpus, files), corpus.ground_truth, blobs)
-    if expect != manifest.get("digest"):
+    if next(iter(manifest)) != "digest":
+        raise CorpusError(f"{manifest_path}: the first member is not the digest")
+    expect = h.hexdigest()
+    if expect != manifest["digest"]:
         raise CorpusError(
-            f"digest mismatch: manifest says {manifest.get('digest')}, contents give {expect}"
+            f"{manifest_path}: digest mismatch: manifest says {manifest['digest']}, contents give {expect}"
         )
     corpus.digest = expect
     return corpus

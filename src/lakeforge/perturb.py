@@ -14,7 +14,9 @@ Plan files are line-oriented:
 Common step parameters: col=<column glob>, scope=base|all (default base),
 seed_offset=<int>. Quoting works for names with spaces. A composite op chain
 ("cryptify_headers+text_noise") builds a single derivative; it may contain at
-most one value-level op and no table-shape op.
+most one value-level op and no table-shape op. A derivative for which the
+chain records no lineage event (a value op alone that changed no cell) is
+not added, and its step warns instead.
 
 Ops by kind, each kind in `OPS` order (README.md lists their parameters):
 
@@ -864,11 +866,11 @@ def _run_step(
     for name in sorted(pool):
         src = tables[name]
         joinable = joinable_by_table.get(name, set())
-        consumed.add(name)
         step_seed = seed_base + k
         child_name = f"{name}__{label}_{k}"
 
         if specs[0].kind == SHAPE:
+            consumed.add(name)
             # parse_plan keeps shape ops out of composites: one op, its children
             children, params = specs[0].handler(src, step.params, step_seed, child_name)
             for child in children:
@@ -887,7 +889,6 @@ def _run_step(
             continue
 
         # composite of schema and value ops building one derivative
-        _check_unused(tables, child_name, name, k)
         child = TableData(schema=_schema_as(src, child_name), rows=list(src.rows))
         original_name = {c: c for c in child.schema.column_names()}
         pending: list[LineageEvent] = []
@@ -948,8 +949,15 @@ def _run_step(
                     )
                 )
 
+        if not pending:
+            # lineage would not account for the derivative: it would count as
+            # a base table
+            warnings.append(f"step {k}: {'+'.join(step.ops)} changed no cell of {name!r}")
+            continue
+        _check_unused(tables, child_name, name, k)
         child.validate()
         tables[child_name] = child
+        consumed.add(name)
         # a later header op in the chain may have renamed columns after a value
         # event was recorded; point result columns at their final names
         orig_to_final = {orig: cur for cur, orig in original_name.items()}

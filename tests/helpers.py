@@ -15,6 +15,7 @@ and `ALL_OPS` (every op name).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -613,6 +614,18 @@ def recount_from_csvs(corpus_dir) -> dict:
         "exact_joins": exact,
         "semantic_joins": semantic,
     }
+
+
+def reference_corpus_digest(directory) -> str:
+    """A saved corpus's digest by the README's rule: SHA-256 over
+    manifest.json's bytes without its second line (the digest member), then
+    each CSV in the manifest's table order as file name, NUL, CSV bytes, NUL."""
+    directory = Path(directory)
+    lines = (directory / "manifest.json").read_bytes().split(b"\n")
+    h = hashlib.sha256(b"\n".join(lines[:1] + lines[2:]))
+    for entry in json.loads(b"\n".join(lines))["tables"]:
+        h.update(entry["file"].encode("utf-8") + b"\0" + (directory / entry["file"]).read_bytes() + b"\0")
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

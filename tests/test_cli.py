@@ -1,10 +1,9 @@
-import hashlib
 import json
 import sys
 
 import pytest
 
-from helpers import FIXTURES, finance_ontology_text, scripted_completion
+from helpers import FIXTURES, finance_ontology_text, reference_corpus_digest, scripted_completion
 
 from lakeforge.cli import main
 from lakeforge.model import load_corpus, save_corpus
@@ -130,22 +129,41 @@ def test_perturb_bad_plan_exit_4(tmp_path, capsys):
 
 
 def test_perturb_name_collision_exit_4(tmp_path, capsys):
-    # a step that changes nothing still adds Currency Name__text_noise_0; a
-    # second perturb at the same step index would name its derivative alike
+    # the first perturb adds Currency Name__text_noise_0; a second perturb at
+    # the same step index would name its derivative alike
     onto = tmp_path / "finance.onto"
     onto.write_text(finance_ontology_text(6))
     run(["generate", "--ontology", str(onto), "--out", str(tmp_path / "base"), "--seed", "7",
          "--row-cap", "10"])
-    codes = []
-    for rate, corpus, out in (("0", "base", "once"), ("1", "once", "twice")):
-        plan = tmp_path / f"rate{rate}.plan"
-        plan.write_text(f'step "Currency Name" text_noise typo_rate={rate}\n')
-        codes.append(run(["perturb", "--corpus", str(tmp_path / corpus), "--out", str(tmp_path / out),
-                          "--plan", str(plan)]))
+    plan = tmp_path / "typos.plan"
+    plan.write_text('step "Currency Name" text_noise typo_rate=1\n')
+    codes = [
+        run(["perturb", "--corpus", str(tmp_path / corpus), "--out", str(tmp_path / out), "--plan", str(plan)])
+        for corpus, out in (("base", "once"), ("once", "twice"))
+    ]
     assert codes == [0, 4]
     err = capsys.readouterr().err
     assert "step 0: derivative 'Currency Name__text_noise_0' of 'Currency Name'" in err
     assert not (tmp_path / "twice").exists()
+
+
+def test_perturb_step_changing_no_cell_adds_no_table(tmp_path, capsys):
+    # a derivative that no lineage event accounts for would count as a base
+    # table; the step warns instead
+    onto = tmp_path / "finance.onto"
+    onto.write_text(finance_ontology_text(6))
+    run(["generate", "--ontology", str(onto), "--out", str(tmp_path / "base"), "--seed", "7",
+         "--row-cap", "30"])
+    plan = tmp_path / "noop.plan"
+    plan.write_text('step "Currency Name" text_noise typo_rate=0\n')
+    capsys.readouterr()
+    assert run(["perturb", "--corpus", str(tmp_path / "base"), "--out", str(tmp_path / "drv"),
+                "--plan", str(plan)]) == 0
+    assert "warning: step 0: text_noise changed no cell of 'Currency Name'\n" in capsys.readouterr().err
+    assert run(["stats", "--corpus", str(tmp_path / "drv")]) == 0
+    base_tables, tables = capsys.readouterr().out.splitlines()[1].split()[:2]
+    assert (base_tables, tables) == ("6", "6")
+    assert load_corpus(tmp_path / "drv").lineage == []
 
 
 @pytest.fixture(scope="module")
@@ -463,6 +481,18 @@ def _drop_manifest_key(section, key):
     return damage
 
 
+def _write_saved_layout(path, manifest):
+    """Write the manifest in save_corpus's layout, its digest recomputed."""
+
+    def write():
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+    write()
+    # the digest does not cover its own line, so the stale one can stand in
+    manifest["digest"] = reference_corpus_digest(path.parent)
+    write()
+
+
 def _bad_pair_entry(key, value):
     """Set ground_truth[0][key] (the whole entry when key is None) and
     recompute the digest, so that only the entry's types are wrong."""
@@ -474,16 +504,28 @@ def _bad_pair_entry(key, value):
             manifest["ground_truth"][0] = value
         else:
             manifest["ground_truth"][0][key] = value
-        h = hashlib.sha256()
-        for name in sorted(t["file"] for t in manifest["tables"]):
-            h.update(name.encode("utf-8") + b"\x00" + (corpus / name).read_bytes() + b"\x00")
-        del manifest["digest"]
-        h.update(json.dumps(manifest, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
-        manifest["digest"] = h.hexdigest()
-        path.write_text(json.dumps(manifest), encoding="utf-8")
+        _write_saved_layout(path, manifest)
         return path, "ground-truth entry 1: " + (f"{key!r} is" if key else "not an object")
 
     return damage
+
+
+def _rewrite_manifest(message, transform=lambda manifest: manifest, **layout):
+    """Write the manifest's values, through `transform`, by json.dumps with
+    `layout`; the digest is left alone."""
+
+    def damage(corpus):
+        path = corpus / "manifest.json"
+        manifest = transform(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(json.dumps(manifest, ensure_ascii=False, **layout) + "\n", encoding="utf-8")
+        return path, message
+
+    return damage
+
+
+def _digest_last(manifest):
+    manifest["digest"] = manifest.pop("digest")
+    return manifest
 
 
 def _set_manifest_value(keys, value, message):
@@ -574,6 +616,9 @@ def _break_csv_encoding(corpus):
         _set_manifest_value(
             ("tables", 0, "columns", 1, "datatype"), 3, "table entry 1: 'columns[1].datatype' is not a string: 3"
         ),
+        _set_manifest_value(("format_version",), 1, "format_version 1 cannot be verified: only version 2 digests are checked; regenerate"),
+        _rewrite_manifest("the first member is not the digest", _digest_last, indent=2),
+        _rewrite_manifest("digest mismatch", sort_keys=True, indent=4),
         _replace_manifest("{not json"),
         _replace_manifest("[]"),
         _break_csv_encoding,
@@ -608,6 +653,9 @@ def _break_csv_encoding(corpus):
         "table-file-null",
         "table-primary-key-list",
         "table-column-datatype-integer",
+        "format-version-1",
+        "digest-not-first",
+        "manifest-reindented",
         "manifest-not-json",
         "manifest-not-object",
         "csv-not-utf8",

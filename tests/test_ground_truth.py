@@ -407,15 +407,12 @@ def test_perturbing_again_cannot_replace_a_table(small_finance_corpus):
     # pair found on the old table can outlive it
     first, _ = apply_plan(
         small_finance_corpus,
-        parse_plan('step "Currency Name" semantic_value_perturb\nstep "Currency Name" text_noise typo_rate=0\n'),
+        parse_plan('step "Currency Name" text_noise typo_rate=1\n'),
     )
+    assert first.has_table("Currency Name__text_noise_0")
     assert pairs_as_set(first.ground_truth) == brute_force_ground_truth(first)
-    plan = parse_plan(
-        'step "Currency Name" semantic_value_perturb\n'
-        'step "Currency Name" text_noise typo_rate=1\n'
-        'step "Currency Name" semantic_value_perturb\n'
-    )
-    with pytest.raises(PerturbationError, match="step 0: derivative 'Currency Name__semantic_value_perturb_0'"):
+    plan = parse_plan('step "Currency Name" text_noise typo_rate=1\n')
+    with pytest.raises(PerturbationError, match="step 0: derivative 'Currency Name__text_noise_0'"):
         apply_plan(first, plan)
 
 

@@ -25,7 +25,7 @@ from helpers import (
 )
 
 from lakeforge import common
-from lakeforge.common import PACK_BITS, EvaluationError, levenshtein, levenshtein_rows
+from lakeforge.common import PACK_BITS, EvaluationError, levenshtein_rows
 from lakeforge.matchers import (
     DELETION_MAX_EDITS,
     Predictions,
@@ -222,63 +222,6 @@ def _with_edited_copies(base):
     return copies.map(lambda extra: base + extra)
 
 
-# few letters, so that strings share characters, plus non-ASCII and astral
-# code points (one Python character each, so one pattern bit each)
-_lev_chars = st.sampled_from("abc \u00e9\u00df\U0001d518\U0001f600")
-_lev_text = st.one_of(
-    st.text(_lev_chars, max_size=150),
-    st.builds(lambda ch, n: ch * n, _lev_chars, st.integers(0, 150)),
-    # a run past one 64-bit word, then a tail
-    st.builds(lambda ch, n, tail: ch * n + tail, _lev_chars, st.integers(60, 90), st.text(_lev_chars, max_size=20)),
-    st.text(max_size=70),
-)
-_lev_edits = st.lists(
-    st.tuples(st.sampled_from(["ins", "del", "sub"]), st.integers(0, 150), _lev_chars), max_size=6
-)
-
-
-def _lev_pair(a):
-    """a beside an unrelated string or beside a copy a few edits away."""
-    return st.tuples(st.just(a), st.one_of(_lev_text, st.builds(_edit, st.just(a), _lev_edits)))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(pair=_lev_text.flatmap(_lev_pair))
-@example(pair=("", ""))
-@example(pair=("", "\U0001f600" * 70))
-@example(pair=("a" * 64, "a" * 63 + "b"))
-@example(pair=("ab" * 40, "ba" * 40))
-def test_levenshtein_equals_reference_dp(pair):
-    a, b = pair
-    d = levenshtein(a, b)
-    assert d == reference_levenshtein(a, b)
-    assert levenshtein(b, a) == d
-
-
-_affix = st.one_of(
-    st.text(_lev_chars, max_size=30),
-    st.builds(lambda ch, n: ch * n, _lev_chars, st.integers(1, 70)),
-)
-_short_lev_text = st.text(_lev_chars, max_size=30)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    pair=_short_lev_text.flatmap(
-        lambda a: st.tuples(st.just(a), st.one_of(_short_lev_text, st.builds(_edit, st.just(a), _lev_edits)))
-    ),
-    prefix=_affix,
-    suffix=_affix,
-)
-# the shorter string is all prefix and suffix; the affixes overlap in the longer one
-@example(pair=("", "a"), prefix="a", suffix="a")
-@example(pair=("b", "ab"), prefix="ab", suffix="b")
-def test_levenshtein_with_shared_prefix_and_suffix(pair, prefix, suffix):
-    a, b = prefix + pair[0] + suffix, prefix + pair[1] + suffix
-    assert levenshtein(a, b) == reference_levenshtein(a, b)
-    assert levenshtein(b, a) == reference_levenshtein(a, b)
-
-
 _headers = st.one_of(
     st.text(st.sampled_from("aAbBcC _"), max_size=24),
     st.sampled_from(["Person ID", "PID", "person_id", "PersonId", "Account Number", "ACCOUNT NUMBER",
@@ -296,6 +239,19 @@ _row_text = st.text(st.sampled_from("ab \u00e9\u0130\U0001d518\U0001f600"), max_
 @example(texts=["", "ab", "ab"], patterns=["", "ab", "ab", "", "\U0001f600"], bound=PACK_BITS)
 @example(texts=["ab\U0001f600", "", "b"], patterns=["ab", "a" * (PACK_BITS + 1), "b"], bound=PACK_BITS)
 @example(texts=["ba", "\u00e9"], patterns=["ab" * 100] * 11 + ["\u00e9"], bound=PACK_BITS)
+# each string against each, so both argument orders: empty strings, astral
+# code points and runs past one 64-bit word
+@example(texts=["", "\U0001f600" * 70], patterns=["", "\U0001f600" * 70], bound=PACK_BITS)
+@example(texts=["a" * 64, "a" * 63 + "b"], patterns=["a" * 64, "a" * 63 + "b"], bound=PACK_BITS)
+@example(texts=["ab" * 40, "ba" * 40], patterns=["ab" * 40, "ba" * 40], bound=PACK_BITS)
+# shared prefixes and suffixes: the shorter string all affix, affixes that
+# overlap in the longer one, and affixes past one word
+@example(texts=["aa", "aaa", "abbb", "ababb"], patterns=["aa", "aaa", "abbb", "ababb"], bound=PACK_BITS)
+@example(
+    texts=["\u00e9" * 70 + "ab" + "c" * 70, "\u00e9" * 70 + "ba" + "c" * 70],
+    patterns=["\u00e9" * 70 + "ab" + "c" * 70, "\u00e9" * 70 + "ba" + "c" * 70],
+    bound=PACK_BITS,
+)
 def test_levenshtein_rows_equal_reference_dp(texts, patterns, bound):
     # a smaller pack bound makes short pattern lists span several packs
     with mock.patch.object(common, "PACK_BITS", bound):

@@ -421,12 +421,16 @@ def test_originals_drop_directive(small_finance_corpus):
     plan = parse_plan(
         "originals drop\n"
         'step "Currency Name" vertical_split overlap_ratio=0.4\n'
+        'step "Organization" text_noise typo_rate=0\n'
     )
-    derived, _ = apply_plan(small_finance_corpus, plan)
+    derived, warnings = apply_plan(small_finance_corpus, plan)
     names = {t.name for t in derived.tables}
     assert "Currency Name" not in names
     assert sum(1 for n in names if "__vertical_split" in n) == 2
     assert len(derived.tables) == 7  # 6 bases - 1 consumed + 2 children
+    # a step that changed no cell adds no table and consumes no source
+    assert "Organization" in names
+    assert warnings == ["step 1: text_noise changed no cell of 'Organization'"]
 
 
 def test_composite_value_op_before_header_op(small_finance_corpus):
@@ -477,11 +481,11 @@ step "Currency Name" semantic_value_perturb backend=offline
             "target 40\n"
             + _GOLDEN_STEPS
             + 'step "Organization__vertical_split_*" semantic_value_perturb scope=all\n',
-            "cf5faea97092b29a5c35a4e35e01e2d161bc085ca82e6f6773c4daccb4d5a303",
+            "03e170079db8be927fcc7fa08730855580d5235809f138477f73fa01fc7edb53",
         ),
         (
             "originals drop\n" + _GOLDEN_STEPS,
-            "ce8938fdfb1ffcc3d3988ea1dfa8687e520b83049ae4c9655c247e96dee1068d",
+            "fbd1b69c5a1b49e8d0c5d53bc57a52b4b4ce78b66a74687d43a3db0c169eeb95",
         ),
     ],
     ids=["target-scope-all", "originals-drop"],

@@ -15,25 +15,18 @@ from pathlib import Path
 
 from .common import (
     CorpusError,
-    GatewayError,
     GenerationError,
     LakeforgeError,
     OntologyError,
-    PerturbationError,
     EvaluationError,
 )
 from .evaluation import DEFAULT_KS, DEFAULT_THRESHOLD, TASKS, evaluate, render_report
-from .gateway import GatewayConfig, LlmGateway
+from .gateway import DEFAULT_MODEL, GatewayConfig, LlmGateway
 from .generate import plan_generation, generate_base_tables
 from .matchers import external_match, match_corpus, write_predictions_csv
 from .model import load_corpus, save_corpus
 from .ontology import GroupingConfig, build_dependency_graph, ontology_to_schemas, parse_ontology
 from .perturb import apply_plan, default_plan, parse_plan
-
-EXIT_INPUT = 2
-EXIT_GENERATION = 3
-EXIT_PERTURBATION = 4
-EXIT_EVALUATION = 5
 
 
 def _read_text(path: Path, error: type[LakeforgeError]) -> str:
@@ -52,14 +45,8 @@ def _read_ontology(path: str):
 
 
 def _gateway(args) -> LlmGateway:
-    cache_dir = getattr(args, "cache_dir", None)
     return LlmGateway(
-        GatewayConfig(
-            mode=getattr(args, "mode", "replay"),
-            cache_dir=cache_dir,
-            endpoint=getattr(args, "endpoint", None),
-            model=getattr(args, "model", None) or "text-davinci-003",
-        )
+        GatewayConfig(mode=args.mode, cache_dir=args.cache_dir, endpoint=args.endpoint, model=args.model)
     )
 
 
@@ -233,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-props", type=int, default=2)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--endpoint", default=None)
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", default=DEFAULT_MODEL)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="derive tables via a perturbation plan")
@@ -244,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("live", "record", "replay"), default="replay")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--endpoint", default=None)
-    p.add_argument("--model", default=None)
+    p.add_argument("--model", default=DEFAULT_MODEL)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("evaluate", help="run matchers and score them")
@@ -268,21 +255,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OntologyError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (GenerationError, GatewayError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
-    except PerturbationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PERTURBATION
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVALUATION
     except LakeforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.exit_code
 
 
 if __name__ == "__main__":

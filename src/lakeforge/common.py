@@ -14,7 +14,10 @@ NULL = ""
 
 
 class LakeforgeError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; exit_code is the
+    CLI's exit status for it (2: an input error)."""
+
+    exit_code = 2
 
 
 class OntologyError(LakeforgeError):
@@ -30,7 +33,7 @@ class CorpusError(LakeforgeError):
 
 
 class GatewayError(LakeforgeError):
-    pass
+    exit_code = 3
 
 
 class CacheMiss(GatewayError):
@@ -40,10 +43,12 @@ class CacheMiss(GatewayError):
 
 
 class GenerationError(LakeforgeError):
-    pass
+    exit_code = 3
 
 
 class PerturbationError(LakeforgeError):
+    exit_code = 4
+
     def __init__(self, message: str, step_index: int | None = None):
         self.step_index = step_index
         if step_index is not None:
@@ -52,7 +57,7 @@ class PerturbationError(LakeforgeError):
 
 
 class EvaluationError(LakeforgeError):
-    pass
+    exit_code = 5
 
 
 def stable_hash(*parts: object) -> int:

@@ -5,8 +5,9 @@ Modes:
   record  - serve from cache when present, otherwise call and store.
   replay  - cache only; a miss is an error carrying the request digest.
 
-The cache key is a SHA-256 digest of the canonicalized request: the prompt is
-hashed byte-exact, configuration fields are whitespace-normalized.
+The cache key is a SHA-256 digest of the canonicalized request and the
+configured model: the prompt is hashed byte-exact, the model name
+whitespace-normalized.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ class CompletionRequest:
     prompt: str
     max_tokens: int = 512
     temperature: float = GEN_TEMPERATURE
-    model: str = DEFAULT_MODEL
 
     def validate(self) -> None:
         if not self.prompt:
@@ -45,10 +45,10 @@ class CompletionRequest:
             raise GatewayError(f"temperature {self.temperature} outside [0, 2]")
 
 
-def request_digest(req: CompletionRequest) -> str:
+def request_digest(req: CompletionRequest, model: str) -> str:
     req.validate()
     core = {
-        "model": " ".join(req.model.split()),
+        "model": " ".join(model.split()),
         "prompt": req.prompt,
         "max_tokens": int(req.max_tokens),
         "temperature": float(req.temperature),
@@ -117,7 +117,7 @@ class LlmGateway:
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": digest,
-            "model": req.model,
+            "model": self.config.model,
             "prompt": req.prompt,
             "response": response,
             "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -144,7 +144,7 @@ class LlmGateway:
         if key:
             headers["Authorization"] = f"Bearer {key}"
         payload = {
-            "model": req.model,
+            "model": self.config.model,
             "prompt": req.prompt,
             "max_tokens": req.max_tokens,
             "temperature": req.temperature,
@@ -185,7 +185,7 @@ class LlmGateway:
         mode = mode or self.config.mode
         if mode == "live":
             return self._call_with_retries(req)
-        digest = request_digest(req)
+        digest = request_digest(req, self.config.model)
         if mode == "replay":
             cached = self._cache_read(digest)
             if cached is None:

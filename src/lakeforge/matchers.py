@@ -840,9 +840,7 @@ def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> Prediction
     rows = list(reader)
     if not rows:
         raise EvaluationError("empty predictions file")
-    start = 1 if rows[0][:1] == ["left_table"] or rows[0] == [
-        "left_table", "left_column", "right_table", "right_column", "score",
-    ] else 0
+    start = 1 if rows[0][:1] == ["left_table"] else 0
     parsed = []
     for lineno, row in enumerate(rows[start:], start=start + 1):
         if not row:

@@ -25,7 +25,7 @@ Ops by kind, each kind in `OPS` order (README.md lists their parameters):
     schema: cryptify_headers header_typos
     shape:  vertical_split horizontal_split remove_columns sample_rows
 
-A new op is one `OPS` entry plus its handler.
+A new op is one `OPS` entry: its handler.
 """
 
 from __future__ import annotations
@@ -128,16 +128,18 @@ _NUMERIC_PARAMS = {
 
 
 def _validate_params(ops: list[str], params: dict, where: str) -> None:
-    """Numeric parameters must be numbers within their range; the string
-    parameters an op of the step declares (`OpSpec.choices`) must name a
-    known choice."""
+    """Numeric parameters must be numbers (not booleans) within their range,
+    unique_key a boolean; the string parameters an op of the step declares
+    (`OpSpec.choices`) must name a known choice."""
     for key, (bounds, within) in _NUMERIC_PARAMS.items():
         if key not in params:
             continue
-        if not isinstance(params[key], (int, float)):
+        if isinstance(params[key], bool) or not isinstance(params[key], (int, float)):
             raise PerturbationError(f"{where}: {key} must be a number, got {params[key]!r}")
         if not within(params[key]):
             raise PerturbationError(f"{where}: {key} must be within {bounds}")
+    if not isinstance(params.get("unique_key", False), bool):
+        raise PerturbationError(f"{where}: unique_key must be true or false, got {params['unique_key']!r}")
     for op in ops:
         for key, allowed in OPS[op].choices.items():
             if key in params and params[key] not in allowed:
@@ -255,55 +257,47 @@ def _project(t: TableData, keep: set[str] | list[str], name: str) -> TableData:
     return TableData(schema=schema, rows=[tuple(r[i] for i in idxs) for r in t.rows])
 
 
-def vertical_split(
-    t: TableData,
-    overlap_ratio: float,
-    unique_key: bool = False,
-    seed: int = 0,
-    name_a: str | None = None,
-    name_b: str | None = None,
-) -> tuple[TableData, TableData, set[str]]:
-    """Split columns into two overlapping projections.
+def _vertical_split(t: TableData, params: dict, seed: int, name: str):
+    """Split columns into two overlapping projections, `<name>_a` and `<name>_b`.
 
-    Shared column count is max(1, round(ratio * columns)). Both children keep
-    every row; with unique_key the first child keeps only the first row per
-    distinct shared-column tuple."""
+    Shared column count is max(1, round(overlap_ratio * columns)). Both
+    children keep every row; with unique_key the first child keeps only the
+    first row per distinct shared-column tuple."""
+    overlap_ratio = params.get("overlap_ratio", 0.2)
+    unique_key = params.get("unique_key", False)
     cols = t.schema.column_names()
     if len(cols) < 2:
         raise PerturbationError(f"cannot vertically split single-column table {t.name!r}")
     rng = seeded_rng("vsplit", seed, t.name)
-    n_shared = min(len(cols), max(1, round_half_up(overlap_ratio * len(cols))))
+    n_shared = min(len(cols), max(1, round_half_up(float(overlap_ratio) * len(cols))))
     shared = set(rng.sample(cols, n_shared))
     rest = [c for c in cols if c not in shared]
     rng.shuffle(rest)
     half = (len(rest) + 1) // 2
     a_only, b_only = set(rest[:half]), set(rest[half:])
 
-    a = _project(t, shared | a_only, name_a or f"{t.name}__vertical_split_0_a")
-    b = _project(t, shared | b_only, name_b or f"{t.name}__vertical_split_0_b")
+    a = _project(t, shared | a_only, f"{name}_a")
+    b = _project(t, shared | b_only, f"{name}_b")
     if unique_key:
         key_idx = [i for i, c in enumerate(a.schema.column_names()) if c in shared]
         first: dict[tuple, tuple] = {}
         for r in a.rows:
             first.setdefault(tuple(r[i] for i in key_idx), r)
         a = TableData(schema=a.schema, rows=list(first.values()))
-    return a, b, shared
+    event = {"shared": sorted(shared), "overlap_ratio": overlap_ratio, "unique_key": unique_key}
+    return [a, b], event
 
 
-def horizontal_split(
-    t: TableData,
-    row_overlap_ratio: float,
-    seed: int = 0,
-    name_a: str | None = None,
-    name_b: str | None = None,
-) -> tuple[TableData, TableData]:
-    """Split rows into two tables with round(ratio * rows) shared rows; the
-    union covers every row and both children keep the parent schema."""
+def _horizontal_split(t: TableData, params: dict, seed: int, name: str):
+    """Split rows into `<name>_a` and `<name>_b` with round(row_overlap_ratio
+    * rows) shared rows; the union covers every row and both children keep
+    the parent schema."""
+    row_overlap_ratio = params.get("row_overlap_ratio", 0.1)
     n = len(t.rows)
     if n < 2:
         raise PerturbationError(f"cannot horizontally split table {t.name!r} with < 2 rows")
     rng = seeded_rng("hsplit", seed, t.name)
-    overlap = min(n, round_half_up(row_overlap_ratio * n))
+    overlap = min(n, round_half_up(float(row_overlap_ratio) * n))
     order = list(range(n))
     rng.shuffle(order)
     shared = set(order[:overlap])
@@ -312,16 +306,19 @@ def horizontal_split(
     a_idx = sorted(shared | set(rest[:half]))
     b_idx = sorted(shared | set(rest[half:]))
 
-    a = _schema_as(t, name_a or f"{t.name}__horizontal_split_0_a")
-    b = _schema_as(t, name_b or f"{t.name}__horizontal_split_0_b")
-    return (
-        TableData(schema=a, rows=[t.rows[i] for i in a_idx]),
-        TableData(schema=b, rows=[t.rows[i] for i in b_idx]),
-    )
+    a = TableData(schema=_schema_as(t, f"{name}_a"), rows=[t.rows[i] for i in a_idx])
+    b = TableData(schema=_schema_as(t, f"{name}_b"), rows=[t.rows[i] for i in b_idx])
+    event = {
+        "row_overlap_ratio": row_overlap_ratio,
+        "shared_rows": len(set(a.rows) & set(b.rows)),
+        "union_task": True,  # unionability ground truth, emitted only
+    }
+    return [a, b], event
 
 
-def remove_columns(t: TableData, keep: list[str], name: str | None = None) -> TableData:
-    """Project onto the columns matching any keep pattern."""
+def _remove_columns(t: TableData, params: dict, seed: int, name: str):
+    """Project onto the columns matching any `keep` pattern."""
+    keep = params.get("keep", ["*"])
     keep_names = [
         c.name
         for c in t.schema.columns
@@ -329,15 +326,16 @@ def remove_columns(t: TableData, keep: list[str], name: str | None = None) -> Ta
     ]
     if not keep_names:
         raise PerturbationError(f"remove_columns keeps nothing of table {t.name!r}")
-    return _project(t, keep_names, name or f"{t.name}__remove_columns_0")
+    return [_project(t, keep_names, name)], {"kept": keep_names}
 
 
-def sample_rows(t: TableData, fraction: float, seed: int = 0, name: str | None = None) -> TableData:
-    count = min(len(t.rows), round_half_up(fraction * len(t.rows)))
+def _sample_rows(t: TableData, params: dict, seed: int, name: str):
+    fraction = params.get("fraction", 0.5)
+    count = min(len(t.rows), round_half_up(float(fraction) * len(t.rows)))
     rng = seeded_rng("sample", seed, t.name)
     idxs = sorted(rng.sample(range(len(t.rows)), count))
-    schema = _schema_as(t, name or f"{t.name}__sample_rows_0")
-    return TableData(schema=schema, rows=[t.rows[i] for i in idxs])
+    child = TableData(schema=_schema_as(t, name), rows=[t.rows[i] for i in idxs])
+    return [child], {"fraction": fraction, "rows": count}
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def _fresh_typo(value: str, rng: random.Random, taken: set[str]) -> str:
     return new
 
 
-def cryptify_headers(schema: TableSchema) -> tuple[TableSchema, dict[str, str]]:
+def _cryptify_headers(schema: TableSchema, params: dict, seed: int):
     """Rewrite headers to cryptic short forms; collisions get numeric suffixes.
 
     Semantic types are untouched, only the visible header changes."""
@@ -394,10 +392,10 @@ def cryptify_headers(schema: TableSchema) -> tuple[TableSchema, dict[str, str]]:
     return _renamed(schema, mapping), mapping
 
 
-def header_typos(schema: TableSchema, rate: float, seed: int = 0) -> tuple[TableSchema, dict[str, str]]:
+def _header_typos(schema: TableSchema, params: dict, seed: int):
     rng = seeded_rng("header_typos", seed, schema.name)
     names = schema.column_names()
-    count = min(len(names), round_half_up(rate * len(names)))
+    count = min(len(names), round_half_up(float(params.get("rate", 0.3)) * len(names)))
     chosen = set(rng.sample(names, count))
     used = set(names)
     mapping = {name: _fresh_typo(name, rng, used) if name in chosen else name for name in names}
@@ -506,10 +504,7 @@ _TEXT_MODES = {
 
 
 def _text_noise(values, params, rng, source):
-    mode = params.get("mode", "typos")
-    if mode not in _TEXT_MODES:
-        raise PerturbationError(f"unknown text_noise mode {mode!r}")
-    return _by_map(values, _TEXT_MODES[mode](_distinct(values), params, rng))
+    return _by_map(values, _TEXT_MODES[params.get("mode", "typos")](_distinct(values), params, rng))
 
 
 # format_noise kind -> (reformatter, the columns it applies to); the first is
@@ -522,10 +517,7 @@ _FORMAT_KINDS = {
 
 
 def _format_kind(params: dict):
-    kind = params.get("kind", "dates")
-    if kind not in _FORMAT_KINDS:
-        raise PerturbationError(f"unknown format_noise kind {kind!r}")
-    return _FORMAT_KINDS[kind]
+    return _FORMAT_KINDS[params.get("kind", "dates")]
 
 
 def _format_noise(values, params, rng, source):
@@ -535,25 +527,14 @@ def _format_noise(values, params, rng, source):
 
 @dataclass(frozen=True)
 class _Source:
-    """The source column of a derivative's value op, with what
-    semantic_value_perturb reads: the source table and its columns in an
-    exact or pkfk pair when the step began."""
+    """The source column of a derivative's value op, with what the
+    semantic_value_perturb handler reads: the source table, its columns in an
+    exact or pkfk pair when the step began, and the gateway."""
 
     table: TableData
     column: str
     joinable: set[str]
     gateway: LlmGateway | None
-
-
-def _semantic_value_perturb(values, params, rng, source):
-    new_values, mapping = semantic_value_perturb(
-        source.table,
-        source.column,
-        source.joinable,
-        gateway=source.gateway,
-        backend=params.get("backend", "offline"),
-    )
-    return new_values, mapping, None
 
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
@@ -584,42 +565,31 @@ def _parse_variant_response(text: str, expected: int) -> list[str] | None:
     return [found[i] for i in range(1, expected + 1)]
 
 
-def semantic_value_perturb(
-    t: TableData,
-    column: str,
-    joinable: set[str],
-    gateway: LlmGateway | None = None,
-    backend: str = "offline",
-) -> tuple[list[str], dict[str, str]]:
+def _semantic_value_perturb(values, params, rng, source: _Source):
     """Rewrite a joinable column's values into semantically equivalent ones.
 
-    The column must be in `joinable`, t's columns that participate in at
-    least one exact or pkfk pair (perturbing joinable columns is the point;
-    ground_truth.joinable_columns gives them). Offline backend: built-in
-    variant tables with a total injective fallback. LLM backend: chunked
-    prompts with schema context; a chunk whose response does not line up is
-    left unperturbed. Returns (new values, old->new mapping; unchanged values
-    get no entry).
+    The source column must be joinable: in at least one exact or pkfk pair
+    when the step began (perturbing joinable columns is the point). Offline
+    backend: built-in variant tables with a total injective fallback. LLM
+    backend: chunked prompts with schema context; a chunk whose response does
+    not line up is left unperturbed. Unchanged values get no value_map entry.
     """
-    if column not in joinable:
+    t, column = source.table, source.column
+    if column not in source.joinable:
         raise PerturbationError(
             f"column {t.name}.{column} participates in no exact/pkfk pair"
         )
-    values = t.column_values(column)
-    col = t.schema.column(column)
+    if params.get("backend", "offline") == "offline":
+        return _by_map(values, semantic_variant_map(values, t.schema.column(column)))
 
-    if backend == "offline":
-        mapping = semantic_variant_map(values, col)
-        return [mapping.get(v, v) for v in values], mapping
-
-    if gateway is None:
+    if source.gateway is None:
         raise PerturbationError("llm backend requires a gateway")
-    distinct = sorted({v for v in values if v != NULL})
+    distinct = _distinct(values)
     mapping: dict[str, str] = {}
     for i in range(0, len(distinct), VARIANT_CHUNK_SIZE):
         chunk = distinct[i : i + VARIANT_CHUNK_SIZE]
         prompt = _render_variant_prompt(t, column, chunk)
-        response = gateway.complete(
+        response = source.gateway.complete(
             CompletionRequest(prompt=prompt, temperature=PERTURB_TEMPERATURE)
         )
         variants = _parse_variant_response(response, len(chunk))
@@ -633,46 +603,12 @@ def semantic_value_perturb(
         for old, new in zip(chunk, variants):
             if new != old:
                 mapping[old] = new
-    return [mapping.get(v, v) for v in values], mapping
+    return _by_map(values, mapping)
 
 
 # --------------------------------------------------------------------------
 # the op table
 # --------------------------------------------------------------------------
-
-
-def _vertical_split_step(t: TableData, params: dict, seed: int, prefix: str):
-    overlap_ratio = params.get("overlap_ratio", 0.2)
-    unique_key = bool(params.get("unique_key", False))
-    a, b, shared = vertical_split(
-        t, float(overlap_ratio), unique_key, seed=seed, name_a=f"{prefix}_a", name_b=f"{prefix}_b"
-    )
-    event = {"shared": sorted(shared), "overlap_ratio": overlap_ratio, "unique_key": unique_key}
-    return [a, b], event
-
-
-def _horizontal_split_step(t: TableData, params: dict, seed: int, prefix: str):
-    row_overlap_ratio = params.get("row_overlap_ratio", 0.1)
-    a, b = horizontal_split(
-        t, float(row_overlap_ratio), seed=seed, name_a=f"{prefix}_a", name_b=f"{prefix}_b"
-    )
-    event = {
-        "row_overlap_ratio": row_overlap_ratio,
-        "shared_rows": len(set(a.rows) & set(b.rows)),
-        "union_task": True,  # unionability ground truth, emitted only
-    }
-    return [a, b], event
-
-
-def _remove_columns_step(t: TableData, params: dict, seed: int, prefix: str):
-    child = remove_columns(t, params.get("keep", ["*"]), name=prefix)
-    return [child], {"kept": child.schema.column_names()}
-
-
-def _sample_rows_step(t: TableData, params: dict, seed: int, prefix: str):
-    fraction = params.get("fraction", 0.5)
-    child = sample_rows(t, float(fraction), seed=seed, name=prefix)
-    return [child], {"fraction": fraction, "rows": len(child.rows)}
 
 
 def _is_numeric(t: TableData, col: Column, params: dict, joinable: set[str]) -> bool:
@@ -699,11 +635,14 @@ SHAPE, SCHEMA, VALUE = "shape", "schema", "value"
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One perturbation op. Handlers by kind:
+    """One perturbation op. Its handler is the whole op: it reads the step's
+    params, which parse_plan has checked, with their defaults. By kind:
 
-    shape:  (table, params, seed, child name) -> (children, lineage params)
+    shape:  (table, params, seed, child name) -> (children, lineage params);
+            a split's two children are `<child name>_a` and `_b`
     schema: (schema, params, seed) -> (schema, old -> new header map)
-    value:  (values, params, rng, _Source) -> (values, value_map, cell_changes)
+    value:  (values, params, rng, _Source) -> (values, value_map, cell_changes),
+            None for an empty value_map or cell_changes
 
     eligible(table, column, params, joinable columns) picks a value op's
     columns when the step has no col= (None: every non-key column); choices
@@ -726,17 +665,12 @@ OPS: dict[str, OpSpec] = {
     "semantic_value_perturb": OpSpec(
         VALUE, _semantic_value_perturb, _is_joinable, {"backend": ("offline", "llm")}, snapshot=True
     ),
-    "cryptify_headers": OpSpec(SCHEMA, lambda schema, params, seed: cryptify_headers(schema)),
-    "header_typos": OpSpec(
-        SCHEMA,
-        lambda schema, params, seed: header_typos(
-            schema, float(params.get("rate", 0.3)), seed=seed
-        ),
-    ),
-    "vertical_split": OpSpec(SHAPE, _vertical_split_step),
-    "horizontal_split": OpSpec(SHAPE, _horizontal_split_step),
-    "remove_columns": OpSpec(SHAPE, _remove_columns_step),
-    "sample_rows": OpSpec(SHAPE, _sample_rows_step),
+    "cryptify_headers": OpSpec(SCHEMA, _cryptify_headers),
+    "header_typos": OpSpec(SCHEMA, _header_typos),
+    "vertical_split": OpSpec(SHAPE, _vertical_split),
+    "horizontal_split": OpSpec(SHAPE, _horizontal_split),
+    "remove_columns": OpSpec(SHAPE, _remove_columns),
+    "sample_rows": OpSpec(SHAPE, _sample_rows),
 }
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from datetime import date, timedelta
 
-from .common import norm_header, seeded_rng, stable_hash
+from .common import NULL, norm_header, seeded_rng, stable_hash
 from .model import Column
 
 # --------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def semantic_variant_map(values: list[str], column: Column) -> dict[str, str]:
     table = SEMANTIC_VARIANTS.get(key, {})
     mapping: dict[str, str] = {}
     taken: set[str] = set()
-    for v in sorted({v for v in values if v != ""}):
+    for v in sorted({v for v in values if v != NULL}):
         new = table.get(v)
         if new is None:
             if column.datatype == "integer" or (key in DIGIT_TEXT_TAGS and v.isdigit()):

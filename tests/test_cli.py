@@ -6,6 +6,14 @@ import pytest
 from helpers import FIXTURES, finance_ontology_text, reference_corpus_digest, scripted_completion
 
 from lakeforge.cli import main
+from lakeforge.common import (
+    CacheMiss,
+    EvaluationError,
+    GatewayError,
+    GenerationError,
+    LakeforgeError,
+    PerturbationError,
+)
 from lakeforge.model import load_corpus, save_corpus
 
 FIG1 = str(FIXTURES / "fig1.onto")
@@ -184,8 +192,14 @@ def fig1_base(tmp_path_factory):
         ("format_noise kind=bogus", "format_noise kind must be one of dates|addresses|names"),
         ("cryptify_headers+text_noise mode=bogus", "text_noise mode must be one of typos|"),
         ("semantic_value_perturb backend=bogus", "backend must be one of offline|llm"),
+        # bool("no") is true: a split would keep unique keys
+        ("vertical_split unique_key=no", "unique_key must be true or false, got 'no'"),
+        # a boolean is an int, so true would pass as 1
+        ("inject_nulls rate=true", "rate must be a number, got True"),
+        ("sample_rows fraction=false", "fraction must be a number, got False"),
     ],
-    ids=["seed_offset", "fraction", "overlap_ratio", "rel_scale", "kind", "mode", "backend"],
+    ids=["seed_offset", "fraction", "overlap_ratio", "rel_scale", "kind", "mode", "backend",
+         "unique_key", "rate-bool", "fraction-bool"],
 )
 def test_perturb_bad_plan_parameter_exit_4(tmp_path, capsys, fig1_base, step, message):
     plan = tmp_path / "bad.plan"
@@ -349,6 +363,50 @@ def test_generate_replay_cache_miss_exit_3(tmp_path, capsys):
                 "--row-cap", "5"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_generate_model_keys_the_cache(tmp_path, capsys, monkeypatch):
+    from lakeforge import cli
+    from lakeforge.gateway import DEFAULT_MODEL, CompletionRequest, LlmGateway, request_digest
+
+    argv = ["generate", "--ontology", FIG1, "--seed", "1", "--backend", "llm",
+            "--cache-dir", str(tmp_path / "cache"), "--row-cap", "5"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "LlmGateway", lambda config: LlmGateway(
+            config, transport=lambda req: scripted_completion(req.prompt)))
+        assert run(argv + ["--out", str(tmp_path / "c"), "--mode", "record", "--model", "m2"]) == 0
+    entries = [json.loads(p.read_text(encoding="utf-8")) for p in (tmp_path / "cache").iterdir()]
+    assert entries and all(e["model"] == "m2" for e in entries)
+    for e in entries:
+        req = CompletionRequest(prompt=e["prompt"])
+        assert e["key"] == request_digest(req, "m2") != request_digest(req, DEFAULT_MODEL)
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "d"), "--mode", "replay"]) == 3
+    assert "replay cache miss" in capsys.readouterr().err
+    assert run(argv + ["--out", str(tmp_path / "e"), "--mode", "replay", "--model", "m2"]) == 0
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (LakeforgeError("x"), 2),
+        (GenerationError("x"), 3),
+        (GatewayError("x"), 3),
+        (CacheMiss("0" * 64), 3),
+        (PerturbationError("x"), 4),
+        (EvaluationError("x"), 5),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_is_the_error_class_code(monkeypatch, capsys, error, code):
+    from lakeforge import cli
+
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
+    assert run(["stats", "--corpus", "unused"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_generate_corrupt_cache_entry_exit_3(tmp_path, capsys, monkeypatch):

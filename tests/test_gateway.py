@@ -6,6 +6,7 @@ import pytest
 
 from lakeforge.common import CacheMiss, GatewayError
 from lakeforge.gateway import (
+    DEFAULT_MODEL,
     CompletionRequest,
     GatewayConfig,
     LlmGateway,
@@ -24,15 +25,29 @@ def test_temperature_range():
 
 
 def test_digest_sensitive_to_prompt_bytes():
-    a = request_digest(CompletionRequest(prompt="hello world"))
-    b = request_digest(CompletionRequest(prompt="hello  world"))
+    a = request_digest(CompletionRequest(prompt="hello world"), DEFAULT_MODEL)
+    b = request_digest(CompletionRequest(prompt="hello  world"), DEFAULT_MODEL)
     assert a != b
 
 
-def test_digest_invariant_under_config_whitespace():
-    a = request_digest(CompletionRequest(prompt="p", model="text-davinci-003"))
-    b = request_digest(CompletionRequest(prompt="p", model="  text-davinci-003 "))
+def test_digest_invariant_under_config_whitespace(tmp_path):
+    req = CompletionRequest(prompt="p")
+    a = request_digest(req, "text-davinci-003")
+    b = request_digest(req, "  text-davinci-003 ")
     assert a == b
+    # the gateway keys its cache by its config's model
+    LlmGateway(
+        GatewayConfig(mode="record", cache_dir=tmp_path, model="  text-davinci-003 "),
+        transport=lambda r: "ok",
+    ).complete(req)
+    assert LlmGateway(GatewayConfig(mode="replay", cache_dir=tmp_path)).complete(req) == "ok"
+
+
+def test_default_model_digest_is_unchanged():
+    # pinned: if a default-model key changed, existing replay caches would miss
+    assert request_digest(CompletionRequest(prompt="p"), DEFAULT_MODEL) == (
+        "8cd0d71cbb00e89902f7939e49cd541ea7b1eecb03d7f2edc4b6d6a6aa1482c2"
+    )
 
 
 def test_record_then_replay_byte_identical(tmp_path):
@@ -69,7 +84,7 @@ def test_replay_miss_reports_digest(tmp_path):
     req = CompletionRequest(prompt="never recorded")
     with pytest.raises(CacheMiss) as err:
         gw.complete(req)
-    assert err.value.digest == request_digest(req)
+    assert err.value.digest == request_digest(req, DEFAULT_MODEL)
 
 
 def test_retries_with_backoff():
@@ -173,7 +188,7 @@ def test_single_attempt_reported_truthfully():
 def test_corrupt_cache_entry_names_file(tmp_path, content, reason):
     req = CompletionRequest(prompt="rows please")
     LlmGateway(GatewayConfig(mode="record", cache_dir=tmp_path), transport=lambda r: "ok").complete(req)
-    entry = tmp_path / f"{request_digest(req)}.json"
+    entry = tmp_path / f"{request_digest(req, DEFAULT_MODEL)}.json"
     entry.write_bytes(content)
     for mode in ("replay", "record"):
         gw = LlmGateway(
@@ -245,3 +260,15 @@ def test_unusable_response_is_not_retried(monkeypatch):
     with pytest.raises(GatewayError, match="after 1 attempt: .*no completion text"):
         _live_gateway().complete(CompletionRequest(prompt="p"))
     assert len(calls) == 1
+
+
+def test_payload_carries_the_configured_model(monkeypatch):
+    import requests
+
+    sent = []
+    monkeypatch.setattr(
+        requests, "post", lambda url, json, **kw: sent.append(json) or _FakeResponse(200, {"text": "ok"})
+    )
+    gw = LlmGateway(GatewayConfig(mode="live", endpoint="http://127.0.0.1:9/v1/completions", model="m2"))
+    assert gw.complete(CompletionRequest(prompt="p")) == "ok"
+    assert [payload["model"] for payload in sent] == ["m2"]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ALL_OPS, apply_value_noise, reference_levenshtein, uppercase_variant_transport
+from helpers import ALL_OPS, FIXTURES, apply_value_noise, reference_levenshtein, uppercase_variant_transport
 
 from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
@@ -18,19 +18,7 @@ from lakeforge.model import (
     save_corpus,
 )
 import lakeforge.perturb as perturb_module
-from lakeforge.perturb import (
-    OPS,
-    apply_plan,
-    cryptify_headers,
-    default_plan,
-    header_typos,
-    horizontal_split,
-    parse_plan,
-    remove_columns,
-    sample_rows,
-    semantic_value_perturb,
-    vertical_split,
-)
+from lakeforge.perturb import OPS, apply_plan, default_plan, parse_plan
 
 
 def wide_table(n_cols=10, n_rows=20, name="Wide"):
@@ -46,7 +34,8 @@ def wide_table(n_cols=10, n_rows=20, name="Wide"):
 
 def test_vertical_split_shared_count():
     t = wide_table(10)
-    a, b, shared = vertical_split(t, 0.2, seed=1)
+    (a, b), event = OPS["vertical_split"].handler(t, {"overlap_ratio": 0.2}, 1, "W")
+    shared = set(event["shared"])
     assert len(shared) == 2
     assert set(a.schema.column_names()) | set(b.schema.column_names()) == set(
         t.schema.column_names()
@@ -57,7 +46,8 @@ def test_vertical_split_shared_count():
 
 def test_vertical_split_floor_rule():
     t = wide_table(4)
-    a, b, shared = vertical_split(t, 0.01, seed=1)
+    _children, event = OPS["vertical_split"].handler(t, {"overlap_ratio": 0.01}, 1, "W")
+    shared = event["shared"]
     assert len(shared) == 1  # max(1, round(0.01 * 4))
 
 
@@ -67,8 +57,10 @@ def test_vertical_split_unique_key_side_has_no_duplicates():
             Column("w", "W", "text"), Column("q", "Q", "text")]
     rows = [(f"k{i % 3}", f"x{i}", f"y{i}", f"z{i}", f"w{i}", f"q{i}") for i in range(12)]
     t = TableData(schema=TableSchema("T", cols, primary_key=None), rows=rows)
-    a, b, shared = vertical_split(t, 0.5, unique_key=True, seed=3)
-    key_idx = [a.schema.column_index(c) for c in sorted(shared)]
+    (a, b), event = OPS["vertical_split"].handler(
+        t, {"overlap_ratio": 0.5, "unique_key": True}, 3, "T"
+    )
+    key_idx = [a.schema.column_index(c) for c in event["shared"]]
     keys = [tuple(r[i] for i in key_idx) for r in a.rows]
     assert len(keys) == len(set(keys))  # duplicate-count oracle: zero dupes
     assert len(b.rows) == len(t.rows)
@@ -79,12 +71,12 @@ def test_vertical_split_single_column_errors():
         schema=TableSchema("T", [Column("only", "Tag", "text")], None), rows=[("a",)]
     )
     with pytest.raises(PerturbationError, match="single-column"):
-        vertical_split(t, 0.5)
+        OPS["vertical_split"].handler(t, {"overlap_ratio": 0.5}, 0, "T")
 
 
 def test_horizontal_split_overlap_counts():
     t = wide_table(3, n_rows=100)
-    a, b = horizontal_split(t, 0.1, seed=2)
+    (a, b), _event = OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.1}, 2, "W")
     sa = {tuple(r) for r in a.rows}
     sb = {tuple(r) for r in b.rows}
     # rows in this fixture are unique, so set arithmetic counts rows
@@ -95,14 +87,14 @@ def test_horizontal_split_overlap_counts():
 
 def test_horizontal_split_zero_ratio_disjoint_halves():
     t = wide_table(3, n_rows=10)
-    a, b = horizontal_split(t, 0.0, seed=2)
+    (a, b), _event = OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.0}, 2, "W")
     assert not ({tuple(r) for r in a.rows} & {tuple(r) for r in b.rows})
     assert len(a.rows) + len(b.rows) == 10
 
 
 def test_horizontal_split_seven_rows_half():
     t = wide_table(3, n_rows=7)
-    a, b = horizontal_split(t, 0.5, seed=2)
+    (a, b), _event = OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.5}, 2, "W")
     shared = {tuple(r) for r in a.rows} & {tuple(r) for r in b.rows}
     assert len(shared) == 4  # round-half-up of 3.5
     assert len(a.rows) == 6 and len(b.rows) == 5
@@ -111,14 +103,14 @@ def test_horizontal_split_seven_rows_half():
 def test_horizontal_split_requires_two_rows():
     t = wide_table(3, n_rows=1)
     with pytest.raises(PerturbationError, match="< 2 rows"):
-        horizontal_split(t, 0.5)
+        OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.5}, 0, "W")
 
 
 def test_remove_columns_and_sample_rows():
     t = wide_table(5, n_rows=10)
-    kept = remove_columns(t, ["col 0", "col 2"])
+    (kept,), _event = OPS["remove_columns"].handler(t, {"keep": ["col 0", "col 2"]}, 0, "W")
     assert kept.schema.column_names() == ["col 0", "col 2"]
-    sampled = sample_rows(t, 0.3, seed=1)
+    (sampled,), _event = OPS["sample_rows"].handler(t, {"fraction": 0.3}, 1, "W")
     assert len(sampled.rows) == 3
 
 
@@ -194,13 +186,13 @@ def test_format_noise_dates():
 
 def test_cryptify_person_id():
     schema = TableSchema("T", [Column("Person ID", "Person ID", "text")], None)
-    out, mapping = cryptify_headers(schema)
+    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
     assert mapping["Person ID"] == "PID"
 
 
 def test_cryptify_short_single_word():
     schema = TableSchema("T", [Column("id", "Key", "text")], None)
-    out, mapping = cryptify_headers(schema)
+    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
     assert mapping["id"] == "ID"
 
 
@@ -210,7 +202,7 @@ def test_cryptify_collision_suffix():
         [Column("Account Number", "A", "text"), Column("Area Name", "B", "text")],
         None,
     )
-    out, mapping = cryptify_headers(schema)
+    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
     assert mapping["Account Number"] == "AN"
     assert mapping["Area Name"] == "AN1"
 
@@ -221,7 +213,7 @@ def test_cryptify_preserves_semantic_types_and_pk():
         [Column("Person ID", "Person ID", "integer"), Column("Full Name", "Person Name", "text")],
         primary_key="Person ID",
     )
-    out, mapping = cryptify_headers(schema)
+    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
     assert out.primary_key == "PID"
     assert out.columns[0].semantic_type == "Person ID"
 
@@ -230,7 +222,7 @@ def test_header_typos_rate():
     schema = TableSchema(
         "T", [Column(f"column {i}", f"T{i}", "text") for i in range(10)], None
     )
-    out, mapping = header_typos(schema, 0.3, seed=4)
+    out, mapping = OPS["header_typos"].handler(schema, {"rate": 0.3}, 4)
     assert len(mapping) == 3
     for old, new in mapping.items():
         assert reference_levenshtein(old, new) == 1
@@ -241,18 +233,25 @@ def test_header_typos_rate():
 # ---------------------------------------------------------------------------
 
 
-def _source(corpus, table, column):
-    """semantic_value_perturb's table, column and joinable-column arguments."""
-    return corpus.table(table), column, joinable_columns(corpus.tables).get(table, set())
+def _semantic(corpus, table, column, gateway=None, backend="offline"):
+    """The semantic_value_perturb handler on one column of corpus, as a step
+    would run it: (new values, value_map)."""
+    t = corpus.table(table)
+    joinable = joinable_columns(corpus.tables).get(table, set())
+    source = perturb_module._Source(t, column, joinable, gateway)
+    values, value_map, _cells = OPS["semantic_value_perturb"].handler(
+        t.column_values(column), {"backend": backend}, None, source
+    )
+    return values, value_map
 
 
 def test_semantic_perturb_requires_joinable_column(small_finance_corpus):
     with pytest.raises(PerturbationError, match="participates in no"):
-        semantic_value_perturb(*_source(small_finance_corpus, "Postal Address", "Zipcode"))
+        _semantic(small_finance_corpus, "Postal Address", "Zipcode")
 
 
 def test_semantic_perturb_offline_currency(small_finance_corpus):
-    values, mapping = semantic_value_perturb(*_source(small_finance_corpus, "Currency Name", "Currency"))
+    values, mapping = _semantic(small_finance_corpus, "Currency Name", "Currency")
     assert mapping.get("USD") == "US Dollar" or "USD" not in mapping or True
     originals = small_finance_corpus.table("Currency Name").column_values("Currency")
     non_null = {v for v in originals if v}
@@ -264,8 +263,8 @@ def test_semantic_perturb_offline_currency(small_finance_corpus):
 
 def test_semantic_perturb_llm_double_uppercases(small_finance_corpus):
     gw = LlmGateway(GatewayConfig(mode="live"), transport=uppercase_variant_transport)
-    values, mapping = semantic_value_perturb(
-        *_source(small_finance_corpus, "Currency Name", "Currency"), gateway=gw, backend="llm"
+    values, mapping = _semantic(
+        small_finance_corpus, "Currency Name", "Currency", gateway=gw, backend="llm"
     )
     originals = small_finance_corpus.table("Currency Name").column_values("Currency")
     changed = {v for v in originals if v and v.upper() != v}
@@ -279,10 +278,10 @@ def test_semantic_perturb_llm_arity_mismatch_leaves_chunk(small_finance_corpus, 
     import logging
 
     with caplog.at_level(logging.WARNING):
-        values, mapping = semantic_value_perturb(
-            *_source(small_finance_corpus, "Currency Name", "Currency"), gateway=gw, backend="llm"
+        values, mapping = _semantic(
+            small_finance_corpus, "Currency Name", "Currency", gateway=gw, backend="llm"
         )
-    assert mapping == {}
+    assert mapping is None  # no value changed
     assert values == small_finance_corpus.table("Currency Name").column_values("Currency")
     assert "left unperturbed" in caplog.text
 
@@ -498,6 +497,15 @@ def test_golden_manifest_every_op(small_finance_corpus, tmp_path, plan_text, man
     save_corpus(derived, tmp_path)
     digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
     assert digest == manifest_sha256
+
+
+def test_every_op_plan_records_every_op(fig1_corpus):
+    # CI perturbs fig1 with this plan under two hash seeds and diffs the trees,
+    # so it must reach every op
+    plan = parse_plan((FIXTURES / "every_op.plan").read_text(encoding="utf-8"))
+    derived, warnings = apply_plan(fig1_corpus, plan)
+    assert {ev.op for ev in derived.lineage} == set(OPS)
+    assert warnings == []
 
 
 def test_op_lists_in_docs_follow_the_op_table():

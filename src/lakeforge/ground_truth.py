@@ -12,117 +12,190 @@ is the matcher's job. Semantic types, declared joins and lineage adjacency
 play no part. A pair is easy when its two column headers are equal after
 `norm_header`, and difficult otherwise.
 
-Both functions read one posting index (`_postings`): each column's non-null
-value set, and each value's posting list of the columns holding it, in the
-manner of JOSIE's value -> set index (Zhu et al., SIGMOD 2019). Exact and pkfk
-pairs are exactly the cross-table column pairs that share a posting list;
-pkfk needs a non-empty contained side, so it always shares one. A mapping
-entry v -> h(v) connects the columns holding v with those holding h(v), so
-walking the mappings in event-id order finds every semantic pair together
-with its earliest mapping, the pair's `mapping_id`. Equal posting lists share
-one id, so each mapping walks its distinct (image list, source list) links
-once.
+Both the ground truth and the joinable columns read one `ValueIndex`. It
+groups columns into value classes, the columns whose non-null value set is
+the same: a corpus has many copies of few value sets. Each value's posting
+list holds the classes whose set contains it, in the manner of JOSIE's
+value -> set index (Zhu et al., SIGMOD 2019), and only a new class posts its
+values. `apply_plan` builds one index per run: it adds each derivative as it
+enters the corpus and removes the base tables that `originals drop` takes
+out, and its joinability snapshots and its final recompute read that index.
+
+Two columns share a value exactly when their classes share a posting list,
+so exact and pkfk are decided once per such class pair: containment is a
+property of the two classes, and only which member is its table's key varies.
+A mapping entry v -> h(v) connects the classes holding v with those holding
+h(v), so walking the mappings in event-id order gives each connected class
+pair sharing no value its earliest mapping, the pair's `mapping_id`. Each
+class pair's label is then emitted for every member pair that spans two
+tables. An all-null column's class is empty, so it never pairs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
-from .common import norm_header
+from .common import NULL, norm_header
 from .model import (
     DIFFICULT,
     EASY,
     ColumnRef,
     Corpus,
     JoinPair,
+    LineageEvent,
     TableData,
     KIND_EXACT,
     KIND_PKFK,
     KIND_SEMANTIC,
 )
 
-Postings = dict[str, list[ColumnRef]]
+
+class ValueIndex:
+    """The columns of a set of tables grouped into value classes.
+
+    `class_of` maps each column to its class id, `sets[c]` is class c's value
+    set and `members[c]` its columns, `near[c]` the classes sharing a value
+    with c (c itself unless its set is empty), `postings` each value to the
+    classes holding it and `keys` the primary-key columns. A removed table's
+    columns leave their classes; a class is never deleted, so its id and
+    postings stay valid."""
+
+    def __init__(self, tables: Iterable[TableData]) -> None:
+        self.class_of: dict[ColumnRef, int] = {}
+        self.sets: list[frozenset[str]] = []
+        self.members: list[list[ColumnRef]] = []
+        self.near: list[set[int]] = []
+        self.postings: dict[str, list[int]] = {}
+        self.keys: set[ColumnRef] = set()
+        self._ids: dict[frozenset[str], int] = {}
+        self._columns: dict[str, list[ColumnRef]] = {}
+        for t in tables:
+            self.add(t)
+
+    def add(self, t: TableData) -> None:
+        """Index the columns of t, a table not in the index."""
+        refs = [(t.name, c) for c in t.schema.column_names()]
+        self._columns[t.name] = refs
+        if t.schema.primary_key is not None:
+            self.keys.add((t.name, t.schema.primary_key))
+        for ref, values in zip(refs, list(zip(*t.rows)) or [()] * len(refs)):
+            values = frozenset(values)
+            if NULL in values:
+                values = values - {NULL}
+            c = self._ids.get(values)
+            if c is None:
+                c = self._ids[values] = len(self.sets)
+                self.sets.append(values)
+                self.members.append([])
+                near = {c} if values else set()
+                self.near.append(near)
+                for v in values:
+                    posting = self.postings.get(v)
+                    if posting is None:
+                        self.postings[v] = [c]
+                    else:
+                        near.update(posting)
+                        posting.append(c)
+                for d in near:
+                    self.near[d].add(c)
+            self.class_of[ref] = c
+            self.members[c].append(ref)
+
+    def remove(self, name: str) -> None:
+        """Drop table `name`'s columns from the index."""
+        for ref in self._columns.pop(name):
+            self.members[self.class_of.pop(ref)].remove(ref)
+            self.keys.discard(ref)
+
+    def joinable(self) -> dict[str, set[str]]:
+        """Table -> its columns in some exact or pkfk pair: those holding a
+        value that a column of another table also holds."""
+        out: dict[str, set[str]] = {}
+        for c, refs in enumerate(self.members):
+            if refs and len({t for d in self.near[c] for t, _ in self.members[d]}) > 1:
+                for t, col in refs:
+                    out.setdefault(t, set()).add(col)
+        return out
+
+    def ground_truth(self, mappings: Iterable[LineageEvent]) -> list[JoinPair]:
+        """The ground truth of the indexed tables under `mappings`, sorted by
+        pair key."""
+        sets, members, near, postings, keys = (
+            self.sets, self.members, self.near, self.postings, self.keys
+        )
+        # the earliest mapping connecting each class pair that shares no value
+        mapped: dict[tuple[int, int], str] = {}
+        for ev in sorted(mappings, key=lambda ev: ev.event_id):
+            reach: dict[int, set[int]] = {}
+            for v, h in ev.value_map.items():
+                sources, images = postings.get(v), postings.get(h)
+                if sources and images:
+                    for d in images:
+                        reach.setdefault(d, set()).update(sources)
+            for d, sources in reach.items():
+                for c in sources:
+                    if c not in near[d]:
+                        mapped.setdefault((c, d) if c < d else (d, c), ev.event_id)
+
+        # integer ranks order the column refs: pair keys sort as ints
+        rank = {ref: i for i, ref in enumerate(sorted(self.class_of))}
+        n = len(rank)
+        # each class's members as (rank, ref, normalized header, is a key)
+        info = [
+            [(rank[ref], ref, norm_header(ref[1]), ref in keys) for ref in refs]
+            for refs in members
+        ]
+        out: list[tuple[int, JoinPair]] = []
+
+        def emit(c: int, d: int, mapping_id: str | None) -> None:
+            """Label each member pair of classes c <= d spanning two tables."""
+            # whether a member of c (of d) would be a key containing the other
+            c_keys = mapping_id is None and sets[d] <= sets[c]
+            d_keys = mapping_id is None and sets[c] <= sets[d]
+            mc, md = info[c], info[d]
+            for i, (ra, a, na, a_is_key) in enumerate(mc):
+                a_key = c_keys and a_is_key
+                for rb, b, nb, b_is_key in mc[i + 1 :] if c == d else md:
+                    if a[0] == b[0]:
+                        continue
+                    b_key = d_keys and b_is_key
+                    if ra < rb:
+                        left, right, left_key, right_key = a, b, a_key, b_key
+                        sort_key = ra * n + rb
+                    else:
+                        left, right, left_key, right_key = b, a, b_key, a_key
+                        sort_key = rb * n + ra
+                    if mapping_id is not None:
+                        kind, key_side = KIND_SEMANTIC, None
+                    elif left_key:
+                        kind, key_side = KIND_PKFK, "left"
+                    elif right_key:
+                        kind, key_side = KIND_PKFK, "right"
+                    else:
+                        kind, key_side = KIND_EXACT, None
+                    pair = JoinPair(
+                        left=left,
+                        right=right,
+                        kind=kind,
+                        difficulty=EASY if na == nb else DIFFICULT,
+                        key_side=key_side,
+                        mapping_id=mapping_id,
+                    )
+                    out.append((sort_key, pair))
+
+        for c, near_c in enumerate(near):
+            for d in near_c:
+                if d >= c:
+                    emit(c, d, None)
+        for (c, d), mapping_id in mapped.items():
+            emit(c, d, mapping_id)
+        out.sort(key=lambda e: e[0])
+        return [pair for _, pair in out]
 
 
-def _postings(tables: Iterable[TableData]) -> tuple[dict[ColumnRef, set[str]], Postings]:
-    """Each column's non-null value set, and each value -> the columns holding
-    it. A posting list holds a table's columns next to each other, in the
-    order the tables come."""
-    values: dict[ColumnRef, set[str]] = {}
-    postings: Postings = defaultdict(list)
-    for t in tables:
-        for c in t.schema.column_names():
-            ref = (t.name, c)
-            values[ref] = t.value_set(c)
-            for v in values[ref]:
-                postings[v].append(ref)
-    return values, postings
-
-
-def recompute_ground_truth(corpus: Corpus) -> list[JoinPair]:
-    """The corpus's full ground truth, sorted by pair key."""
-    values, postings = _postings(corpus.tables)
-    pks = {(t.name, t.schema.primary_key) for t in corpus.tables}
-    norms = {ref: norm_header(ref[1]) for ref in values}
-    found: dict[tuple[ColumnRef, ColumnRef], JoinPair] = {}
-
-    def add(a: ColumnRef, b: ColumnRef, kind: str, **kw) -> None:
-        difficulty = EASY if norms[a] == norms[b] else DIFFICULT
-        found[(a, b)] = JoinPair(left=a, right=b, kind=kind, difficulty=difficulty, **kw)
-
-    # many values have the same posting list: each distinct list gets one id
-    ids: dict[tuple[ColumnRef, ...], int] = {}
-    list_of = {v: ids.setdefault(tuple(refs), len(ids)) for v, refs in postings.items()}
-    lists = list(ids)
-
-    # columns sharing a value
-    near: dict[ColumnRef, set[ColumnRef]] = {}
-    for refs in lists:
-        for a in refs:
-            near.setdefault(a, set()).update(refs)
-    for a, bs in near.items():
-        for b in bs:
-            if a < b and a[0] != b[0]:
-                lv, rv = values[a], values[b]
-                if a in pks and rv <= lv:
-                    add(a, b, KIND_PKFK, key_side="left")
-                elif b in pks and lv <= rv:
-                    add(a, b, KIND_PKFK, key_side="right")
-                else:
-                    add(a, b, KIND_EXACT)
-
-    for ev in sorted(corpus.mappings(), key=lambda ev: ev.event_id):
-        # the distinct (image list, source list) links of the map, keyed by
-        # the columns holding an image, usually fewer than those holding the
-        # value it maps from
-        links: dict[int, set[int]] = {}
-        for v, h in ev.value_map.items():
-            if v in list_of and h in list_of:
-                links.setdefault(list_of[h], set()).add(list_of[v])
-        reach: dict[ColumnRef, set[ColumnRef]] = {}
-        for image, sources in links.items():
-            columns = set().union(*(lists[s] for s in sources))
-            for b in lists[image]:
-                reach.setdefault(b, set()).update(columns)
-        for b, sources in reach.items():
-            for a in sources:
-                key = (a, b) if a < b else (b, a)
-                if a[0] != b[0] and key not in found:
-                    add(*key, KIND_SEMANTIC, mapping_id=ev.event_id)
-
-    return [found[k] for k in sorted(found)]
-
-
-def joinable_columns(tables: Iterable[TableData]) -> dict[str, set[str]]:
-    """Table -> its columns in some exact or pkfk pair: those holding a value
-    that a column of another table also holds."""
-    _values, postings = _postings(tables)
-    shared: set[ColumnRef] = set()
-    for refs in postings.values():
-        if refs[0][0] != refs[-1][0]:  # a table's columns are adjacent
-            shared.update(refs)
-    out: dict[str, set[str]] = {}
-    for t, c in shared:
-        out.setdefault(t, set()).add(c)
-    return out
+def recompute_ground_truth(corpus: Corpus, *, index: ValueIndex | None = None) -> list[JoinPair]:
+    """The corpus's full ground truth, sorted by pair key. `index`, when
+    given, must index exactly the corpus's tables."""
+    if index is None:
+        index = ValueIndex(corpus.tables)
+    return index.ground_truth(corpus.mappings())

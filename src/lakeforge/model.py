@@ -125,7 +125,7 @@ class TableData:
 ColumnRef = tuple[str, str]  # (table name, column name)
 
 
-@dataclass
+@dataclass(slots=True)
 class JoinPair:
     left: ColumnRef
     right: ColumnRef

@@ -36,6 +36,7 @@ import random
 import re
 import shlex
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable
 
 from .common import (
@@ -48,7 +49,7 @@ from .common import (
     stable_hash,
 )
 from .gateway import CompletionRequest, LlmGateway, PERTURB_TEMPERATURE
-from .ground_truth import joinable_columns, recompute_ground_truth
+from .ground_truth import ValueIndex, recompute_ground_truth
 from .model import (
     Column,
     Corpus,
@@ -254,7 +255,10 @@ def _schema_as(t: TableData, name: str, keep: set[str] | list[str] | None = None
 def _project(t: TableData, keep: set[str] | list[str], name: str) -> TableData:
     schema = _schema_as(t, name, keep)
     idxs = [t.schema.column_index(c) for c in schema.column_names()]
-    return TableData(schema=schema, rows=[tuple(r[i] for i in idxs) for r in t.rows])
+    pick = itemgetter(*idxs)
+    # itemgetter of one index returns the bare value, not a 1-tuple
+    rows = [pick(r) for r in t.rows] if len(idxs) > 1 else [(pick(r),) for r in t.rows]
+    return TableData(schema=schema, rows=rows)
 
 
 def _vertical_split(t: TableData, params: dict, seed: int, name: str):
@@ -707,16 +711,19 @@ def apply_plan(
     refreshed. A step failure aborts the whole plan; a selector matching
     nothing only warns. Returns the derived corpus and warnings.
 
-    Ground truth is computed once, on the derived corpus. A step whose op
-    reads the ground truth (semantic_value_perturb) needs only which columns
-    are in an exact or pkfk pair, so it reads joinable_columns of the tables
-    derived so far. The derived corpus is not validated here; save_corpus
-    validates it before writing anything."""
+    One ValueIndex follows the tables: each derivative enters it as it
+    enters the corpus, and the bases that `originals drop` takes out leave
+    it. A step whose op reads the ground truth (semantic_value_perturb)
+    needs only which columns are in an exact or pkfk pair, so it reads the
+    index's joinable columns at the step's start. Ground truth is computed
+    once, on the derived corpus, from the same index. The derived corpus is
+    not validated here; save_corpus validates it before writing anything."""
     warnings: list[str] = []
     tables: dict[str, TableData] = {t.name: t for t in corpus.tables}
     base_names = set(corpus.base_table_names())
     lineage = list(corpus.lineage)
     consumed: set[str] = set()
+    index = ValueIndex(tables.values())
     if not plan.steps:
         _record(lineage, LineageEvent(event_id="", op="noop", source=("", None), result=("", None)))
 
@@ -728,7 +735,7 @@ def apply_plan(
             try:
                 k = _run_step(
                     step, k, tables, base_names, lineage, warnings,
-                    corpus.seed, gateway, consumed,
+                    corpus.seed, gateway, consumed, index,
                 )
             except PerturbationError:
                 raise
@@ -747,7 +754,8 @@ def apply_plan(
     if not plan.keep_originals:
         # a consumed derived table stays: its own lineage event names it
         for name in consumed & base_names:
-            tables.pop(name, None)
+            del tables[name]
+            index.remove(name)
 
     derived = Corpus(
         tables=list(tables.values()),
@@ -755,7 +763,7 @@ def apply_plan(
         lineage=lineage,
         seed=corpus.seed,
     )
-    derived.ground_truth = recompute_ground_truth(derived)
+    derived.ground_truth = recompute_ground_truth(derived, index=index)
     derived.refresh_stats()
     return derived, warnings
 
@@ -781,6 +789,7 @@ def _run_step(
     seed: int,
     gateway: LlmGateway | None,
     consumed: set[str],
+    index: ValueIndex,
 ) -> int:
     pool = [
         name
@@ -793,7 +802,7 @@ def _run_step(
         return k + 1
     specs = [OPS[op] for op in step.ops]
     # which columns of the tables derived so far are in an exact or pkfk pair
-    joinable_by_table = joinable_columns(tables.values()) if any(spec.snapshot for spec in specs) else {}
+    joinable_by_table = index.joinable() if any(spec.snapshot for spec in specs) else {}
     label = "_".join(step.ops)
     seed_base = seed + step.seed_offset
 
@@ -810,6 +819,7 @@ def _run_step(
             for child in children:
                 _check_unused(tables, child.name, name, k)
                 tables[child.name] = child
+                index.add(child)
                 _record(
                     lineage,
                     LineageEvent(
@@ -891,6 +901,7 @@ def _run_step(
         _check_unused(tables, child_name, name, k)
         child.validate()
         tables[child_name] = child
+        index.add(child)
         consumed.add(name)
         # a later header op in the chain may have renamed columns after a value
         # event was recorded; point result columns at their final names

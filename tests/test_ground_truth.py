@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.generate import generate_base_tables, plan_generation
-from lakeforge.ground_truth import joinable_columns, recompute_ground_truth
+from lakeforge.ground_truth import ValueIndex, recompute_ground_truth
 from lakeforge.model import (
     Column,
     Corpus,
@@ -348,7 +348,7 @@ def test_joinable_columns_are_the_exact_and_pkfk_columns(corpus):
         if p.kind in ("exact", "pkfk"):
             for t, c in (p.left, p.right):
                 expected.setdefault(t, set()).add(c)
-    assert joinable_columns(corpus.tables) == expected
+    assert ValueIndex(corpus.tables).joinable() == expected
 
 
 def _shared_pool_gateway() -> LlmGateway:
@@ -431,3 +431,144 @@ def test_a_later_mapping_connects_a_pair_sharing_no_value():
         ((("A", "x"), ("B", "y")), "semantic", "ev00001")
     ]
     assert pairs_as_set(second) == brute_force_ground_truth(corpus)
+
+
+# ---------------------------------------------------------------------------
+# the value index
+# ---------------------------------------------------------------------------
+
+
+def _oracle_joinable(corpus) -> dict[str, set[str]]:
+    """Table -> its columns in an exact or pkfk pair of the oracle."""
+    out = {}
+    for left, right, kind, *_ in brute_force_ground_truth(corpus):
+        if kind in ("exact", "pkfk"):
+            for t, c in (left, right):
+                out.setdefault(t, set()).add(c)
+    return out
+
+
+def test_index_grown_and_shrunk_equals_a_fresh_one(small_finance_corpus):
+    derived, _ = apply_plan(small_finance_corpus, default_plan())
+    tables = derived.tables
+    index = ValueIndex([])
+    for t in reversed(tables):
+        index.add(t)
+    dropped = {t.name for t in tables[::3]}
+    for name in sorted(dropped):
+        index.remove(name)
+    kept = corpus_of(*(t for t in tables if t.name not in dropped), lineage=derived.lineage)
+    fresh = ValueIndex(kept.tables)
+    assert index.joinable() == fresh.joinable() == _oracle_joinable(kept)
+    pairs = recompute_ground_truth(kept, index=index)
+    assert pairs == recompute_ground_truth(kept, index=fresh) == recompute_ground_truth(kept)
+    assert pairs_as_set(pairs) == brute_force_ground_truth(kept)
+    assert any(p.kind == "semantic" for p in pairs)
+    # a removed table comes back as it was
+    for t in tables:
+        if t.name in dropped:
+            index.add(t)
+    assert recompute_ground_truth(derived, index=index) == derived.ground_truth
+
+
+def test_all_null_column_never_pairs():
+    a = table("A", [("n", "Tag", "text"), ("x", "Tag", "text")], [("", "1"), ("", "2")])
+    b = table("B", [("n", "Tag", "text"), ("y", "Tag", "text")], [("", "2")])
+    ev = LineageEvent(
+        event_id="ev00001", op="text_noise", source=("A", "n"), result=("B", "n"),
+        value_map={"": "2", "1": ""},
+    )
+    corpus = corpus_of(a, b, lineage=[ev])
+    index = ValueIndex(corpus.tables)
+    # both all-null columns fall in the one empty class
+    assert index.class_of[("A", "n")] == index.class_of[("B", "n")]
+    assert index.joinable() == {"A": {"x"}, "B": {"y"}}
+    pairs = recompute_ground_truth(corpus, index=index)
+    assert [(p.key(), p.kind) for p in pairs] == [((("A", "x"), ("B", "y")), "exact")]
+    assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
+
+
+def test_one_tables_columns_in_one_class_never_pair():
+    a = table("A", [("x", "Tag", "text"), ("y", "Tag", "text")], [("1", "1"), ("2", "2")], pk="x")
+    index = ValueIndex([a])
+    assert index.class_of[("A", "x")] == index.class_of[("A", "y")]
+    assert index.joinable() == {}
+    assert recompute_ground_truth(corpus_of(a), index=index) == []
+    b = table("B", [("z", "Tag", "text")], [("2",)])
+    index.add(b)
+    corpus = corpus_of(a, b)
+    pairs = recompute_ground_truth(corpus, index=index)
+    assert [(p.key(), p.kind, p.key_side) for p in pairs] == [
+        ((("A", "x"), ("B", "z")), "pkfk", "left"),
+        ((("A", "y"), ("B", "z")), "exact", None),
+    ]
+    assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
+
+
+def test_identical_key_copies_are_pkfk_left():
+    # each side is a key containing the other: the left side wins
+    a = table("A", [("id", "Key", "text")], [("1",), ("2",)], pk="id")
+    b = table("B", [("id", "Key", "text")], [("2",), ("1",)], pk="id")
+    corpus = corpus_of(b, a)
+    pairs = recompute_ground_truth(corpus)
+    assert [(p.key(), p.kind, p.key_side) for p in pairs] == [
+        ((("A", "id"), ("B", "id")), "pkfk", "left")
+    ]
+    assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
+
+
+# steps that apply to small_finance_corpus and its derivatives in any round
+_GROWTH_STEPS = [
+    'step "Monetary Amount" vertical_split overlap_ratio=0.4',
+    'step "Currency Name*" horizontal_split row_overlap_ratio=0.3 scope=all',
+    'step "Postal Address" remove_columns keep=postal_address_id,City,Zip*',
+    'step "Organization*" sample_rows fraction=0.6 scope=all',
+    'step "Listed Security" cryptify_headers+text_noise typo_rate=0.5',
+]
+_SEMANTIC_STEPS = [
+    'step "Currency Name*" semantic_value_perturb scope=all',
+    'step "Organization*" semantic_value_perturb scope=all',
+]
+
+
+@st.composite
+def _plans(draw):
+    """A plan of 1-3 growth steps followed by a semantic_value_perturb step,
+    whose target, when set, repeats them over several rounds."""
+    lines = []
+    target = draw(st.one_of(st.none(), st.integers(10, 22)))
+    if target is not None:
+        lines.append(f"target {target}")
+    lines.append(f"originals {draw(st.sampled_from(['keep', 'drop']))}")
+    lines += draw(st.lists(st.sampled_from(_GROWTH_STEPS), min_size=1, max_size=3, unique=True))
+    lines.append(draw(st.sampled_from(_SEMANTIC_STEPS)))
+    return parse_plan("\n".join(lines) + "\n")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(plan=_plans())
+def test_carried_index_equals_fresh_recompute_over_random_plans(small_finance_corpus, plan):
+    import lakeforge.perturb as perturb_module
+
+    run_step, joinable = perturb_module._run_step, ValueIndex.joinable
+    starting: list[dict] = []
+    snapshots: list[tuple[dict, dict]] = []  # (a step's starting tables, its joinable columns)
+
+    def recording_step(step, k, tables, *args):
+        starting.append(dict(tables))
+        return run_step(step, k, tables, *args)
+
+    def recording_joinable(self):
+        out = joinable(self)
+        snapshots.append((starting[-1], out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(perturb_module, "_run_step", recording_step)
+        mp.setattr(ValueIndex, "joinable", recording_joinable)
+        derived, _ = apply_plan(small_finance_corpus, plan)
+    assert snapshots
+    for tables, out in snapshots:
+        assert out == ValueIndex(tables.values()).joinable()
+    assert derived.ground_truth == recompute_ground_truth(derived)
+    assert pairs_as_set(derived.ground_truth) == brute_force_ground_truth(derived)

@@ -8,7 +8,7 @@ from helpers import ALL_OPS, FIXTURES, apply_value_noise, reference_levenshtein,
 
 from lakeforge.common import PerturbationError
 from lakeforge.gateway import GatewayConfig, LlmGateway
-from lakeforge.ground_truth import joinable_columns
+from lakeforge.ground_truth import ValueIndex, recompute_ground_truth
 from lakeforge.model import (
     Column,
     TableData,
@@ -112,6 +112,14 @@ def test_remove_columns_and_sample_rows():
     assert kept.schema.column_names() == ["col 0", "col 2"]
     (sampled,), _event = OPS["sample_rows"].handler(t, {"fraction": 0.3}, 1, "W")
     assert len(sampled.rows) == 3
+
+
+def test_projection_rows_are_tuples_of_the_kept_columns():
+    t = wide_table(5, n_rows=10)
+    (one,), _event = OPS["remove_columns"].handler(t, {"keep": ["col 3"]}, 0, "W")
+    assert one.rows == [(r[3],) for r in t.rows]
+    (two,), _event = OPS["remove_columns"].handler(t, {"keep": ["col 4", "col 1"]}, 0, "W")
+    assert two.rows == [(r[1], r[4]) for r in t.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +245,7 @@ def _semantic(corpus, table, column, gateway=None, backend="offline"):
     """The semantic_value_perturb handler on one column of corpus, as a step
     would run it: (new values, value_map)."""
     t = corpus.table(table)
-    joinable = joinable_columns(corpus.tables).get(table, set())
+    joinable = ValueIndex(corpus.tables).joinable().get(table, set())
     source = perturb_module._Source(t, column, joinable, gateway)
     values, value_map, _cells = OPS["semantic_value_perturb"].handler(
         t.column_values(column), {"backend": backend}, None, source
@@ -506,6 +514,24 @@ def test_every_op_plan_records_every_op(fig1_corpus):
     derived, warnings = apply_plan(fig1_corpus, plan)
     assert {ev.op for ev in derived.lineage} == set(OPS)
     assert warnings == []
+
+
+def test_rounds_drop_plan_snapshots_in_a_later_round_and_drops(fig1_corpus):
+    # CI perturbs fig1 with this plan under two hash seeds and diffs the trees,
+    # so it must reach a second round's joinability snapshot and the drop of
+    # consumed base tables
+    plan = parse_plan((FIXTURES / "rounds_drop.plan").read_text(encoding="utf-8"))
+    derived, warnings = apply_plan(fig1_corpus, plan)
+    steps = len(plan.steps)
+    semantic_steps = {
+        int(ev.result[0].rsplit("_", 1)[1])
+        for ev in derived.lineage
+        if ev.op == "semantic_value_perturb"
+    }
+    assert any(k >= steps for k in semantic_steps)
+    assert derived.base_table_names() == ["Postal Address"]
+    assert warnings == []
+    assert derived.ground_truth == recompute_ground_truth(derived)
 
 
 def test_op_lists_in_docs_follow_the_op_table():

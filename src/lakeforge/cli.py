@@ -4,11 +4,15 @@ matching/evaluation, and corpus statistics.
 Exit codes: 0 success, 2 input error, 3 generation error, 4 perturbation
 error, 5 evaluation error. All randomness flows from --seed; the gateway
 defaults to replay mode so nothing touches the network unless asked to.
+
+`main` runs each command with the cyclic collector paused, then restores it:
+every stage builds an acyclic model, which collections would walk for nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -253,11 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except LakeforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

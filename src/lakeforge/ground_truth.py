@@ -20,6 +20,7 @@ value -> set index (Zhu et al., SIGMOD 2019), and only a new class posts its
 values. `apply_plan` builds one index per run: it adds each derivative as it
 enters the corpus and removes the base tables that `originals drop` takes
 out, and its joinability snapshots and its final recompute read that index.
+A derivative's column copied unchanged joins its source's class unhashed.
 
 Two columns share a value exactly when their classes share a posting list,
 so exact and pkfk are decided once per such class pair: containment is a
@@ -33,6 +34,7 @@ tables. An all-null column's class is empty, so it never pairs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
 
 from .common import NULL, norm_header
@@ -72,17 +74,21 @@ class ValueIndex:
         for t in tables:
             self.add(t)
 
-    def add(self, t: TableData) -> None:
-        """Index the columns of t, a table not in the index."""
+    def add(self, t: TableData, copies: dict[str, ColumnRef] | None = None) -> None:
+        """Index the columns of t, a table not in the index. `copies` maps a
+        column of t to an indexed column of equal values, whose class it joins."""
         refs = [(t.name, c) for c in t.schema.column_names()]
         self._columns[t.name] = refs
         if t.schema.primary_key is not None:
             self.keys.add((t.name, t.schema.primary_key))
-        for ref, values in zip(refs, list(zip(*t.rows)) or [()] * len(refs)):
-            values = frozenset(values)
-            if NULL in values:
-                values = values - {NULL}
-            c = self._ids.get(values)
+        copies = copies or {}
+        for i, ref in enumerate(refs):
+            c = self.class_of.get(copies.get(ref[1]))
+            if c is None:
+                values = frozenset(map(itemgetter(i), t.rows))
+                if NULL in values:
+                    values = values - {NULL}
+                c = self._ids.get(values)
             if c is None:
                 c = self._ids[values] = len(self.sets)
                 self.sets.append(values)

@@ -12,17 +12,19 @@ time. Ground-truth pairs, most of a large manifest, are written straight from
 `JoinPair`s through a fixed template rather than through a dict per pair.
 Loading checks each ground-truth entry's types first, which is what keeps a
 loaded pair within that template.
+Validation decides with set and map passes, and looks for the first fault
+item by item only when one fails, so its messages are those of a loop.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .common import NULL, CorpusError, _write_json, slugify, unique_name
@@ -95,23 +97,19 @@ class TableData:
     def validate(self) -> None:
         self.schema.validate()
         width = len(self.schema.columns)
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != width:
-                raise CorpusError(
-                    f"table {self.name!r} row {i}: arity {len(row)} != column count {width}"
-                )
+        if not set(map(len, self.rows)) <= {width}:
+            i, row = next((i, row) for i, row in enumerate(self.rows, start=1) if len(row) != width)
+            raise CorpusError(f"table {self.name!r} row {i}: arity {len(row)} != column count {width}")
         if self.schema.primary_key is not None and self.rows:
-            idx = self.schema.column_index(self.schema.primary_key)
-            seen: set[str] = set()
-            for i, row in enumerate(self.rows, start=1):
-                v = row[idx]
-                if v == NULL:
-                    raise CorpusError(f"table {self.name!r} row {i}: null primary key")
-                if v in seen:
-                    raise CorpusError(
-                        f"table {self.name!r} row {i}: duplicate primary key {v!r}"
-                    )
-                seen.add(v)
+            keys = list(map(itemgetter(self.schema.column_index(self.schema.primary_key)), self.rows))
+            if NULL in keys or len(set(keys)) != len(keys):
+                seen: set[str] = set()
+                for i, v in enumerate(keys, start=1):
+                    if v == NULL:
+                        raise CorpusError(f"table {self.name!r} row {i}: null primary key")
+                    if v in seen:
+                        raise CorpusError(f"table {self.name!r} row {i}: duplicate primary key {v!r}")
+                    seen.add(v)
 
     def column_values(self, column: str) -> list[str]:
         idx = self.schema.column_index(column)
@@ -146,32 +144,6 @@ class JoinPair:
 
     def key(self) -> tuple[ColumnRef, ColumnRef]:
         return (self.left, self.right)
-
-    @staticmethod
-    def from_dict(d: dict) -> "JoinPair":
-        """The pair of a manifest's ground-truth entry. A missing key raises
-        KeyError, and a value of the wrong type CorpusError."""
-        if not isinstance(d, dict):
-            raise CorpusError(f"not an object: {d!r}")
-        left, right, kind = d["left"], d["right"], d["kind"]
-        difficulty = d.get("difficulty", EASY)
-        key_side, mapping_id = d.get("key_side"), d.get("mapping_id")
-        if not _is_ref(left):
-            raise CorpusError(f"'left' is not a list of two strings: {left!r}")
-        if not _is_ref(right):
-            raise CorpusError(f"'right' is not a list of two strings: {right!r}")
-        if not isinstance(kind, str):
-            raise CorpusError(f"'kind' is not a string: {kind!r}")
-        if not isinstance(difficulty, str):
-            raise CorpusError(f"'difficulty' is not a string: {difficulty!r}")
-        if not (key_side is None or isinstance(key_side, str)):
-            raise CorpusError(f"'key_side' is neither a string nor null: {key_side!r}")
-        if not (mapping_id is None or isinstance(mapping_id, str)):
-            raise CorpusError(f"'mapping_id' is neither a string nor null: {mapping_id!r}")
-        return JoinPair(
-            left=left, right=right, kind=kind, difficulty=difficulty,
-            key_side=key_side, mapping_id=mapping_id,
-        )
 
 
 def _is_ref(value: object) -> bool:
@@ -363,34 +335,34 @@ class Corpus:
         return [ev for ev in self.lineage if ev.value_map]
 
     def validate(self) -> None:
-        names = self.table_names()
-        if len(set(names)) != len(names):
+        if len(self._by_name) != len(self.tables):
             raise CorpusError("duplicate table names in corpus")
-        base = set(self.base_table_names())
+        derived = {ev.result[0] for ev in self.lineage if ev.op != "noop"}
         for t in self.tables:
             t.validate()
-            if t.name in base:
+            if t.name not in derived:
                 for c in t.schema.columns:
                     if not c.semantic_type:
                         raise CorpusError(
                             f"base table {t.name!r} column {c.name!r} lacks a semantic type"
                         )
-        columns = {t.name: set(t.schema.column_names()) for t in self.tables}
-        for p in self.ground_truth:
-            for table, column in (p.left, p.right):
-                names = columns.get(table)
-                if names is None:
-                    raise CorpusError(f"ground truth references missing table {table!r}")
-                if column not in names:
-                    raise CorpusError(f"table {table!r} has no column {column!r}")
-            if p.kind not in JOIN_KINDS:
-                raise CorpusError(f"unknown join kind {p.kind!r}")
-        for ev in self.lineage:
-            if ev.op == "noop":
-                continue
-            rt = ev.result[0]
-            if not self.has_table(rt):
-                raise CorpusError(f"lineage event {ev.event_id} result table {rt!r} missing")
+        refs = {(t.name, c.name) for t in self.tables for c in t.schema.columns}
+        if not (
+            refs.issuperset(map(attrgetter("left"), self.ground_truth))
+            and refs.issuperset(map(attrgetter("right"), self.ground_truth))
+            and set(JOIN_KINDS).issuperset(map(attrgetter("kind"), self.ground_truth))
+        ):
+            for p in self.ground_truth:
+                for table, column in (p.left, p.right):
+                    if not self.has_table(table):
+                        raise CorpusError(f"ground truth references missing table {table!r}")
+                    if (table, column) not in refs:
+                        raise CorpusError(f"table {table!r} has no column {column!r}")
+                if p.kind not in JOIN_KINDS:
+                    raise CorpusError(f"unknown join kind {p.kind!r}")
+        if not self._by_name.keys() >= derived:
+            ev = next(ev for ev in self.lineage if ev.op != "noop" and not self.has_table(ev.result[0]))
+            raise CorpusError(f"lineage event {ev.event_id} result table {ev.result[0]!r} missing")
         expect = compute_stats(self)
         if expect != self.stats:
             raise CorpusError(
@@ -405,8 +377,9 @@ def compute_stats(corpus: Corpus) -> CorpusStats:
     n = len(corpus.tables)
     avg_rows = round(sum(len(t.rows) for t in corpus.tables) / n, 4) if n else 0.0
     avg_cols = round(sum(len(t.schema.columns) for t in corpus.tables) / n, 4) if n else 0.0
-    exact = sum(1 for p in corpus.ground_truth if p.kind in (KIND_EXACT, KIND_PKFK))
-    semantic = sum(1 for p in corpus.ground_truth if p.kind == KIND_SEMANTIC)
+    kinds = list(map(attrgetter("kind"), corpus.ground_truth))
+    exact = kinds.count(KIND_EXACT) + kinds.count(KIND_PKFK)
+    semantic = kinds.count(KIND_SEMANTIC)
     return CorpusStats(
         tables=n,
         base_tables=len(corpus.base_table_names()),
@@ -539,21 +512,9 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load and verify a corpus directory written by save_corpus.
-
-    The cyclic collector is paused meanwhile: a load builds hundreds of
-    thousands of objects in an acyclic model, so its collections could free
-    nothing."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _load_corpus(Path(directory))
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load_corpus(directory: Path) -> Corpus:
+    """Load and verify a corpus directory written by save_corpus. It leaves
+    the cyclic collector alone: `cli.main` pauses it for each command."""
+    directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
         raise CorpusError(f"no {MANIFEST_NAME} in {directory}")
@@ -628,8 +589,7 @@ def _load_corpus(directory: Path) -> Corpus:
             raise CorpusError(
                 f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
             ) from None
-        reader = csv.reader(io.StringIO(text, newline=""))
-        rows = [tuple(r) for r in reader]
+        rows = list(map(tuple, csv.reader(io.StringIO(text, newline=""))))
         if not rows:
             raise CorpusError(f"table {entry['name']!r}: empty CSV (missing header)")
         header = list(rows[0])
@@ -642,10 +602,28 @@ def _load_corpus(directory: Path) -> Corpus:
     try:
         ground_truth = []
         for n, d in enumerate(manifest.get("ground_truth", []), start=1):
-            try:
-                ground_truth.append(JoinPair.from_dict(d))
-            except CorpusError as exc:
-                raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {exc}") from None
+            if not isinstance(d, dict):
+                bad = f"not an object: {d!r}"
+            else:
+                left, right, kind = d["left"], d["right"], d["kind"]
+                difficulty = d.get("difficulty", EASY)
+                key_side, mapping_id = d.get("key_side"), d.get("mapping_id")
+                if not _is_ref(left):
+                    bad = f"'left' is not a list of two strings: {left!r}"
+                elif not _is_ref(right):
+                    bad = f"'right' is not a list of two strings: {right!r}"
+                elif not isinstance(kind, str):
+                    bad = f"'kind' is not a string: {kind!r}"
+                elif not isinstance(difficulty, str):
+                    bad = f"'difficulty' is not a string: {difficulty!r}"
+                elif not (key_side is None or isinstance(key_side, str)):
+                    bad = f"'key_side' is neither a string nor null: {key_side!r}"
+                elif not (mapping_id is None or isinstance(mapping_id, str)):
+                    bad = f"'mapping_id' is neither a string nor null: {mapping_id!r}"
+                else:
+                    ground_truth.append(JoinPair(left, right, kind, difficulty, key_side, mapping_id))
+                    continue
+            raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {bad}")
         lineage = []
         for n, d in enumerate(manifest.get("lineage", []), start=1):
             try:

@@ -12,7 +12,8 @@ Plan files are line-oriented:
     step <table_glob> <op[+op...]> [key=value ...]
 
 Common step parameters: col=<column glob>, scope=base|all (default base),
-seed_offset=<int>. Quoting works for names with spaces. A composite op chain
+seed_offset=<int>, keep=<glob,...>; any other key must name a parameter of
+an op of the step. Quoting works for names with spaces. A composite op chain
 ("cryptify_headers+text_noise") builds a single derivative; it may contain at
 most one value-level op and no table-shape op. A derivative for which the
 chain records no lineage event (a value op alone that changed no cell) is
@@ -130,8 +131,8 @@ _NUMERIC_PARAMS = {
 
 def _validate_params(ops: list[str], params: dict, where: str) -> None:
     """Numeric parameters must be numbers (not booleans) within their range,
-    unique_key a boolean; the string parameters an op of the step declares
-    (`OpSpec.choices`) must name a known choice."""
+    unique_key a boolean; a string parameter an op of the step declares with
+    choices (`OpSpec.params`) must name one of them."""
     for key, (bounds, within) in _NUMERIC_PARAMS.items():
         if key not in params:
             continue
@@ -142,8 +143,8 @@ def _validate_params(ops: list[str], params: dict, where: str) -> None:
     if not isinstance(params.get("unique_key", False), bool):
         raise PerturbationError(f"{where}: unique_key must be true or false, got {params['unique_key']!r}")
     for op in ops:
-        for key, allowed in OPS[op].choices.items():
-            if key in params and params[key] not in allowed:
+        for key, allowed in OPS[op].params.items():
+            if allowed and key in params and params[key] not in allowed:
                 raise PerturbationError(
                     f"{where}: {op} {key} must be one of {'|'.join(allowed)}, "
                     f"got {params[key]!r}"
@@ -212,8 +213,10 @@ def parse_plan(text: str) -> PerturbationPlan:
                     ) from None
             elif key == "keep":
                 params["keep"] = val.split(",")
-            else:
+            elif any(key in OPS[op].params for op in ops):
                 params[key] = _parse_value(val)
+            else:
+                raise PerturbationError(f"line {lineno}: {op_field} takes no parameter {key}")
         _validate_params(ops, params, f"line {lineno}")
         plan.steps.append(
             PerturbStep(
@@ -649,32 +652,33 @@ class OpSpec:
             None for an empty value_map or cell_changes
 
     eligible(table, column, params, joinable columns) picks a value op's
-    columns when the step has no col= (None: every non-key column); choices
-    lists the values of its string parameters; snapshot says it reads which
-    columns of the tables derived so far are in an exact or pkfk pair."""
+    columns when the step has no col= (None: every non-key column); params
+    maps each parameter they read to its choices (None: any value); snapshot
+    says it reads which columns of the tables derived so far are in an exact
+    or pkfk pair."""
 
     kind: str
     handler: Callable
     eligible: Callable[[TableData, Column, dict, set[str]], bool] | None = None
-    choices: dict[str, tuple] = field(default_factory=dict)
+    params: dict[str, tuple | None] = field(default_factory=dict)
     snapshot: bool = False
 
 
 OPS: dict[str, OpSpec] = {
-    "numeric_jitter": OpSpec(VALUE, _numeric_jitter, _is_numeric),
-    "duplicates": OpSpec(VALUE, _cell_op(lambda rng, distinct: rng.choice(distinct))),
-    "text_noise": OpSpec(VALUE, _text_noise, _is_text, {"mode": tuple(_TEXT_MODES)}),
+    "numeric_jitter": OpSpec(VALUE, _numeric_jitter, _is_numeric, {"rel_scale": None}),
+    "duplicates": OpSpec(VALUE, _cell_op(lambda rng, distinct: rng.choice(distinct)), params={"rate": None}),
+    "text_noise": OpSpec(VALUE, _text_noise, _is_text, {"typo_rate": None, "mode": tuple(_TEXT_MODES)}),
     "format_noise": OpSpec(VALUE, _format_noise, _is_formattable, {"kind": tuple(_FORMAT_KINDS)}),
-    "inject_nulls": OpSpec(VALUE, _cell_op(lambda rng, distinct: NULL)),
+    "inject_nulls": OpSpec(VALUE, _cell_op(lambda rng, distinct: NULL), params={"rate": None}),
     "semantic_value_perturb": OpSpec(
         VALUE, _semantic_value_perturb, _is_joinable, {"backend": ("offline", "llm")}, snapshot=True
     ),
     "cryptify_headers": OpSpec(SCHEMA, _cryptify_headers),
-    "header_typos": OpSpec(SCHEMA, _header_typos),
-    "vertical_split": OpSpec(SHAPE, _vertical_split),
-    "horizontal_split": OpSpec(SHAPE, _horizontal_split),
-    "remove_columns": OpSpec(SHAPE, _remove_columns),
-    "sample_rows": OpSpec(SHAPE, _sample_rows),
+    "header_typos": OpSpec(SCHEMA, _header_typos, params={"rate": None}),
+    "vertical_split": OpSpec(SHAPE, _vertical_split, params={"overlap_ratio": None, "unique_key": None}),
+    "horizontal_split": OpSpec(SHAPE, _horizontal_split, params={"row_overlap_ratio": None}),
+    "remove_columns": OpSpec(SHAPE, _remove_columns, params={"keep": None}),
+    "sample_rows": OpSpec(SHAPE, _sample_rows, params={"fraction": None}),
 }
 
 
@@ -819,7 +823,9 @@ def _run_step(
             for child in children:
                 _check_unused(tables, child.name, name, k)
                 tables[child.name] = child
-                index.add(child)
+                # shape ops only select rows and columns: a child with every row copies its columns
+                copies = {c: (name, c) for c in child.schema.column_names()}
+                index.add(child, copies if len(child.rows) == len(src.rows) else None)
                 _record(
                     lineage,
                     LineageEvent(
@@ -832,18 +838,19 @@ def _run_step(
                 )
             continue
 
-        # composite of schema and value ops building one derivative
-        child = TableData(schema=_schema_as(src, child_name), rows=list(src.rows))
-        original_name = {c: c for c in child.schema.column_names()}
+        # composite of schema and value ops building one derivative; its value
+        # op edits one transposed copy of the rows
+        schema = _schema_as(src, child_name)
+        original_name = {c: c for c in schema.column_names()}
+        columns = list(zip(*src.rows)) or [()] * len(schema.columns)
         pending: list[LineageEvent] = []
 
         for op, spec in zip(step.ops, specs):
             if spec.kind == SCHEMA:
-                new_schema, hmap = spec.handler(child.schema, step.params, step_seed)
+                schema, hmap = spec.handler(schema, step.params, step_seed)
                 original_name = {
                     hmap.get(cur, cur): orig for cur, orig in original_name.items()
                 }
-                child = TableData(schema=new_schema, rows=child.rows)
                 pending.append(
                     LineageEvent(
                         event_id="",
@@ -859,28 +866,27 @@ def _run_step(
             if step.col_glob is not None:
                 cols = [
                     c
-                    for c in child.schema.column_names()
+                    for c in schema.column_names()
                     if fnmatch.fnmatchcase(original_name[c], step.col_glob)
                     or fnmatch.fnmatchcase(c, step.col_glob)
                 ]
             else:
                 cols = _eligible_columns(src, op, step.params, joinable)
-                cols = [c for c in child.schema.column_names() if original_name[c] in cols]
+                cols = [c for c in schema.column_names() if original_name[c] in cols]
             if not cols:
                 warnings.append(
                     f"step {k}: op {op} matched no eligible column of {name!r}"
                 )
             for cname in cols:
-                idx = child.schema.column_index(cname)
+                idx = schema.column_index(cname)
                 source = _Source(src, original_name[cname], joinable, gateway)
                 rng = seeded_rng("noise", stable_hash(step_seed, name, cname), op)
                 new_values, vmap, cell_changes = spec.handler(
-                    [r[idx] for r in child.rows], step.params, rng, source
+                    list(columns[idx]), step.params, rng, source
                 )
                 if not vmap and not cell_changes:
                     continue
-                rows = [r[:idx] + (v,) + r[idx + 1 :] for r, v in zip(child.rows, new_values)]
-                child = TableData(schema=child.schema, rows=rows)
+                columns[idx] = new_values
                 pending.append(
                     LineageEvent(
                         event_id="",
@@ -899,9 +905,13 @@ def _run_step(
             warnings.append(f"step {k}: {'+'.join(step.ops)} changed no cell of {name!r}")
             continue
         _check_unused(tables, child_name, name, k)
+        # the source columns that value events name; every row is kept, so
+        # each other column holds its source column's values
+        edited = {ev.source[1] for ev in pending} - {None}
+        child = TableData(schema=schema, rows=list(zip(*columns)) if edited else list(src.rows))
         child.validate()
         tables[child_name] = child
-        index.add(child)
+        index.add(child, {cur: (name, orig) for cur, orig in original_name.items() if orig not in edited})
         consumed.add(name)
         # a later header op in the chain may have renamed columns after a value
         # event was recorded; point result columns at their final names

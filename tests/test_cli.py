@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import FIXTURES, finance_ontology_text, reference_corpus_digest, scripted_completion
 
+from lakeforge import cli
 from lakeforge.cli import main
 from lakeforge.common import (
     CacheMiss,
@@ -14,7 +16,7 @@ from lakeforge.common import (
     LakeforgeError,
     PerturbationError,
 )
-from lakeforge.model import load_corpus, save_corpus
+from lakeforge.model import Corpus, load_corpus, save_corpus
 
 FIG1 = str(FIXTURES / "fig1.onto")
 
@@ -197,9 +199,12 @@ def fig1_base(tmp_path_factory):
         # a boolean is an int, so true would pass as 1
         ("inject_nulls rate=true", "rate must be a number, got True"),
         ("sample_rows fraction=false", "fraction must be a number, got False"),
+        # a misspelt key would leave the op on its default
+        ("vertical_split overlap=0.5 typo_rat=1", "vertical_split takes no parameter overlap"),
+        ("cryptify_headers+text_noise rate=0.5", "cryptify_headers+text_noise takes no parameter rate"),
     ],
     ids=["seed_offset", "fraction", "overlap_ratio", "rel_scale", "kind", "mode", "backend",
-         "unique_key", "rate-bool", "fraction-bool"],
+         "unique_key", "rate-bool", "fraction-bool", "unknown-key", "unknown-key-composite"],
 )
 def test_perturb_bad_plan_parameter_exit_4(tmp_path, capsys, fig1_base, step, message):
     plan = tmp_path / "bad.plan"
@@ -310,6 +315,30 @@ def test_stats_empty_corpus(tmp_path, capsys):
     code = run(["stats", "--corpus", str(tmp_path / "c")])
     assert code == 0
     assert "0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, capsys, enabled):
+    """A command runs with the cyclic collector paused; main restores its
+    prior state after a success, a LakeforgeError and an unexpected error."""
+    run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5", "--row-cap", "3"])
+    during = []
+    validate = Corpus.validate
+    monkeypatch.setattr(Corpus, "validate", lambda self: during.append(gc.isenabled()) or validate(self))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run(["stats", "--corpus", str(tmp_path / "c")]) == 0
+        assert gc.isenabled() is enabled
+        assert run(["stats", "--corpus", str(tmp_path / "missing")]) == 2
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "load_corpus", lambda path: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run(["stats", "--corpus", str(tmp_path / "c")])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert during == [False]
 
 
 def test_generate_negative_row_cap_exit_3(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import gc
 import json
 import tempfile
 from pathlib import Path
@@ -367,20 +366,62 @@ def test_manifest_and_digest_equal_the_dict_encodings(corpus):
         assert load_corpus(directory) == corpus
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_load_corpus_pauses_the_collector_and_restores_it(tmp_path, monkeypatch, enabled):
-    save_corpus(small_corpus(), tmp_path / "ok")
-    during = []
-    validate = Corpus.validate
-    monkeypatch.setattr(Corpus, "validate", lambda self: during.append(gc.isenabled()) or validate(self))
-    was_enabled = gc.isenabled()
-    try:
-        gc.enable() if enabled else gc.disable()
-        load_corpus(tmp_path / "ok")
-        assert gc.isenabled() is enabled
-        with pytest.raises(CorpusError, match="no manifest.json"):
-            load_corpus(tmp_path / "missing")
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable() if was_enabled else gc.disable()
-    assert during == [False]
+def _edit_manifest(edit):
+    """Apply `edit` to the saved manifest's values and write them back in
+    save_corpus's layout. Validation runs before the digest check, so the
+    stale digest cannot mask the fault."""
+
+    def damage(directory):
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        edit(manifest)
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+    return damage
+
+
+def _set_pair(key, value):
+    return _edit_manifest(lambda manifest: manifest["ground_truth"][0].__setitem__(key, value))
+
+
+def _rewrite_csv(file, rows):
+    def damage(directory):
+        header = (directory / file).read_bytes().split(b"\r\n")[0]
+        body = b"".join(",".join(row).encode() + b"\r\n" for row in rows)
+        (directory / file).write_bytes(header + b"\r\n" + body)
+
+    return damage
+
+
+_second_pair_kind_integer = _edit_manifest(
+    lambda manifest: manifest["ground_truth"].append(dict(manifest["ground_truth"][0], kind=3))
+)
+
+
+# small_corpus's one pair is Accounts.acct_id (left, the key) and
+# Payments.account (right)
+@pytest.mark.parametrize(
+    "damages, message",
+    [
+        ([_set_pair("right", ["Payments", "ghost"])], "table 'Payments' has no column 'ghost'"),
+        ([_set_pair("kind", "fuzzy")], "unknown join kind 'fuzzy'"),
+        ([_second_pair_kind_integer], "{manifest}: ground-truth entry 2: 'kind' is not a string: 3"),
+        (
+            [_set_pair("kind", "fuzzy"), _rewrite_csv("accounts.csv", [("1001", "Alice Johnson", "x")])],
+            "table 'Accounts' row 1: arity 3 != column count 2",
+        ),
+        ([_rewrite_csv("payments.csv", [("1", "1001"), ("1", "1001"), ("", "1002")])],
+         "table 'Payments' row 2: duplicate primary key '1'"),
+        ([_rewrite_csv("payments.csv", [("", "1001"), ("2", "1001"), ("2", "1002")])],
+         "table 'Payments' row 1: null primary key"),
+    ],
+    ids=["pair-missing-column", "pair-unknown-kind", "second-entry-bad", "arity-before-pair",
+         "duplicate-key-before-null", "null-key-before-duplicate"],
+)
+def test_load_names_the_first_fault(tmp_path, damages, message):
+    save_corpus(small_corpus(), tmp_path)
+    for damage in damages:
+        damage(tmp_path)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == message.format(manifest=tmp_path / "manifest.json")

@@ -548,11 +548,13 @@ def test_op_lists_in_docs_follow_the_op_table():
         for kind in ("value", "schema", "shape")
     }
 
-    # the README table has one row per op in table order, with kind and choices
+    # the README table has one row per op in table order, with kind, each
+    # parameter and its choices
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     documented = []
     for op, kind, params in re.findall(r"^\| `(\w+)` \| (\w+) \|(.*)\|$", readme, flags=re.M):
         params = params.replace("\\|", "|")
         choices = dict(p.split("=") for p in re.findall(r"`(\w+=\w+(?:\|\w+)+)`", params))
-        documented.append((op, kind, {k: tuple(v.split("|")) for k, v in choices.items()}))
-    assert documented == [(op, spec.kind, spec.choices) for op, spec in OPS.items()]
+        declared = {name: choices.get(name) for name in re.findall(r"`(\w+)", params)}
+        documented.append((op, kind, {k: v and tuple(v.split("|")) for k, v in declared.items()}))
+    assert documented == [(op, spec.kind, spec.params) for op, spec in OPS.items()]

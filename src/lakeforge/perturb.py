@@ -11,13 +11,14 @@ Plan files are line-oriented:
     originals keep
     step <table_glob> <op[+op...]> [key=value ...]
 
-Common step parameters: col=<column glob>, scope=base|all (default base),
-seed_offset=<int>, keep=<glob,...>; any other key must name a parameter of
-an op of the step. Quoting works for names with spaces. A composite op chain
-("cryptify_headers+text_noise") builds a single derivative; it may contain at
-most one value-level op and no table-shape op. A derivative for which the
-chain records no lineage event (a value op alone that changed no cell) is
-not added, and its step warns instead.
+Common step parameters: col=<column glob> (on a step with a value op),
+scope=base|all (default base), seed_offset=<int>; any other key must name a
+parameter an op of the step declares in `OpSpec.params` (remove_columns'
+keep=<glob,...>, header_typos' header_rate). Quoting works for names with
+spaces. A composite op chain ("cryptify_headers+text_noise") builds a single
+derivative; it may contain at most one value-level op and no table-shape op.
+A derivative for which the chain records no lineage event (a value op alone
+that changed no cell) is not added, and its step warns instead.
 
 Ops by kind, each kind in `OPS` order (README.md lists their parameters):
 
@@ -26,7 +27,7 @@ Ops by kind, each kind in `OPS` order (README.md lists their parameters):
     schema: cryptify_headers header_typos
     shape:  vertical_split horizontal_split remove_columns sample_rows
 
-A new op is one `OPS` entry: its handler.
+A new op is one `OPS` entry: its handler and its parameters.
 """
 
 from __future__ import annotations
@@ -117,38 +118,28 @@ def _parse_value(raw: str):
     return raw
 
 
-# numeric parameter -> (its range as errors show it, membership test)
-_NUMERIC_PARAMS = {
-    "rate": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "typo_rate": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "fraction": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
-    "overlap_ratio": ("(0, 1)", lambda x: 0.0 < x < 1.0),
-    # the horizontal overlap ladder starts at 0% (disjoint halves)
-    "row_overlap_ratio": ("[0, 1)", lambda x: 0.0 <= x < 1.0),
-    "rel_scale": ("[0, 1]", lambda x: 0.0 <= x <= 1.0),
-}
-
-
-def _validate_params(ops: list[str], params: dict, where: str) -> None:
-    """Numeric parameters must be numbers (not booleans) within their range,
-    unique_key a boolean; a string parameter an op of the step declares with
-    choices (`OpSpec.params`) must name one of them."""
-    for key, (bounds, within) in _NUMERIC_PARAMS.items():
-        if key not in params:
-            continue
-        if isinstance(params[key], bool) or not isinstance(params[key], (int, float)):
-            raise PerturbationError(f"{where}: {key} must be a number, got {params[key]!r}")
-        if not within(params[key]):
-            raise PerturbationError(f"{where}: {key} must be within {bounds}")
-    if not isinstance(params.get("unique_key", False), bool):
-        raise PerturbationError(f"{where}: unique_key must be true or false, got {params['unique_key']!r}")
-    for op in ops:
-        for key, allowed in OPS[op].params.items():
-            if allowed and key in params and params[key] not in allowed:
-                raise PerturbationError(
-                    f"{where}: {op} {key} must be one of {'|'.join(allowed)}, "
-                    f"got {params[key]!r}"
-                )
+def _check_param(op: str, key: str, raw: str, where: str):
+    """raw as a value of op's parameter key, if its `OpSpec.params` entry
+    accepts it: one of its choices, a number (not a boolean) in its range, or
+    else a value of its default's type."""
+    default, accepts = OPS[op].params[key]
+    if isinstance(default, list):
+        return raw.split(",")
+    value = _parse_value(raw)
+    if isinstance(accepts, tuple):
+        if value not in accepts:
+            raise PerturbationError(f"{where}: {op} {key} must be one of {'|'.join(accepts)}, got {value!r}")
+    elif isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise PerturbationError(f"{where}: {key} must be true or false, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise PerturbationError(f"{where}: {key} must be a number, got {value!r}")
+    else:
+        lo, hi = map(float, accepts[1:-1].split(","))
+        if not (lo < value < hi or value == lo and accepts[0] == "["
+                or value == hi and accepts[-1] == "]"):
+            raise PerturbationError(f"{where}: {key} must be within {accepts}")
+    return value
 
 
 def parse_plan(text: str) -> PerturbationPlan:
@@ -198,7 +189,9 @@ def parse_plan(text: str) -> PerturbationPlan:
             if "=" not in tok:
                 raise PerturbationError(f"line {lineno}: expected key=value, got {tok!r}")
             key, val = tok.split("=", 1)
-            if key == "col":
+            # no two ops that can share a step declare the same name
+            owner = next((op for op in ops if key in OPS[op].params), None)
+            if key == "col" and any(OPS[op].kind == VALUE for op in ops):
                 col_glob = val
             elif key == "scope":
                 if val not in ("base", "all"):
@@ -211,13 +204,10 @@ def parse_plan(text: str) -> PerturbationPlan:
                     raise PerturbationError(
                         f"line {lineno}: seed_offset must be an integer, got {val!r}"
                     ) from None
-            elif key == "keep":
-                params["keep"] = val.split(",")
-            elif any(key in OPS[op].params for op in ops):
-                params[key] = _parse_value(val)
+            elif owner is not None:
+                params[key] = _check_param(owner, key, val, f"line {lineno}")
             else:
                 raise PerturbationError(f"line {lineno}: {op_field} takes no parameter {key}")
-        _validate_params(ops, params, f"line {lineno}")
         plan.steps.append(
             PerturbStep(
                 table_glob=table_glob,
@@ -270,8 +260,8 @@ def _vertical_split(t: TableData, params: dict, seed: int, name: str):
     Shared column count is max(1, round(overlap_ratio * columns)). Both
     children keep every row; with unique_key the first child keeps only the
     first row per distinct shared-column tuple."""
-    overlap_ratio = params.get("overlap_ratio", 0.2)
-    unique_key = params.get("unique_key", False)
+    overlap_ratio = params["overlap_ratio"]
+    unique_key = params["unique_key"]
     cols = t.schema.column_names()
     if len(cols) < 2:
         raise PerturbationError(f"cannot vertically split single-column table {t.name!r}")
@@ -299,7 +289,7 @@ def _horizontal_split(t: TableData, params: dict, seed: int, name: str):
     """Split rows into `<name>_a` and `<name>_b` with round(row_overlap_ratio
     * rows) shared rows; the union covers every row and both children keep
     the parent schema."""
-    row_overlap_ratio = params.get("row_overlap_ratio", 0.1)
+    row_overlap_ratio = params["row_overlap_ratio"]
     n = len(t.rows)
     if n < 2:
         raise PerturbationError(f"cannot horizontally split table {t.name!r} with < 2 rows")
@@ -325,11 +315,10 @@ def _horizontal_split(t: TableData, params: dict, seed: int, name: str):
 
 def _remove_columns(t: TableData, params: dict, seed: int, name: str):
     """Project onto the columns matching any `keep` pattern."""
-    keep = params.get("keep", ["*"])
     keep_names = [
         c.name
         for c in t.schema.columns
-        if any(fnmatch.fnmatchcase(c.name, pat) for pat in keep)
+        if any(fnmatch.fnmatchcase(c.name, pat) for pat in params["keep"])
     ]
     if not keep_names:
         raise PerturbationError(f"remove_columns keeps nothing of table {t.name!r}")
@@ -337,7 +326,7 @@ def _remove_columns(t: TableData, params: dict, seed: int, name: str):
 
 
 def _sample_rows(t: TableData, params: dict, seed: int, name: str):
-    fraction = params.get("fraction", 0.5)
+    fraction = params["fraction"]
     count = min(len(t.rows), round_half_up(float(fraction) * len(t.rows)))
     rng = seeded_rng("sample", seed, t.name)
     idxs = sorted(rng.sample(range(len(t.rows)), count))
@@ -402,7 +391,7 @@ def _cryptify_headers(schema: TableSchema, params: dict, seed: int):
 def _header_typos(schema: TableSchema, params: dict, seed: int):
     rng = seeded_rng("header_typos", seed, schema.name)
     names = schema.column_names()
-    count = min(len(names), round_half_up(float(params.get("rate", 0.3)) * len(names)))
+    count = min(len(names), round_half_up(float(params["header_rate"]) * len(names)))
     chosen = set(rng.sample(names, count))
     used = set(names)
     mapping = {name: _fresh_typo(name, rng, used) if name in chosen else name for name in names}
@@ -438,7 +427,7 @@ def _by_map(values: list[str], value_map: dict[str, str]):
 
 
 def _numeric_jitter(values, params, rng, source):
-    scale = float(params.get("rel_scale", 0.01))
+    scale = float(params["rel_scale"])
     value_map: dict[str, str] = {}
     for v in _distinct(values):
         dec = _decimals_of(v)
@@ -456,9 +445,8 @@ def _cell_op(replacement: Callable[[random.Random, list[str]], str]):
     replacement(rng, distinct values); unchanged cells are not recorded."""
 
     def handler(values, params, rng, source):
-        rate = float(params.get("rate", 0.1))
         candidates = [i for i, v in enumerate(values) if v != NULL]
-        count = min(len(candidates), round_half_up(rate * len(values)))
+        count = min(len(candidates), round_half_up(float(params["rate"]) * len(values)))
         chosen = sorted(rng.sample(candidates, count))
         distinct = _distinct(values)
         out = list(values)
@@ -474,8 +462,7 @@ def _cell_op(replacement: Callable[[random.Random, list[str]], str]):
 
 
 def _typo_map(distinct: list[str], params: dict, rng: random.Random) -> dict[str, str]:
-    rate = float(params.get("typo_rate", 1.0))
-    count = min(len(distinct), round_half_up(rate * len(distinct)))
+    count = min(len(distinct), round_half_up(float(params["typo_rate"]) * len(distinct)))
     chosen = rng.sample(distinct, count)
     taken = set(distinct)
     value_map = {}
@@ -497,7 +484,7 @@ def _word_removal_map(distinct: list[str], params: dict, rng: random.Random) -> 
     return value_map
 
 
-# text_noise mode -> builder of its value map; the first is the default
+# text_noise mode -> builder of its value map
 _TEXT_MODES = {
     "typos": _typo_map,
     "synonyms": lambda distinct, params, rng: _map_distinct(
@@ -511,11 +498,10 @@ _TEXT_MODES = {
 
 
 def _text_noise(values, params, rng, source):
-    return _by_map(values, _TEXT_MODES[params.get("mode", "typos")](_distinct(values), params, rng))
+    return _by_map(values, _TEXT_MODES[params["mode"]](_distinct(values), params, rng))
 
 
-# format_noise kind -> (reformatter, the columns it applies to); the first is
-# the default
+# format_noise kind -> (reformatter, the columns it applies to)
 _FORMAT_KINDS = {
     "dates": (reformat_date, lambda col: col.datatype == "date"),
     "addresses": (reformat_address, lambda col: norm_header(col.semantic_type) == "street address"),
@@ -523,12 +509,8 @@ _FORMAT_KINDS = {
 }
 
 
-def _format_kind(params: dict):
-    return _FORMAT_KINDS[params.get("kind", "dates")]
-
-
 def _format_noise(values, params, rng, source):
-    reformat, _applies = _format_kind(params)
+    reformat, _applies = _FORMAT_KINDS[params["kind"]]
     return _by_map(values, _map_distinct(_distinct(values), reformat))
 
 
@@ -586,7 +568,7 @@ def _semantic_value_perturb(values, params, rng, source: _Source):
         raise PerturbationError(
             f"column {t.name}.{column} participates in no exact/pkfk pair"
         )
-    if params.get("backend", "offline") == "offline":
+    if params["backend"] == "offline":
         return _by_map(values, semantic_variant_map(values, t.schema.column(column)))
 
     if source.gateway is None:
@@ -629,7 +611,7 @@ def _is_text(t: TableData, col: Column, params: dict, joinable: set[str]) -> boo
 
 
 def _is_formattable(t: TableData, col: Column, params: dict, joinable: set[str]) -> bool:
-    _reformat, applies = _format_kind(params)
+    _reformat, applies = _FORMAT_KINDS[params["kind"]]
     return applies(col)
 
 
@@ -642,8 +624,8 @@ SHAPE, SCHEMA, VALUE = "shape", "schema", "value"
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One perturbation op. Its handler is the whole op: it reads the step's
-    params, which parse_plan has checked, with their defaults. By kind:
+    """One perturbation op. Its handler is the whole op: it reads its own
+    params (`fill`), which parse_plan has checked. By kind:
 
     shape:  (table, params, seed, child name) -> (children, lineage params);
             a split's two children are `<child name>_a` and `_b`
@@ -652,33 +634,47 @@ class OpSpec:
             None for an empty value_map or cell_changes
 
     eligible(table, column, params, joinable columns) picks a value op's
-    columns when the step has no col= (None: every non-key column); params
-    maps each parameter they read to its choices (None: any value); snapshot
-    says it reads which columns of the tables derived so far are in an exact
-    or pkfk pair."""
+    columns when the step has no col= (None: every non-key column). params,
+    the one record of what the op takes, maps each name to (default, accepts):
+    a number's range such as "[0, 1)", a tuple of choices, or None for a value
+    of the default's type (a boolean, or a comma list of column globs).
+    snapshot says the op reads which columns of the tables derived so far are
+    in an exact or pkfk pair."""
 
     kind: str
     handler: Callable
     eligible: Callable[[TableData, Column, dict, set[str]], bool] | None = None
-    params: dict[str, tuple | None] = field(default_factory=dict)
+    params: dict[str, tuple] = field(default_factory=dict)
     snapshot: bool = False
+
+    def fill(self, given: dict) -> dict:
+        """The values given for this op's parameters, defaults filling the rest."""
+        return {key: given.get(key, default) for key, (default, _accepts) in self.params.items()}
 
 
 OPS: dict[str, OpSpec] = {
-    "numeric_jitter": OpSpec(VALUE, _numeric_jitter, _is_numeric, {"rel_scale": None}),
-    "duplicates": OpSpec(VALUE, _cell_op(lambda rng, distinct: rng.choice(distinct)), params={"rate": None}),
-    "text_noise": OpSpec(VALUE, _text_noise, _is_text, {"typo_rate": None, "mode": tuple(_TEXT_MODES)}),
-    "format_noise": OpSpec(VALUE, _format_noise, _is_formattable, {"kind": tuple(_FORMAT_KINDS)}),
-    "inject_nulls": OpSpec(VALUE, _cell_op(lambda rng, distinct: NULL), params={"rate": None}),
+    "numeric_jitter": OpSpec(VALUE, _numeric_jitter, _is_numeric, {"rel_scale": (0.01, "[0, 1]")}),
+    "duplicates": OpSpec(
+        VALUE, _cell_op(lambda rng, distinct: rng.choice(distinct)), params={"rate": (0.1, "[0, 1]")}
+    ),
+    "text_noise": OpSpec(
+        VALUE, _text_noise, _is_text, {"typo_rate": (1.0, "[0, 1]"), "mode": ("typos", tuple(_TEXT_MODES))}
+    ),
+    "format_noise": OpSpec(VALUE, _format_noise, _is_formattable, {"kind": ("dates", tuple(_FORMAT_KINDS))}),
+    "inject_nulls": OpSpec(VALUE, _cell_op(lambda rng, distinct: NULL), params={"rate": (0.1, "[0, 1]")}),
     "semantic_value_perturb": OpSpec(
-        VALUE, _semantic_value_perturb, _is_joinable, {"backend": ("offline", "llm")}, snapshot=True
+        VALUE, _semantic_value_perturb, _is_joinable, {"backend": ("offline", ("offline", "llm"))},
+        snapshot=True,
     ),
     "cryptify_headers": OpSpec(SCHEMA, _cryptify_headers),
-    "header_typos": OpSpec(SCHEMA, _header_typos, params={"rate": None}),
-    "vertical_split": OpSpec(SHAPE, _vertical_split, params={"overlap_ratio": None, "unique_key": None}),
-    "horizontal_split": OpSpec(SHAPE, _horizontal_split, params={"row_overlap_ratio": None}),
-    "remove_columns": OpSpec(SHAPE, _remove_columns, params={"keep": None}),
-    "sample_rows": OpSpec(SHAPE, _sample_rows, params={"fraction": None}),
+    "header_typos": OpSpec(SCHEMA, _header_typos, params={"header_rate": (0.3, "[0, 1]")}),
+    "vertical_split": OpSpec(
+        SHAPE, _vertical_split, params={"overlap_ratio": (0.2, "(0, 1)"), "unique_key": (False, None)}
+    ),
+    # the horizontal overlap ladder starts at 0% (disjoint halves)
+    "horizontal_split": OpSpec(SHAPE, _horizontal_split, params={"row_overlap_ratio": (0.1, "[0, 1)")}),
+    "remove_columns": OpSpec(SHAPE, _remove_columns, params={"keep": (["*"], None)}),
+    "sample_rows": OpSpec(SHAPE, _sample_rows, params={"fraction": (0.5, "[0, 1]")}),
 }
 
 
@@ -687,8 +683,8 @@ OPS: dict[str, OpSpec] = {
 # --------------------------------------------------------------------------
 
 
-def _eligible_columns(t: TableData, op: str, params: dict, joinable: set[str]) -> list[str]:
-    eligible = OPS[op].eligible
+def _eligible_columns(t: TableData, spec: OpSpec, params: dict, joinable: set[str]) -> list[str]:
+    eligible = spec.eligible
     pk = t.schema.primary_key
     return [
         col.name
@@ -805,6 +801,8 @@ def _run_step(
         warnings.append(f"step {k}: selector {step.table_glob!r} matched no table")
         return k + 1
     specs = [OPS[op] for op in step.ops]
+    # each op's own parameters, at their defaults where the step gives none
+    op_params = [spec.fill(step.params) for spec in specs]
     # which columns of the tables derived so far are in an exact or pkfk pair
     joinable_by_table = index.joinable() if any(spec.snapshot for spec in specs) else {}
     label = "_".join(step.ops)
@@ -819,7 +817,7 @@ def _run_step(
         if specs[0].kind == SHAPE:
             consumed.add(name)
             # parse_plan keeps shape ops out of composites: one op, its children
-            children, params = specs[0].handler(src, step.params, step_seed, child_name)
+            children, event_params = specs[0].handler(src, op_params[0], step_seed, child_name)
             for child in children:
                 _check_unused(tables, child.name, name, k)
                 tables[child.name] = child
@@ -833,7 +831,7 @@ def _run_step(
                         op=step.ops[0],
                         source=(name, None),
                         result=(child.name, None),
-                        params=dict(params),
+                        params=dict(event_params),
                     ),
                 )
             continue
@@ -845,9 +843,9 @@ def _run_step(
         columns = list(zip(*src.rows)) or [()] * len(schema.columns)
         pending: list[LineageEvent] = []
 
-        for op, spec in zip(step.ops, specs):
+        for op, spec, params in zip(step.ops, specs, op_params):
             if spec.kind == SCHEMA:
-                schema, hmap = spec.handler(schema, step.params, step_seed)
+                schema, hmap = spec.handler(schema, params, step_seed)
                 original_name = {
                     hmap.get(cur, cur): orig for cur, orig in original_name.items()
                 }
@@ -871,7 +869,7 @@ def _run_step(
                     or fnmatch.fnmatchcase(c, step.col_glob)
                 ]
             else:
-                cols = _eligible_columns(src, op, step.params, joinable)
+                cols = _eligible_columns(src, spec, params, joinable)
                 cols = [c for c in schema.column_names() if original_name[c] in cols]
             if not cols:
                 warnings.append(
@@ -881,9 +879,7 @@ def _run_step(
                 idx = schema.column_index(cname)
                 source = _Source(src, original_name[cname], joinable, gateway)
                 rng = seeded_rng("noise", stable_hash(step_seed, name, cname), op)
-                new_values, vmap, cell_changes = spec.handler(
-                    list(columns[idx]), step.params, rng, source
-                )
+                new_values, vmap, cell_changes = spec.handler(list(columns[idx]), params, rng, source)
                 if not vmap and not cell_changes:
                     continue
                 columns[idx] = new_values
@@ -893,7 +889,8 @@ def _run_step(
                         op=op,
                         source=(name, original_name[cname]),
                         result=(child_name, cname),
-                        params={kk: vv for kk, vv in step.params.items() if kk != "keep"},
+                        # what the step gave, not the defaults filled in
+                        params={kk: vv for kk, vv in step.params.items() if kk in spec.params},
                         value_map=vmap,
                         cell_changes=cell_changes,
                     )

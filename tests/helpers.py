@@ -8,8 +8,10 @@ the definition in `lakeforge.ground_truth` without importing that module).
 
 It also holds the thin entry points over package internals that only tests
 call, next to the oracles they are checked against: `fuzzy_jaccard` (jl's
-score of two value lists), `apply_value_noise` (one value op on one column)
-and `ALL_OPS` (every op name).
+score of two value lists), `apply_value_noise` (one value op on one column),
+`filled` (an op's parameters as a plan step hands them to its handler),
+`ALL_OPS` (every op name) and `random_plans` (a hypothesis strategy of
+plans over `small_finance_corpus`).
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from pathlib import Path
 
 from itertools import chain
 
+from hypothesis import strategies as st
+
 from lakeforge.common import PerturbationError, seeded_rng, split_words
 from lakeforge.matchers import DATATYPE_BONUS, _fuzzy_jaccard_indexed, sample_values, value_neighbours
 from lakeforge.model import Corpus
-from lakeforge.perturb import OPS, VALUE
+from lakeforge.perturb import OPS, VALUE, parse_plan
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -716,11 +720,48 @@ def uppercase_variant_transport(req) -> str:
 ALL_OPS = tuple(OPS)
 
 
+# steps that apply to small_finance_corpus and its derivatives in any round
+GROWTH_STEPS = (
+    'step "Monetary Amount" vertical_split overlap_ratio=0.4',
+    'step "Currency Name*" horizontal_split row_overlap_ratio=0.3 scope=all',
+    'step "Postal Address" remove_columns keep=postal_address_id,City,Zip*',
+    'step "Organization*" sample_rows fraction=0.6 scope=all',
+    'step "Listed Security" cryptify_headers+text_noise typo_rate=0.5',
+)
+SEMANTIC_STEPS = (
+    'step "Currency Name*" semantic_value_perturb scope=all',
+    'step "Organization*" semantic_value_perturb scope=all',
+)
+
+
+@st.composite
+def random_plans(draw, growth_steps=GROWTH_STEPS):
+    """A plan of 1-3 of growth_steps followed by a semantic_value_perturb
+    step, whose target, when set, repeats them over several rounds."""
+    lines = []
+    target = draw(st.one_of(st.none(), st.integers(10, 22)))
+    if target is not None:
+        lines.append(f"target {target}")
+    lines.append(f"originals {draw(st.sampled_from(['keep', 'drop']))}")
+    lines += draw(st.lists(st.sampled_from(growth_steps), min_size=1, max_size=3, unique=True))
+    lines.append(draw(st.sampled_from(SEMANTIC_STEPS)))
+    return parse_plan("\n".join(lines) + "\n")
+
+
+def filled(op: str, **given) -> dict:
+    """The parameter dict that a plan step hands OPS[op]'s handler: the given
+    values, each of a name the op declares, and every other at its default."""
+    spec = OPS[op]
+    assert given.keys() <= spec.params.keys(), f"{op} declares no {sorted(given.keys() - spec.params.keys())}"
+    return spec.fill(given)
+
+
 def apply_value_noise(
     values: list[str], op: str, params: dict, seed: int
 ) -> tuple[list[str], dict[str, str] | None, list[tuple[int, str, str]] | None]:
     """Apply one column-value noise op through its `perturb.OPS` handler,
-    with the RNG seeded from (seed, op).
+    with params filled as a plan step fills them and the RNG seeded from
+    (seed, op).
 
     Returns (new values, value_map, cell_changes): value-consistent ops
     (jitter, text, format) fill value_map, cell-level ops (nulls, duplicates)
@@ -730,4 +771,4 @@ def apply_value_noise(
     spec = OPS.get(op)
     if spec is None or spec.kind != VALUE or spec.snapshot:
         raise PerturbationError(f"unknown value op {op!r}")
-    return spec.handler(values, params, seeded_rng("noise", seed, op), None)
+    return spec.handler(values, filled(op, **params), seeded_rng("noise", seed, op), None)

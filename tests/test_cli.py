@@ -202,9 +202,15 @@ def fig1_base(tmp_path_factory):
         # a misspelt key would leave the op on its default
         ("vertical_split overlap=0.5 typo_rat=1", "vertical_split takes no parameter overlap"),
         ("cryptify_headers+text_noise rate=0.5", "cryptify_headers+text_noise takes no parameter rate"),
+        # col= selects a value op's columns, keep= is remove_columns' alone
+        ("vertical_split col=x", "vertical_split takes no parameter col"),
+        ("vertical_split keep=a", "vertical_split takes no parameter keep"),
+        # header_typos' rate is header_rate, so a cell op's rate cannot reach it
+        ("header_typos rate=0.5", "header_typos takes no parameter rate"),
     ],
     ids=["seed_offset", "fraction", "overlap_ratio", "rel_scale", "kind", "mode", "backend",
-         "unique_key", "rate-bool", "fraction-bool", "unknown-key", "unknown-key-composite"],
+         "unique_key", "rate-bool", "fraction-bool", "unknown-key", "unknown-key-composite",
+         "col-without-value-op", "keep-not-remove-columns", "header-typos-rate"],
 )
 def test_perturb_bad_plan_parameter_exit_4(tmp_path, capsys, fig1_base, step, message):
     plan = tmp_path / "bad.plan"

@@ -2,6 +2,7 @@ from helpers import (
     brute_force_ground_truth,
     finance_ontology_text,
     pairs_as_set,
+    random_plans,
     shared_pool_completion,
 )
 import pytest
@@ -517,36 +518,8 @@ def test_identical_key_copies_are_pkfk_left():
     assert pairs_as_set(pairs) == brute_force_ground_truth(corpus)
 
 
-# steps that apply to small_finance_corpus and its derivatives in any round
-_GROWTH_STEPS = [
-    'step "Monetary Amount" vertical_split overlap_ratio=0.4',
-    'step "Currency Name*" horizontal_split row_overlap_ratio=0.3 scope=all',
-    'step "Postal Address" remove_columns keep=postal_address_id,City,Zip*',
-    'step "Organization*" sample_rows fraction=0.6 scope=all',
-    'step "Listed Security" cryptify_headers+text_noise typo_rate=0.5',
-]
-_SEMANTIC_STEPS = [
-    'step "Currency Name*" semantic_value_perturb scope=all',
-    'step "Organization*" semantic_value_perturb scope=all',
-]
-
-
-@st.composite
-def _plans(draw):
-    """A plan of 1-3 growth steps followed by a semantic_value_perturb step,
-    whose target, when set, repeats them over several rounds."""
-    lines = []
-    target = draw(st.one_of(st.none(), st.integers(10, 22)))
-    if target is not None:
-        lines.append(f"target {target}")
-    lines.append(f"originals {draw(st.sampled_from(['keep', 'drop']))}")
-    lines += draw(st.lists(st.sampled_from(_GROWTH_STEPS), min_size=1, max_size=3, unique=True))
-    lines.append(draw(st.sampled_from(_SEMANTIC_STEPS)))
-    return parse_plan("\n".join(lines) + "\n")
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(plan=_plans())
+@given(plan=random_plans())
 def test_carried_index_equals_fresh_recompute_over_random_plans(small_finance_corpus, plan):
     import lakeforge.perturb as perturb_module
 

@@ -1,12 +1,23 @@
 import hashlib
+import itertools
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import ALL_OPS, FIXTURES, apply_value_noise, reference_levenshtein, uppercase_variant_transport
+from helpers import (
+    ALL_OPS,
+    FIXTURES,
+    GROWTH_STEPS,
+    apply_value_noise,
+    filled,
+    random_plans,
+    reference_levenshtein,
+    uppercase_variant_transport,
+)
 
-from lakeforge.common import PerturbationError
+from lakeforge.common import PerturbationError, round_half_up
 from lakeforge.gateway import GatewayConfig, LlmGateway
 from lakeforge.ground_truth import ValueIndex, recompute_ground_truth
 from lakeforge.model import (
@@ -18,7 +29,7 @@ from lakeforge.model import (
     save_corpus,
 )
 import lakeforge.perturb as perturb_module
-from lakeforge.perturb import OPS, apply_plan, default_plan, parse_plan
+from lakeforge.perturb import OPS, SHAPE, VALUE, apply_plan, default_plan, parse_plan
 
 
 def wide_table(n_cols=10, n_rows=20, name="Wide"):
@@ -34,7 +45,7 @@ def wide_table(n_cols=10, n_rows=20, name="Wide"):
 
 def test_vertical_split_shared_count():
     t = wide_table(10)
-    (a, b), event = OPS["vertical_split"].handler(t, {"overlap_ratio": 0.2}, 1, "W")
+    (a, b), event = OPS["vertical_split"].handler(t, filled("vertical_split", overlap_ratio=0.2), 1, "W")
     shared = set(event["shared"])
     assert len(shared) == 2
     assert set(a.schema.column_names()) | set(b.schema.column_names()) == set(
@@ -46,7 +57,7 @@ def test_vertical_split_shared_count():
 
 def test_vertical_split_floor_rule():
     t = wide_table(4)
-    _children, event = OPS["vertical_split"].handler(t, {"overlap_ratio": 0.01}, 1, "W")
+    _children, event = OPS["vertical_split"].handler(t, filled("vertical_split", overlap_ratio=0.01), 1, "W")
     shared = event["shared"]
     assert len(shared) == 1  # max(1, round(0.01 * 4))
 
@@ -58,7 +69,7 @@ def test_vertical_split_unique_key_side_has_no_duplicates():
     rows = [(f"k{i % 3}", f"x{i}", f"y{i}", f"z{i}", f"w{i}", f"q{i}") for i in range(12)]
     t = TableData(schema=TableSchema("T", cols, primary_key=None), rows=rows)
     (a, b), event = OPS["vertical_split"].handler(
-        t, {"overlap_ratio": 0.5, "unique_key": True}, 3, "T"
+        t, filled("vertical_split", overlap_ratio=0.5, unique_key=True), 3, "T"
     )
     key_idx = [a.schema.column_index(c) for c in event["shared"]]
     keys = [tuple(r[i] for i in key_idx) for r in a.rows]
@@ -71,12 +82,12 @@ def test_vertical_split_single_column_errors():
         schema=TableSchema("T", [Column("only", "Tag", "text")], None), rows=[("a",)]
     )
     with pytest.raises(PerturbationError, match="single-column"):
-        OPS["vertical_split"].handler(t, {"overlap_ratio": 0.5}, 0, "T")
+        OPS["vertical_split"].handler(t, filled("vertical_split", overlap_ratio=0.5), 0, "T")
 
 
 def test_horizontal_split_overlap_counts():
     t = wide_table(3, n_rows=100)
-    (a, b), _event = OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.1}, 2, "W")
+    (a, b), _event = OPS["horizontal_split"].handler(t, filled("horizontal_split", row_overlap_ratio=0.1), 2, "W")
     sa = {tuple(r) for r in a.rows}
     sb = {tuple(r) for r in b.rows}
     # rows in this fixture are unique, so set arithmetic counts rows
@@ -87,14 +98,14 @@ def test_horizontal_split_overlap_counts():
 
 def test_horizontal_split_zero_ratio_disjoint_halves():
     t = wide_table(3, n_rows=10)
-    (a, b), _event = OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.0}, 2, "W")
+    (a, b), _event = OPS["horizontal_split"].handler(t, filled("horizontal_split", row_overlap_ratio=0.0), 2, "W")
     assert not ({tuple(r) for r in a.rows} & {tuple(r) for r in b.rows})
     assert len(a.rows) + len(b.rows) == 10
 
 
 def test_horizontal_split_seven_rows_half():
     t = wide_table(3, n_rows=7)
-    (a, b), _event = OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.5}, 2, "W")
+    (a, b), _event = OPS["horizontal_split"].handler(t, filled("horizontal_split", row_overlap_ratio=0.5), 2, "W")
     shared = {tuple(r) for r in a.rows} & {tuple(r) for r in b.rows}
     assert len(shared) == 4  # round-half-up of 3.5
     assert len(a.rows) == 6 and len(b.rows) == 5
@@ -103,22 +114,22 @@ def test_horizontal_split_seven_rows_half():
 def test_horizontal_split_requires_two_rows():
     t = wide_table(3, n_rows=1)
     with pytest.raises(PerturbationError, match="< 2 rows"):
-        OPS["horizontal_split"].handler(t, {"row_overlap_ratio": 0.5}, 0, "W")
+        OPS["horizontal_split"].handler(t, filled("horizontal_split", row_overlap_ratio=0.5), 0, "W")
 
 
 def test_remove_columns_and_sample_rows():
     t = wide_table(5, n_rows=10)
-    (kept,), _event = OPS["remove_columns"].handler(t, {"keep": ["col 0", "col 2"]}, 0, "W")
+    (kept,), _event = OPS["remove_columns"].handler(t, filled("remove_columns", keep=["col 0", "col 2"]), 0, "W")
     assert kept.schema.column_names() == ["col 0", "col 2"]
-    (sampled,), _event = OPS["sample_rows"].handler(t, {"fraction": 0.3}, 1, "W")
+    (sampled,), _event = OPS["sample_rows"].handler(t, filled("sample_rows", fraction=0.3), 1, "W")
     assert len(sampled.rows) == 3
 
 
 def test_projection_rows_are_tuples_of_the_kept_columns():
     t = wide_table(5, n_rows=10)
-    (one,), _event = OPS["remove_columns"].handler(t, {"keep": ["col 3"]}, 0, "W")
+    (one,), _event = OPS["remove_columns"].handler(t, filled("remove_columns", keep=["col 3"]), 0, "W")
     assert one.rows == [(r[3],) for r in t.rows]
-    (two,), _event = OPS["remove_columns"].handler(t, {"keep": ["col 4", "col 1"]}, 0, "W")
+    (two,), _event = OPS["remove_columns"].handler(t, filled("remove_columns", keep=["col 4", "col 1"]), 0, "W")
     assert two.rows == [(r[1], r[4]) for r in t.rows]
 
 
@@ -194,13 +205,13 @@ def test_format_noise_dates():
 
 def test_cryptify_person_id():
     schema = TableSchema("T", [Column("Person ID", "Person ID", "text")], None)
-    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
+    out, mapping = OPS["cryptify_headers"].handler(schema, filled("cryptify_headers"), 0)
     assert mapping["Person ID"] == "PID"
 
 
 def test_cryptify_short_single_word():
     schema = TableSchema("T", [Column("id", "Key", "text")], None)
-    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
+    out, mapping = OPS["cryptify_headers"].handler(schema, filled("cryptify_headers"), 0)
     assert mapping["id"] == "ID"
 
 
@@ -210,7 +221,7 @@ def test_cryptify_collision_suffix():
         [Column("Account Number", "A", "text"), Column("Area Name", "B", "text")],
         None,
     )
-    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
+    out, mapping = OPS["cryptify_headers"].handler(schema, filled("cryptify_headers"), 0)
     assert mapping["Account Number"] == "AN"
     assert mapping["Area Name"] == "AN1"
 
@@ -221,7 +232,7 @@ def test_cryptify_preserves_semantic_types_and_pk():
         [Column("Person ID", "Person ID", "integer"), Column("Full Name", "Person Name", "text")],
         primary_key="Person ID",
     )
-    out, mapping = OPS["cryptify_headers"].handler(schema, {}, 0)
+    out, mapping = OPS["cryptify_headers"].handler(schema, filled("cryptify_headers"), 0)
     assert out.primary_key == "PID"
     assert out.columns[0].semantic_type == "Person ID"
 
@@ -230,7 +241,7 @@ def test_header_typos_rate():
     schema = TableSchema(
         "T", [Column(f"column {i}", f"T{i}", "text") for i in range(10)], None
     )
-    out, mapping = OPS["header_typos"].handler(schema, {"rate": 0.3}, 4)
+    out, mapping = OPS["header_typos"].handler(schema, filled("header_typos", header_rate=0.3), 4)
     assert len(mapping) == 3
     for old, new in mapping.items():
         assert reference_levenshtein(old, new) == 1
@@ -248,7 +259,7 @@ def _semantic(corpus, table, column, gateway=None, backend="offline"):
     joinable = ValueIndex(corpus.tables).joinable().get(table, set())
     source = perturb_module._Source(t, column, joinable, gateway)
     values, value_map, _cells = OPS["semantic_value_perturb"].handler(
-        t.column_values(column), {"backend": backend}, None, source
+        t.column_values(column), filled("semantic_value_perturb", backend=backend), None, source
     )
     return values, value_map
 
@@ -310,6 +321,30 @@ def test_parse_plan_line_errors():
         parse_plan("step * vertical_split overlap_ratio=0\n")
     with pytest.raises(PerturbationError, match="composite"):
         parse_plan("step * vertical_split+text_noise\n")
+    # each value is checked as its token is read: the first bad one is named
+    with pytest.raises(PerturbationError, match="line 1: text_noise mode must be one of"):
+        parse_plan("step * text_noise mode=bogus typo_rate=2 typo_rat=1\n")
+
+
+def test_each_numeric_range_admits_its_closed_ends_only():
+    # every declared range, read independently of _check_param: a "[" or "]"
+    # end is in the range, a "(" or ")" end and anything beyond it are not
+    for op, spec in OPS.items():
+        for name, (default, accepts) in spec.params.items():
+            if not isinstance(accepts, str):
+                continue
+            assert parse_plan(f"step * {op} {name}={default}\n").steps[0].params == {name: default}
+            lo, hi = (float(end) for end in accepts[1:-1].split(", "))
+            for value, admitted in (
+                (lo, accepts[0] == "["), (hi, accepts[-1] == "]"), (lo - 0.5, False), (hi + 0.5, False)
+            ):
+                text = f"step * {op} {name}={value}\n"
+                if admitted:
+                    assert parse_plan(text).steps[0].params == {name: value}
+                else:
+                    message = re.escape(f"line 1: {name} must be within {accepts}")
+                    with pytest.raises(PerturbationError, match=message):
+                        parse_plan(text)
 
 
 def test_default_plan_parses():
@@ -397,7 +432,7 @@ def test_default_plan_round_trips_through_save(tmp_path, small_finance_corpus):
 
 def test_plan_header_typos_and_shape_ops(small_finance_corpus):
     plan = parse_plan(
-        'step "Organization" header_typos rate=0.5\n'
+        'step "Organization" header_typos header_rate=0.5\n'
         'step "Organization" horizontal_split row_overlap_ratio=0.2\n'
         'step "Organization" remove_columns keep=id,Legal*\n'
         'step "Organization" sample_rows fraction=0.4\n'
@@ -474,8 +509,8 @@ step "Financial Service Account" format_noise kind=dates
 step "Currency Name" text_noise mode=synonyms
 step "Organization" text_noise mode=word_removal
 step * cryptify_headers+text_noise typo_rate=0.3
-step "Listed Security" numeric_jitter+header_typos rate=0.5 rel_scale=0.02
-step "Monetary Amount" header_typos rate=0.5
+step "Listed Security" numeric_jitter+header_typos header_rate=0.5 rel_scale=0.02
+step "Monetary Amount" header_typos header_rate=0.5
 step "Currency Name" semantic_value_perturb backend=offline
 """
 
@@ -488,11 +523,11 @@ step "Currency Name" semantic_value_perturb backend=offline
             "target 40\n"
             + _GOLDEN_STEPS
             + 'step "Organization__vertical_split_*" semantic_value_perturb scope=all\n',
-            "03e170079db8be927fcc7fa08730855580d5235809f138477f73fa01fc7edb53",
+            "db324c5faf038602900a3e15ba63c9a4a8e9b3a9831203ac9aca484f097a272d",
         ),
         (
             "originals drop\n" + _GOLDEN_STEPS,
-            "fbd1b69c5a1b49e8d0c5d53bc57a52b4b4ce78b66a74687d43a3db0c169eeb95",
+            "2236692d49fcae3ae6fdc7b5b2e9a6717170f4f589c1839842b2dfefb5a0eeec",
         ),
     ],
     ids=["target-scope-all", "originals-drop"],
@@ -514,6 +549,77 @@ def test_every_op_plan_records_every_op(fig1_corpus):
     derived, warnings = apply_plan(fig1_corpus, plan)
     assert {ev.op for ev in derived.lineage} == set(OPS)
     assert warnings == []
+
+
+def _assert_value_events_record_what_their_step_gave(derived, plan):
+    """Each value event's params are the values its step's line gave for the
+    names its op declares: no default filled in, no other op's parameter.
+    Returns the ops of the events checked."""
+    value_events = [ev for ev in derived.lineage if ev.op in OPS and OPS[ev.op].kind == VALUE]
+    for ev in value_events:
+        # a derivative is <source>__<ops>_<k>, k counting steps over all rounds
+        step = plan.steps[int(ev.result[0].rsplit("_", 1)[1]) % len(plan.steps)]
+        assert ev.op in step.ops
+        assert ev.params == {k: v for k, v in step.params.items() if k in OPS[ev.op].params}
+    return {ev.op for ev in value_events}
+
+
+def test_ops_that_can_share_a_step_declare_distinct_parameters():
+    # a composite chains schema ops with at most one value op, so each key of
+    # a composite names one parameter; no op declares a step-level key
+    for op, spec in OPS.items():
+        assert not spec.params.keys() & {"col", "scope", "seed_offset"}, op
+    for a, b in itertools.combinations(OPS, 2):
+        kinds = {OPS[a].kind, OPS[b].kind}
+        if SHAPE not in kinds and kinds != {VALUE}:
+            assert not OPS[a].params.keys() & OPS[b].params.keys(), (a, b)
+
+
+def test_composite_gives_each_op_its_own_rate(small_finance_corpus):
+    plan = parse_plan('step "Organization" header_typos+inject_nulls header_rate=1 rate=0.2\n')
+    derived, warnings = apply_plan(small_finance_corpus, plan)
+    assert warnings == []
+    source = small_finance_corpus.table("Organization")
+    (header_event,) = [ev for ev in derived.lineage if ev.op == "header_typos"]
+    assert set(header_event.params["header_map"]) == set(source.schema.column_names())
+    null_events = [ev for ev in derived.lineage if ev.op == "inject_nulls"]
+    assert null_events
+    for ev in null_events:
+        assert ev.params == {"rate": 0.2}
+        assert len(ev.cell_changes) == round_half_up(0.2 * len(source.rows))
+
+
+# value steps that apply to small_finance_corpus in any round, each giving its
+# op's parameters in a different way: with a schema op's, with col=,
+# scope= and seed_offset=, or none at all
+_VALUE_STEPS = (
+    'step "Listed Security" numeric_jitter+header_typos header_rate=0.5 rel_scale=0.02',
+    'step "Organization" header_typos+inject_nulls header_rate=1 rate=0.2',
+    'step "Postal Address" text_noise+cryptify_headers mode=abbreviations typo_rate=0.5',
+    'step "Listed Security" duplicates rate=0.3 col=Legal* seed_offset=2',
+    'step "Monetary Amount*" inject_nulls scope=all',
+    'step "Postal Address" format_noise kind=addresses',
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(plan=random_plans(GROWTH_STEPS + _VALUE_STEPS))
+def test_value_events_record_the_parameters_their_step_gave(small_finance_corpus, plan):
+    derived, _ = apply_plan(small_finance_corpus, plan)
+    _assert_value_events_record_what_their_step_gave(derived, plan)
+
+
+def test_golden_and_every_op_plans_record_the_parameters_their_steps_gave(
+    small_finance_corpus, fig1_corpus
+):
+    for corpus, text in (
+        (small_finance_corpus, "target 40\n" + _GOLDEN_STEPS),
+        (fig1_corpus, (FIXTURES / "every_op.plan").read_text(encoding="utf-8")),
+    ):
+        plan = parse_plan(text)
+        derived, _ = apply_plan(corpus, plan)
+        checked = _assert_value_events_record_what_their_step_gave(derived, plan)
+        assert checked == {op for op, spec in OPS.items() if spec.kind == VALUE}
 
 
 def test_rounds_drop_plan_snapshots_in_a_later_round_and_drops(fig1_corpus):
@@ -548,13 +654,18 @@ def test_op_lists_in_docs_follow_the_op_table():
         for kind in ("value", "schema", "shape")
     }
 
-    # the README table has one row per op in table order, with kind, each
-    # parameter and its choices
+    # the README table has one row per op in table order, with kind and each
+    # parameter as `name=default` followed by its range, its choices or (for
+    # a value of the default's type) prose; the default is read as a plan
+    # step reads it
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     documented = []
-    for op, kind, params in re.findall(r"^\| `(\w+)` \| (\w+) \|(.*)\|$", readme, flags=re.M):
-        params = params.replace("\\|", "|")
-        choices = dict(p.split("=") for p in re.findall(r"`(\w+=\w+(?:\|\w+)+)`", params))
-        declared = {name: choices.get(name) for name in re.findall(r"`(\w+)", params)}
-        documented.append((op, kind, {k: v and tuple(v.split("|")) for k, v in declared.items()}))
+    for op, kind, cell in re.findall(r"^\| `(\w+)` \| (\w+) \|(.*)\|$", readme, flags=re.M):
+        declared = {}
+        for entry in filter(None, (e.strip() for e in cell.replace("\\|", "|").split(";"))):
+            name, default, rest = re.fullmatch(r"`(\w+)=([^`]*)`(.*)", entry).groups()
+            bounds, choices = re.fullmatch(r" in ([\[(]\S+, \S+[\])])| of (\S+)|, .*", rest).groups()
+            default = parse_plan(f"step * {op} {name}={default}\n").steps[0].params[name]
+            declared[name] = (default, bounds or (choices and tuple(choices.split("|"))))
+        documented.append((op, kind, declared))
     assert documented == [(op, spec.kind, spec.params) for op, spec in OPS.items()]

@@ -122,8 +122,8 @@ def cmd_perturb(args) -> int:
         plan = parse_plan(_read_text(plan_path, CorpusError))
     else:
         plan = default_plan()
-    gateway = _gateway(args) if args.backend == "llm" else None
-    derived, warnings = apply_plan(corpus, plan, gateway=gateway)
+    # a plan's backend=llm steps use it; it sends nothing until they prompt
+    derived, warnings = apply_plan(corpus, plan, gateway=_gateway(args))
     digest = save_corpus(derived, args.out)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--plan", default=None)
-    p.add_argument("--backend", choices=("offline", "llm"), default="offline")
     p.add_argument("--mode", choices=("live", "record", "replay"), default="replay")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--endpoint", default=None)

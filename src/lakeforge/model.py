@@ -12,6 +12,10 @@ time. Ground-truth pairs, most of a large manifest, are written straight from
 `JoinPair`s through a fixed template rather than through a dict per pair.
 Loading checks each ground-truth entry's types first, which is what keeps a
 loaded pair within that template.
+Ground-truth pairs are checked, not repaired: `Corpus.validate` requires each
+pair's left ref to sort before its right one and the pair keys to increase
+strictly, so save writes the pairs in the order it is given and load builds
+them in the order it reads, and neither swaps, sorts or drops one.
 Validation decides with set and map passes, and looks for the first fault
 item by item only when one fails, so its messages are those of a loop.
 """
@@ -38,6 +42,7 @@ JOIN_KINDS = (KIND_EXACT, KIND_PKFK, KIND_SEMANTIC)
 
 EASY = "easy"
 DIFFICULT = "difficult"
+DIFFICULTIES = (EASY, DIFFICULT)
 
 MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 2
@@ -131,16 +136,6 @@ class JoinPair:
     difficulty: str = EASY
     key_side: str | None = None  # "left"/"right" for pkfk pairs
     mapping_id: str | None = None
-
-    def __post_init__(self):
-        self.left = tuple(self.left)
-        self.right = tuple(self.right)
-        if self.right < self.left:
-            self.left, self.right = self.right, self.left
-            if self.key_side == "left":
-                self.key_side = "right"
-            elif self.key_side == "right":
-                self.key_side = "left"
 
     def key(self) -> tuple[ColumnRef, ColumnRef]:
         return (self.left, self.right)
@@ -263,28 +258,6 @@ class CorpusStats:
         return CorpusStats(**d)
 
 
-def keys_increasing(items: list) -> bool:
-    """Whether the items' key()s are strictly increasing: already sorted and
-    free of duplicates, so deduplicating them would only copy the list."""
-    prev = None
-    for item in items:
-        key = item.key()
-        if prev is not None and not prev < key:
-            return False
-        prev = key
-    return True
-
-
-def dedupe_pairs(pairs: list[JoinPair]) -> list[JoinPair]:
-    """Canonical, deduplicated, sorted ground truth (first occurrence wins)."""
-    if keys_increasing(pairs):
-        return list(pairs)
-    seen: dict[tuple, JoinPair] = {}
-    for p in pairs:
-        seen.setdefault(p.key(), p)
-    return [seen[k] for k in sorted(seen)]
-
-
 @dataclass
 class Corpus:
     """Tables, ground truth and lineage of one corpus.
@@ -308,7 +281,6 @@ class Corpus:
     def __post_init__(self):
         # canonical table order makes save/load the identity on the model
         self.tables = sorted(self.tables, key=lambda t: t.name)
-        self.ground_truth = dedupe_pairs(self.ground_truth)
         # the first table of a name wins; validate() rejects duplicates
         self._by_name: dict[str, TableData] = {}
         for t in self.tables:
@@ -347,12 +319,19 @@ class Corpus:
                             f"base table {t.name!r} column {c.name!r} lacks a semantic type"
                         )
         refs = {(t.name, c.name) for t in self.tables for c in t.schema.columns}
+        pairs = self.ground_truth
+        lefts = list(map(attrgetter("left"), pairs))
+        rights = list(map(attrgetter("right"), pairs))
+        keys = list(zip(lefts, rights))
         if not (
-            refs.issuperset(map(attrgetter("left"), self.ground_truth))
-            and refs.issuperset(map(attrgetter("right"), self.ground_truth))
-            and set(JOIN_KINDS).issuperset(map(attrgetter("kind"), self.ground_truth))
+            refs.issuperset(lefts)
+            and refs.issuperset(rights)
+            and set(JOIN_KINDS).issuperset(map(attrgetter("kind"), pairs))
+            and set(DIFFICULTIES).issuperset(map(attrgetter("difficulty"), pairs))
+            and all(left < right for left, right in keys)
+            and all(a < b for a, b in zip(keys, keys[1:]))
         ):
-            for p in self.ground_truth:
+            for n, p in enumerate(pairs, start=1):
                 for table, column in (p.left, p.right):
                     if not self.has_table(table):
                         raise CorpusError(f"ground truth references missing table {table!r}")
@@ -360,6 +339,16 @@ class Corpus:
                         raise CorpusError(f"table {table!r} has no column {column!r}")
                 if p.kind not in JOIN_KINDS:
                     raise CorpusError(f"unknown join kind {p.kind!r}")
+                if p.difficulty not in DIFFICULTIES:
+                    raise CorpusError(f"unknown difficulty {p.difficulty!r}")
+                if not p.left < p.right:
+                    raise CorpusError(
+                        f"ground-truth pair {n}: left {p.left!r} does not sort before right {p.right!r}"
+                    )
+                if n > 1 and not keys[n - 2] < keys[n - 1]:
+                    raise CorpusError(
+                        f"ground-truth pair {n}: {p.left!r} and {p.right!r} do not sort after pair {n - 1}"
+                    )
         if not self._by_name.keys() >= derived:
             ev = next(ev for ev in self.lineage if ev.op != "noop" and not self.has_table(ev.result[0]))
             raise CorpusError(f"lineage event {ev.event_id} result table {ev.result[0]!r} missing")
@@ -489,7 +478,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     directory = Path(directory)
     files = _table_files(corpus)
     parts: list[str] = []
-    _write_manifest(_manifest_core(corpus, files), dedupe_pairs(corpus.ground_truth), parts.append)
+    _write_manifest(_manifest_core(corpus, files), corpus.ground_truth, parts.append)
     parts.append("\n")
     # the manifest without its digest line: "{\n" and the members after it
     body = "".join(parts).encode("utf-8")
@@ -599,41 +588,43 @@ def load_corpus(directory: str | Path) -> Corpus:
             )
         tables.append(TableData(schema=schema, rows=rows[1:]))
 
-    try:
-        ground_truth = []
-        for n, d in enumerate(manifest.get("ground_truth", []), start=1):
-            if not isinstance(d, dict):
-                bad = f"not an object: {d!r}"
-            else:
-                left, right, kind = d["left"], d["right"], d["kind"]
-                difficulty = d.get("difficulty", EASY)
-                key_side, mapping_id = d.get("key_side"), d.get("mapping_id")
-                if not _is_ref(left):
-                    bad = f"'left' is not a list of two strings: {left!r}"
-                elif not _is_ref(right):
-                    bad = f"'right' is not a list of two strings: {right!r}"
-                elif not isinstance(kind, str):
-                    bad = f"'kind' is not a string: {kind!r}"
-                elif not isinstance(difficulty, str):
-                    bad = f"'difficulty' is not a string: {difficulty!r}"
-                elif not (key_side is None or isinstance(key_side, str)):
-                    bad = f"'key_side' is neither a string nor null: {key_side!r}"
-                elif not (mapping_id is None or isinstance(mapping_id, str)):
-                    bad = f"'mapping_id' is neither a string nor null: {mapping_id!r}"
-                else:
-                    ground_truth.append(JoinPair(left, right, kind, difficulty, key_side, mapping_id))
-                    continue
-            raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {bad}")
-        lineage = []
-        for n, d in enumerate(manifest.get("lineage", []), start=1):
+    ground_truth = []
+    for n, d in enumerate(manifest.get("ground_truth", []), start=1):
+        if not isinstance(d, dict):
+            bad = f"not an object: {d!r}"
+        else:
             try:
-                lineage.append(LineageEvent.from_dict(d))
-            except CorpusError as exc:
-                raise CorpusError(f"{manifest_path}: lineage entry {n}: {exc}") from None
-    except KeyError as exc:
-        raise CorpusError(
-            f"{manifest_path}: ground-truth or lineage entry lacks key {exc.args[0]!r}"
-        ) from None
+                left, right, kind = d["left"], d["right"], d["kind"]
+            except KeyError as exc:
+                raise CorpusError(
+                    f"{manifest_path}: ground-truth entry {n} lacks key {exc.args[0]!r}"
+                ) from None
+            difficulty = d.get("difficulty", EASY)
+            key_side, mapping_id = d.get("key_side"), d.get("mapping_id")
+            if not _is_ref(left):
+                bad = f"'left' is not a list of two strings: {left!r}"
+            elif not _is_ref(right):
+                bad = f"'right' is not a list of two strings: {right!r}"
+            elif not isinstance(kind, str):
+                bad = f"'kind' is not a string: {kind!r}"
+            elif not isinstance(difficulty, str):
+                bad = f"'difficulty' is not a string: {difficulty!r}"
+            elif not (key_side is None or isinstance(key_side, str)):
+                bad = f"'key_side' is neither a string nor null: {key_side!r}"
+            elif not (mapping_id is None or isinstance(mapping_id, str)):
+                bad = f"'mapping_id' is neither a string nor null: {mapping_id!r}"
+            else:
+                ground_truth.append(JoinPair(tuple(left), tuple(right), kind, difficulty, key_side, mapping_id))
+                continue
+        raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {bad}")
+    lineage = []
+    for n, d in enumerate(manifest.get("lineage", []), start=1):
+        try:
+            lineage.append(LineageEvent.from_dict(d))
+        except KeyError as exc:
+            raise CorpusError(f"{manifest_path}: lineage entry {n} lacks key {exc.args[0]!r}") from None
+        except CorpusError as exc:
+            raise CorpusError(f"{manifest_path}: lineage entry {n}: {exc}") from None
     try:
         stats = CorpusStats.from_dict(manifest.get("stats", {}))
     except CorpusError as exc:

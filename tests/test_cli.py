@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from helpers import FIXTURES, finance_ontology_text, reference_corpus_digest, scripted_completion
+from helpers import (
+    FIXTURES,
+    finance_ontology_text,
+    reference_corpus_digest,
+    scripted_completion,
+    uppercase_variant_transport,
+)
 
 from lakeforge import cli
 from lakeforge.cli import main
@@ -392,6 +398,28 @@ def test_perturb_originals_drop_keeps_consumed_derived_tables(tmp_path, small_fi
     assert any("__semantic_value_perturb_" in n for n in names)
 
 
+def test_perturb_replays_an_llm_plan_from_the_plan_alone(tmp_path, small_finance_corpus):
+    # the plan's backend=llm is all it takes: a cache recorded in-process
+    # replays through the CLI to the same manifest
+    from lakeforge.gateway import GatewayConfig, LlmGateway
+    from lakeforge.perturb import apply_plan, parse_plan
+
+    text = 'step "Organization" semantic_value_perturb backend=llm\n'
+    cache = tmp_path / "cache"
+    gateway = LlmGateway(GatewayConfig(mode="record", cache_dir=cache), transport=uppercase_variant_transport)
+    derived, _warnings = apply_plan(small_finance_corpus, parse_plan(text), gateway=gateway)
+    assert any(ev.op == "semantic_value_perturb" for ev in derived.lineage) and any(cache.iterdir())
+    save_corpus(derived, tmp_path / "recorded")
+    save_corpus(small_finance_corpus, tmp_path / "base")
+    plan = tmp_path / "llm.plan"
+    plan.write_text(text)
+    code = run(["perturb", "--corpus", str(tmp_path / "base"), "--out", str(tmp_path / "drv"),
+                "--plan", str(plan), "--mode", "replay", "--cache-dir", str(cache)])
+    assert code == 0
+    recorded = (tmp_path / "recorded" / "manifest.json").read_bytes()
+    assert (tmp_path / "drv" / "manifest.json").read_bytes() == recorded
+
+
 def test_generate_replay_cache_miss_exit_3(tmp_path, capsys):
     code = run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "1",
                 "--backend", "llm", "--mode", "replay", "--cache-dir", str(tmp_path / "cache"),
@@ -563,13 +591,21 @@ def test_evaluate_external_timeout_exit_5(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "timed out after 0.5 s" in err and str(stub) in err
 
 
+_ENTRY_NAMES = {"tables": "table entry", "ground_truth": "ground-truth entry", "lineage": "lineage entry"}
+
+
 def _drop_manifest_key(section, key):
+    """Delete `key` from the first entry of a manifest list; the message is
+    the whole error line."""
+
     def damage(corpus):
         path = corpus / "manifest.json"
         manifest = json.loads(path.read_text(encoding="utf-8"))
+        if section == "lineage":  # a generated corpus has none
+            manifest["lineage"] = _lineage_entry()
         del manifest[section][0][key]
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        return path, f"lacks key {key!r}"
+        return path, f"error: {path}: {_ENTRY_NAMES[section]} 1 lacks key {key!r}\n"
 
     return damage
 
@@ -662,6 +698,8 @@ def _break_csv_encoding(corpus):
     [
         _drop_manifest_key("tables", "file"),
         _drop_manifest_key("ground_truth", "kind"),
+        _drop_manifest_key("lineage", "result"),
+        _drop_manifest_key("lineage", "op"),
         _bad_pair_entry("left", ["T"]),
         _bad_pair_entry("left", [1, 2]),
         _bad_pair_entry("right", ["T", "c", "d"]),
@@ -719,6 +757,8 @@ def _break_csv_encoding(corpus):
     ids=[
         "table-entry-missing-key",
         "pair-entry-missing-key",
+        "lineage-entry-missing-result",
+        "lineage-entry-missing-op",
         "pair-left-one-element",
         "pair-left-not-strings",
         "pair-right-three-elements",
@@ -763,3 +803,18 @@ def test_stats_damaged_corpus_exit_2(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err and str(path) in err
 
+
+def test_evaluate_unknown_difficulty_exit_2(tmp_path, capsys, small_finance_corpus):
+    # difficulty_breakdown counts semantic pairs by difficulty, so an unknown
+    # one must be rejected at load
+    save_corpus(small_finance_corpus, tmp_path / "base")
+    run(["perturb", "--corpus", str(tmp_path / "base"), "--out", str(tmp_path / "c")])
+    path = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    next(p for p in manifest["ground_truth"] if p["kind"] == "semantic")["difficulty"] = "hard"
+    _write_saved_layout(path, manifest)
+    capsys.readouterr()
+    code = run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"), "--matchers", "jl"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown difficulty 'hard'\n"
+    assert not (tmp_path / "r").exists()

@@ -19,7 +19,6 @@ from lakeforge.model import (
     TableData,
     TableSchema,
     compute_stats,
-    dedupe_pairs,
     load_corpus,
     replay_mapping,
     save_corpus,
@@ -50,8 +49,8 @@ def small_corpus() -> Corpus:
         rows=[("1", "1001"), ("2", "1001"), ("3", "1002")],
     )
     pair = JoinPair(
-        left=("Payments", "account"), right=("Accounts", "acct_id"), kind="pkfk",
-        difficulty="difficult", key_side="right",
+        left=("Accounts", "acct_id"), right=("Payments", "account"), kind="pkfk",
+        difficulty="difficult", key_side="left",
     )
     corpus = Corpus(tables=[t1, t2], ground_truth=[pair], lineage=[], seed=11)
     corpus.refresh_stats()
@@ -85,21 +84,6 @@ def test_duplicate_table_names_rejected():
     assert corpus.table("T") is first  # the first table of a name wins
     with pytest.raises(CorpusError, match="^duplicate table names in corpus$"):
         corpus.validate()
-
-
-def test_join_pair_canonical_ordering():
-    p = JoinPair(left=("B", "x"), right=("A", "y"), kind="pkfk", key_side="left")
-    assert p.left == ("A", "y") and p.right == ("B", "x")
-    assert p.key_side == "right"  # key side follows the swap
-    q = JoinPair(left=("A", "y"), right=("B", "x"), kind="pkfk", key_side="right")
-    assert p.key() == q.key()
-
-
-def test_dedupe_pairs_keeps_first():
-    a = JoinPair(left=("A", "x"), right=("B", "y"), kind="exact")
-    b = JoinPair(left=("B", "y"), right=("A", "x"), kind="semantic")
-    out = dedupe_pairs([a, b])
-    assert len(out) == 1 and out[0].kind == "exact"
 
 
 def test_arity_validation_names_table_and_row():
@@ -177,7 +161,7 @@ def test_missing_csv_reported(tmp_path):
 def test_dangling_ground_truth_rejected(tmp_path):
     corpus = small_corpus()
     corpus.ground_truth.append(
-        JoinPair(left=("Ghost", "x"), right=("Accounts", "acct_id"), kind="exact")
+        JoinPair(left=("Accounts", "acct_id"), right=("Ghost", "x"), kind="exact")
     )
     with pytest.raises(CorpusError, match="missing table"):
         save_corpus(corpus, tmp_path)
@@ -315,17 +299,24 @@ def _corpora(draw):
         cell = st.just("") | _names
         rows = draw(st.lists(st.tuples(*[cell] * len(columns)), max_size=2))
         tables.append(TableData(TableSchema(name, [Column(c, "Tag") for c in columns]), rows))
-    pairs = []
+    # canonical ground truth: left before right in each pair, pairs sorted
+    # and unique
+    keys = set()
     for _ in range(draw(st.integers(0, 5))):
-        a, b = draw(st.lists(st.sampled_from(tables), min_size=2, max_size=2, unique_by=lambda t: t.name))
-        pairs.append(JoinPair(
-            (a.name, draw(st.sampled_from(a.schema.column_names()))),
-            (b.name, draw(st.sampled_from(b.schema.column_names()))),
+        ends = draw(st.lists(st.sampled_from(tables), min_size=2, max_size=2, unique_by=lambda t: t.name))
+        ends = sorted((t.name, draw(st.sampled_from(t.schema.column_names()))) for t in ends)
+        keys.add(tuple(ends))
+    pairs = [
+        JoinPair(
+            left,
+            right,
             kind=draw(st.sampled_from(JOIN_KINDS)),
             difficulty=draw(st.sampled_from(["easy", "difficult"])),
             key_side=draw(st.none() | st.sampled_from(["left", "right"]) | _names),
             mapping_id=draw(st.none() | st.just("ev00001") | _names),
-        ))
+        )
+        for left, right in sorted(keys)
+    ]
     ref = draw(st.sampled_from([(t.name, c) for t in tables for c in t.schema.column_names()]))
     lineage = [LineageEvent(
         "ev00001", "text_noise", ref, ref, params={"typo_rate": 0.5},
@@ -355,15 +346,20 @@ def test_manifest_and_digest_equal_the_dict_encodings(corpus):
     core["ground_truth"] = [
         {"left": list(p.left), "right": list(p.right), "kind": p.kind, "difficulty": p.difficulty,
          "key_side": p.key_side, "mapping_id": p.mapping_id}
-        for p in dedupe_pairs(corpus.ground_truth)
+        for p in corpus.ground_truth
     ]
     with tempfile.TemporaryDirectory() as directory:
         digest = save_corpus(corpus, directory)
         assert digest == reference_corpus_digest(directory)
         core["digest"] = digest
         expect = json.dumps(core, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        assert (Path(directory) / "manifest.json").read_bytes() == expect.encode("utf-8")
-        assert load_corpus(directory) == corpus
+        manifest = (Path(directory) / "manifest.json").read_bytes()
+        assert manifest == expect.encode("utf-8")
+        # save/load is the identity, on the model and on the bytes
+        loaded = load_corpus(directory)
+        assert loaded == corpus
+        save_corpus(loaded, Path(directory) / "again")
+        assert (Path(directory) / "again" / "manifest.json").read_bytes() == manifest
 
 
 def _edit_manifest(edit):
@@ -398,6 +394,23 @@ _second_pair_kind_integer = _edit_manifest(
 )
 
 
+def _swap_ends(manifest):
+    pair = manifest["ground_truth"][0]
+    pair["left"], pair["right"] = pair["right"], pair["left"]
+
+
+_repeated_pair = _edit_manifest(
+    lambda manifest: manifest["ground_truth"].append(dict(manifest["ground_truth"][0]))
+)
+# Accounts.Owner sorts before Accounts.acct_id ("O" < "a"), so this second
+# pair precedes the first
+_earlier_second_pair = _edit_manifest(
+    lambda manifest: manifest["ground_truth"].append(
+        dict(manifest["ground_truth"][0], left=["Accounts", "Owner"], kind="exact", key_side=None)
+    )
+)
+
+
 # small_corpus's one pair is Accounts.acct_id (left, the key) and
 # Payments.account (right)
 @pytest.mark.parametrize(
@@ -405,6 +418,15 @@ _second_pair_kind_integer = _edit_manifest(
     [
         ([_set_pair("right", ["Payments", "ghost"])], "table 'Payments' has no column 'ghost'"),
         ([_set_pair("kind", "fuzzy")], "unknown join kind 'fuzzy'"),
+        ([_set_pair("difficulty", "hard")], "unknown difficulty 'hard'"),
+        ([_set_pair("difficulty", "hard"), _set_pair("kind", "fuzzy")], "unknown join kind 'fuzzy'"),
+        ([_edit_manifest(_swap_ends)],
+         "ground-truth pair 1: left ('Payments', 'account') does not sort before right ('Accounts', 'acct_id')"),
+        ([_repeated_pair],
+         "ground-truth pair 2: ('Accounts', 'acct_id') and ('Payments', 'account') do not sort after pair 1"),
+        ([_earlier_second_pair],
+         "ground-truth pair 2: ('Accounts', 'Owner') and ('Payments', 'account') do not sort after pair 1"),
+        ([_edit_manifest(_swap_ends), _set_pair("kind", "fuzzy")], "unknown join kind 'fuzzy'"),
         ([_second_pair_kind_integer], "{manifest}: ground-truth entry 2: 'kind' is not a string: 3"),
         (
             [_set_pair("kind", "fuzzy"), _rewrite_csv("accounts.csv", [("1001", "Alice Johnson", "x")])],
@@ -415,8 +437,9 @@ _second_pair_kind_integer = _edit_manifest(
         ([_rewrite_csv("payments.csv", [("", "1001"), ("2", "1001"), ("2", "1002")])],
          "table 'Payments' row 1: null primary key"),
     ],
-    ids=["pair-missing-column", "pair-unknown-kind", "second-entry-bad", "arity-before-pair",
-         "duplicate-key-before-null", "null-key-before-duplicate"],
+    ids=["pair-missing-column", "pair-unknown-kind", "pair-unknown-difficulty", "kind-before-difficulty",
+         "pair-swapped", "pair-repeated", "pairs-out-of-order", "kind-before-order", "second-entry-bad",
+         "arity-before-pair", "duplicate-key-before-null", "null-key-before-duplicate"],
 )
 def test_load_names_the_first_fault(tmp_path, damages, message):
     save_corpus(small_corpus(), tmp_path)

@@ -261,7 +261,8 @@ def test_evaluate_tasks_equal_per_task_metrics():
     truth = {}
     for i in range(40):
         a, b = rng.sample(names, 2)
-        pair = JoinPair((a, f"c{i % 4}"), (b, f"c{i % 3}"), kind=rng.choice(["pkfk", "exact", "semantic"]),
+        left, right = sorted([(a, f"c{i % 4}"), (b, f"c{i % 3}")])
+        pair = JoinPair(left, right, kind=rng.choice(["pkfk", "exact", "semantic"]),
                         difficulty=rng.choice(["easy", "difficult"]))
         truth.setdefault(pair.key(), pair)
     ground_truth = list(truth.values())
@@ -339,7 +340,8 @@ def test_external_predictions_evaluate_equals_oracle(rows, repeats, order, truth
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["left_table", "left_column", "right_table", "right_column", "score"])
     writer.writerows([*left, *right, f"{score:.6f}"] for left, right, score in rows)
-    ground_truth = list({p.key(): p for p in (JoinPair(l, r, kind, d) for l, r, kind, d in truth)}.values())
+    # canonical pairs, one per key
+    ground_truth = list({p.key(): p for p in (JoinPair(*sorted((l, r)), kind, d) for l, r, kind, d in truth)}.values())
     tasks = ["exact_joins", "semantic_joins"]
     reports = evaluate(parse_predictions_csv(buf.getvalue()), ground_truth, tasks, threshold=threshold, ks=ks)
     for task, report in zip(tasks, reports):

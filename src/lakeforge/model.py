@@ -10,8 +10,9 @@ file name, NUL, CSV bytes, NUL. Saving hashes the manifest text it writes, and
 loading hashes the bytes it reads, so neither serializes the manifest a second
 time. Ground-truth pairs, most of a large manifest, are written straight from
 `JoinPair`s through a fixed template rather than through a dict per pair.
-Loading checks each ground-truth entry's types first, which is what keeps a
-loaded pair within that template.
+Loading reads every manifest through one declared layout, `_MANIFEST` and its
+`Entry` kinds (each key's `Shape` and default): it decides a list in bulk and
+names a fault by a scan, which keeps each loaded pair within the template.
 Ground-truth pairs are checked, not repaired: `Corpus.validate` requires each
 pair's left ref to sort before its right one and the pair keys to increase
 strictly, so save writes the pairs in the order it is given and load builds
@@ -26,7 +27,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -141,13 +142,6 @@ class JoinPair:
         return (self.left, self.right)
 
 
-def _is_ref(value: object) -> bool:
-    return (
-        isinstance(value, list) and len(value) == 2
-        and isinstance(value[0], str) and isinstance(value[1], str)
-    )
-
-
 @dataclass
 class LineageEvent:
     event_id: str
@@ -172,53 +166,6 @@ class LineageEvent:
             "value_map": self.value_map,
             "cell_changes": [list(c) for c in self.cell_changes] if self.cell_changes else None,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LineageEvent":
-        """The event of a manifest's lineage entry. A missing key raises
-        KeyError, and a value of the wrong type or shape CorpusError."""
-        if not isinstance(d, dict):
-            raise CorpusError(f"not an object: {d!r}")
-        source, result = d["source"], d["result"]
-        for key, value in (("source", source), ("result", result)):
-            if not (
-                isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
-                and (value[1] is None or isinstance(value[1], str))
-            ):
-                raise CorpusError(
-                    f"{key!r} is not a list of a string and a string or null: {value!r}"
-                )
-        event_id, op = d["event_id"], d["op"]
-        params, value_map, cells = d.get("params", {}), d.get("value_map"), d.get("cell_changes")
-        for key, value in (("event_id", event_id), ("op", op)):
-            if not isinstance(value, str):
-                raise CorpusError(f"{key!r} is not a string: {value!r}")
-        if not isinstance(params, dict):
-            raise CorpusError(f"'params' is not an object: {params!r}")
-        # the maps can be large, so the messages do not repeat them
-        if not (
-            value_map is None
-            or (isinstance(value_map, dict) and all(isinstance(v, str) for v in value_map.values()))
-        ):
-            raise CorpusError("'value_map' is neither null nor an object of strings")
-        if not (cells is None or (isinstance(cells, list) and all(map(_is_cell_change, cells)))):
-            raise CorpusError("'cell_changes' is neither null nor a list of [int, str, str]")
-        return LineageEvent(
-            event_id=event_id,
-            op=op,
-            source=tuple(source),
-            result=tuple(result),
-            params=params,
-            value_map=value_map,
-            cell_changes=[(c[0], c[1], c[2]) for c in cells] if cells else None,
-        )
-
-
-def _is_cell_change(value: object) -> bool:
-    return (
-        isinstance(value, list) and len(value) == 3 and type(value[0]) is int
-        and isinstance(value[1], str) and isinstance(value[2], str)
-    )
 
 
 def replay_mapping(
@@ -247,15 +194,6 @@ class CorpusStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "CorpusStats":
-        """The stats of a manifest. Anything but an object whose keys are
-        among the fields is a CorpusError."""
-        names = [f.name for f in fields(CorpusStats)]
-        if not isinstance(d, dict) or not d.keys() <= set(names):
-            raise CorpusError(f"not an object with keys among {names}: {d!r}")
-        return CorpusStats(**d)
 
 
 @dataclass
@@ -323,15 +261,22 @@ class Corpus:
         lefts = list(map(attrgetter("left"), pairs))
         rights = list(map(attrgetter("right"), pairs))
         keys = list(zip(lefts, rights))
-        if not (
-            refs.issuperset(lefts)
-            and refs.issuperset(rights)
-            and set(JOIN_KINDS).issuperset(map(attrgetter("kind"), pairs))
-            and set(DIFFICULTIES).issuperset(map(attrgetter("difficulty"), pairs))
-            and all(left < right for left, right in keys)
-            and all(a < b for a, b in zip(keys, keys[1:]))
-        ):
+        try:
+            fits = (
+                refs.issuperset(lefts)
+                and refs.issuperset(rights)
+                and set(JOIN_KINDS).issuperset(map(attrgetter("kind"), pairs))
+                and set(DIFFICULTIES).issuperset(map(attrgetter("difficulty"), pairs))
+                and all(left < right for left, right in keys)
+                and all(a < b for a, b in zip(keys, keys[1:]))
+            )
+        except TypeError:  # a ref that is not a tuple may be unhashable
+            fits = False
+        if not fits:
             for n, p in enumerate(pairs, start=1):
+                for ref in (p.left, p.right):
+                    if not (type(ref) is tuple and len(ref) == 2 and type(ref[0]) is type(ref[1]) is str):
+                        raise CorpusError(f"ground-truth pair {n}: {ref!r} is not a tuple of two strings")
                 for table, column in (p.left, p.right):
                     if not self.has_table(table):
                         raise CorpusError(f"ground truth references missing table {table!r}")
@@ -500,6 +445,135 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     return digest
 
 
+@dataclass(frozen=True)
+class Shape:
+    """The JSON a manifest value may take. `take(values)` gives the model's
+    values of a list of JSON values if each takes the shape, else None, so one
+    call decides a field of a whole list; `fault` words a value that does not."""
+
+    fault: str
+    take: object
+
+
+class Entry:
+    """A kind of manifest object: its fields as key=shape, or key=(shape, default)
+    if the key may be missing, in the order of the parameters of `build`, which
+    makes the model's value of one entry. As a shape, it is a list of such
+    objects, each named in a fault by index and key (no defaults)."""
+
+    def __init__(self, build, **fields):
+        self.build, self.keys = build, sorted(fields)
+        self.fields = [(k, *spec) if type(spec) is tuple else (k, spec, ...) for k, spec in fields.items()]
+        self.fault = f"is not a list of objects with keys among {self.keys}"
+
+    def take(self, values: list) -> list | None:
+        objects = _taken(self, [e for v in values for e in v]) if set(map(type, values)) <= {list} else None
+        if objects is None:
+            return None
+        objects = iter(objects)
+        return [[next(objects) for _ in v] for v in values]
+
+
+def _typed(fault: str, *types: type) -> Shape:
+    """Values of one of `types`, the Python types json.loads gives."""
+    return Shape(fault, lambda values: values if set(map(type, values)) <= set(types) else None)
+
+
+def _tuple(fault: str, *items: Shape) -> Shape:
+    """Lists of one value per item shape, taken as tuples. A ref recurs in
+    many pairs, so each distinct tuple is checked once."""
+
+    def take(values: list) -> list | None:
+        if not set(map(type, values)) <= {list}:
+            return None
+        tuples = list(map(tuple, values))
+        try:
+            distinct = set(tuples)
+        except TypeError:  # an item is a list or an object
+            return None
+        fits = set(map(len, distinct)) <= {len(items)}
+        return tuples if fits and all(s.take(c) is not None for s, c in zip(items, zip(*distinct))) else None
+
+    return Shape(fault, take)
+
+
+_STR = _typed("is not a string", str)
+_STR_OR_NULL = _typed("is neither a string nor null", str, type(None))
+_INT = _typed("is not an integer", int)  # type(True) is bool
+_FLOAT = _typed("is not a float", float)
+_LIST = _typed("is not a list", list)
+_REF = _tuple("is not a list of two strings", _STR, _STR)
+_END = _tuple("is not a list of a string and a string or null", _STR, _STR_OR_NULL)
+_CELL = _tuple("", _INT, _STR, _STR)
+_VALUE_MAP = Shape("is neither null nor an object of strings", lambda values: values if (
+    set(map(type, values)) <= {dict, type(None)} and _STR.take([v for m in values if m for v in m.values()])
+    is not None) else None)
+# save writes an empty list of cell changes as null, so only a non-empty one is read
+_CELL_CHANGES = Shape("is neither null nor a non-empty list of [int, str, str]", lambda values: (
+    [None if v is None else _CELL.take(v) for v in values]
+    if set(map(type, values)) <= {list, type(None)} and [] not in values
+    and _CELL.take([c for v in values if v for c in v]) is not None else None))
+_TABLE = Entry(lambda name, file, pk, rows, columns: (TableSchema(name, columns, pk), file, rows),
+               name=_STR, file=_STR, primary_key=(_STR_OR_NULL, None), rows=_INT,
+               columns=Entry(Column, name=_STR, semantic_type=_STR, datatype=_STR))
+_PAIR = Entry(JoinPair, left=_REF, right=_REF, kind=_STR, difficulty=(_STR, EASY),
+              key_side=(_STR_OR_NULL, None), mapping_id=(_STR_OR_NULL, None))
+_LINEAGE = Entry(LineageEvent, event_id=_STR, op=_STR, source=_END, result=_END,
+                 params=(_typed("is not an object", dict), {}), value_map=(_VALUE_MAP, None),
+                 cell_changes=(_CELL_CHANGES, None))
+_STATS = Entry(CorpusStats, tables=(_INT, 0), base_tables=(_INT, 0), avg_rows=(_FLOAT, 0.0),
+               avg_cols=(_FLOAT, 0.0), exact_joins=(_INT, 0), semantic_joins=(_INT, 0))
+# load_corpus checks format_version's value first, then the stats and lists' entries by kind
+_MANIFEST = Entry(lambda *values: values, format_version=_INT, seed=(_INT, 0),
+                  stats=(Shape("", lambda values: values), {}), tables=(_LIST, []), ground_truth=(_LIST, []),
+                  lineage=(_LIST, []), digest=_STR)
+
+
+def _taken(kind: Entry, entries: list) -> list | None:
+    """The model's values of `entries` if each is an object with every key of
+    `kind` and no other, taking their shapes, else None: one pass a field."""
+    try:
+        if not set(map(len, entries)) <= {len(kind.fields)}:
+            return None
+        values = [list(map(itemgetter(key), entries)) for key, _, _ in kind.fields]
+    except (KeyError, TypeError):  # a missing key, or an entry not an object
+        return None
+    taken = [shape.take(v) for (_, shape, _), v in zip(kind.fields, values)]
+    return None if None in taken else list(map(kind.build, *taken))
+
+
+def _fault(kind: Entry, d: object, prefix: str = "") -> str | None:
+    """The first fault of an entry of `kind`, worded to follow its name, with
+    `prefix` before the keys of a nested entry; values are cut short."""
+    if type(d) is not dict or not d.keys() <= set(kind.keys):
+        return f": not an object with keys among {kind.keys}: {d!r:.100}"
+    for key, shape, default in kind.fields:
+        value = d.get(key, default)
+        if value is ...:
+            return f" lacks key {prefix + key!r}"
+        if type(shape) is Entry and type(value) is list and all(
+            type(e) is dict and e.keys() <= set(shape.keys) for e in value
+        ):
+            nested = (_fault(shape, e, f"{prefix}{key}[{i}].") for i, e in enumerate(value))
+            if fault := next(filter(None, nested), None):
+                return fault
+        elif shape.take([value]) is None:
+            return f": {prefix + key!r} {shape.fault}: {value!r:.100}"
+    return None
+
+
+def _decode(kind: Entry, entries: list, name) -> list:
+    """The model's values of a manifest list of `kind` entries, decided in bulk;
+    a scan entry by entry raises a CorpusError for the first fault, after `name(n)`."""
+    if (objects := _taken(kind, entries)) is not None:
+        return objects
+    for n, d in enumerate(entries, start=1):
+        if fault := _fault(kind, d):
+            raise CorpusError(f"{name(n)}{fault}")
+    # no entry has a fault, so each fits once its missing keys take their defaults
+    return _taken(kind, [{key: d.get(key, default) for key, _, default in kind.fields} for d in entries])
+
+
 def load_corpus(directory: str | Path) -> Corpus:
     """Load and verify a corpus directory written by save_corpus. It leaves
     the cyclic collector alone: `cli.main` pauses it for each command."""
@@ -533,119 +607,44 @@ def load_corpus(directory: str | Path) -> Corpus:
             f"{FORMAT_VERSION} digests are checked; regenerate the corpus"
         )
 
-    tables: list[TableData] = []
-    for n, entry in enumerate(manifest.get("tables", []), start=1):
-        if not isinstance(entry, dict):
-            raise CorpusError(f"{manifest_path}: table entry {n} is not an object: {entry!r}")
+    _, seed, stats, tables, pairs, events, digest = _decode(_MANIFEST, [manifest], lambda _: manifest_path)[0]
+    tables = _decode(_TABLE, tables, lambda n: f"{manifest_path}: table entry {n}")
+    pairs = _decode(_PAIR, pairs, lambda n: f"{manifest_path}: ground-truth entry {n}")
+    events = _decode(_LINEAGE, events, lambda n: f"{manifest_path}: lineage entry {n}")
+    [stats] = _decode(_STATS, [stats], lambda n: f"{manifest_path}: stats")
+
+    data: list[TableData] = []
+    for schema, file, _ in tables:
+        path = f"{directory}/{file}"  # a string: a pathlib join costs as much as the read
         try:
-            columns = entry["columns"]
-            if not (isinstance(columns, list) and all(isinstance(c, dict) for c in columns)):
-                raise CorpusError(
-                    f"{manifest_path}: table entry {n}: 'columns' is not a list of objects: {columns!r}"
-                )
-            strings = [("name", entry["name"]), ("file", entry["file"])] + [
-                (f"columns[{i}].{key}", c[key])
-                for i, c in enumerate(columns)
-                for key in ("name", "semantic_type", "datatype")
-            ]
-            for key, value in strings:
-                if not isinstance(value, str):
-                    raise CorpusError(
-                        f"{manifest_path}: table entry {n}: {key!r} is not a string: {value!r}"
-                    )
-            if not (entry.get("primary_key") is None or isinstance(entry["primary_key"], str)):
-                raise CorpusError(
-                    f"{manifest_path}: table entry {n}: 'primary_key' is neither a string nor null: "
-                    f"{entry['primary_key']!r}"
-                )
-            schema = TableSchema(
-                name=entry["name"],
-                columns=[Column(c["name"], c["semantic_type"], c["datatype"]) for c in columns],
-                primary_key=entry.get("primary_key"),
-            )
-            path = directory / entry["file"]
-        except KeyError as exc:
-            raise CorpusError(
-                f"{manifest_path}: table entry {n} lacks key {exc.args[0]!r}"
-            ) from None
-        if not path.exists():
-            raise CorpusError(f"manifest references missing CSV {entry['file']!r}")
-        blob = path.read_bytes()
-        h.update(entry["file"].encode("utf-8") + b"\x00" + blob + b"\x00")
+            with open(path, "rb") as f:
+                blob = f.read()
+        except FileNotFoundError:
+            raise CorpusError(f"manifest references missing CSV {file!r}") from None
+        h.update(file.encode("utf-8") + b"\x00" + blob + b"\x00")
         try:
             text = blob.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise CorpusError(
-                f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})"
-            ) from None
+            raise CorpusError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
         rows = list(map(tuple, csv.reader(io.StringIO(text, newline=""))))
         if not rows:
-            raise CorpusError(f"table {entry['name']!r}: empty CSV (missing header)")
+            raise CorpusError(f"table {schema.name!r}: empty CSV (missing header)")
         header = list(rows[0])
         if header != schema.column_names():
-            raise CorpusError(
-                f"table {entry['name']!r}: CSV header {header} != schema columns"
-            )
-        tables.append(TableData(schema=schema, rows=rows[1:]))
+            raise CorpusError(f"table {schema.name!r}: CSV header {header} != schema columns")
+        data.append(TableData(schema=schema, rows=rows[1:]))
+    corpus = Corpus(tables=data, ground_truth=pairs, lineage=events, seed=seed, stats=stats)
 
-    ground_truth = []
-    for n, d in enumerate(manifest.get("ground_truth", []), start=1):
-        if not isinstance(d, dict):
-            bad = f"not an object: {d!r}"
-        else:
-            try:
-                left, right, kind = d["left"], d["right"], d["kind"]
-            except KeyError as exc:
-                raise CorpusError(
-                    f"{manifest_path}: ground-truth entry {n} lacks key {exc.args[0]!r}"
-                ) from None
-            difficulty = d.get("difficulty", EASY)
-            key_side, mapping_id = d.get("key_side"), d.get("mapping_id")
-            if not _is_ref(left):
-                bad = f"'left' is not a list of two strings: {left!r}"
-            elif not _is_ref(right):
-                bad = f"'right' is not a list of two strings: {right!r}"
-            elif not isinstance(kind, str):
-                bad = f"'kind' is not a string: {kind!r}"
-            elif not isinstance(difficulty, str):
-                bad = f"'difficulty' is not a string: {difficulty!r}"
-            elif not (key_side is None or isinstance(key_side, str)):
-                bad = f"'key_side' is neither a string nor null: {key_side!r}"
-            elif not (mapping_id is None or isinstance(mapping_id, str)):
-                bad = f"'mapping_id' is neither a string nor null: {mapping_id!r}"
-            else:
-                ground_truth.append(JoinPair(tuple(left), tuple(right), kind, difficulty, key_side, mapping_id))
-                continue
-        raise CorpusError(f"{manifest_path}: ground-truth entry {n}: {bad}")
-    lineage = []
-    for n, d in enumerate(manifest.get("lineage", []), start=1):
-        try:
-            lineage.append(LineageEvent.from_dict(d))
-        except KeyError as exc:
-            raise CorpusError(f"{manifest_path}: lineage entry {n} lacks key {exc.args[0]!r}") from None
-        except CorpusError as exc:
-            raise CorpusError(f"{manifest_path}: lineage entry {n}: {exc}") from None
-    try:
-        stats = CorpusStats.from_dict(manifest.get("stats", {}))
-    except CorpusError as exc:
-        raise CorpusError(f"{manifest_path}: stats: {exc}") from None
-    corpus = Corpus(
-        tables=tables,
-        ground_truth=ground_truth,
-        lineage=lineage,
-        seed=manifest.get("seed", 0),
-        stats=stats,
-    )
-
-    # validated ahead of the digest, so a row of the wrong arity is named
-    # (validate checks each row's arity, once per load)
+    # validated ahead of the row counts and the digest, so a row of the wrong
+    # arity is named (validate checks each row's arity, once per load)
     corpus.validate()
+    for n, ((_, file, count), t) in enumerate(zip(tables, data), start=1):
+        if len(t.rows) != count:
+            raise CorpusError(f"{manifest_path}: table entry {n}: {file} has {len(t.rows)} rows, not {count}")
     if next(iter(manifest)) != "digest":
         raise CorpusError(f"{manifest_path}: the first member is not the digest")
     expect = h.hexdigest()
-    if expect != manifest["digest"]:
-        raise CorpusError(
-            f"{manifest_path}: digest mismatch: manifest says {manifest['digest']}, contents give {expect}"
-        )
+    if expect != digest:
+        raise CorpusError(f"{manifest_path}: digest mismatch: manifest says {digest}, contents give {expect}")
     corpus.digest = expect
     return corpus

@@ -632,6 +632,19 @@ def reference_corpus_digest(directory) -> str:
     return h.hexdigest()
 
 
+def write_saved_manifest(path, manifest) -> None:
+    """Write the manifest's values at `path` in save_corpus's layout, with
+    the digest recomputed by reference_corpus_digest."""
+
+    def write():
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+
+    write()
+    # the digest does not cover its own line, so the stale one can stand in
+    manifest["digest"] = reference_corpus_digest(path.parent)
+    write()
+
+
 # ---------------------------------------------------------------------------
 # scripted LLM transport (prompt-aware test double)
 # ---------------------------------------------------------------------------

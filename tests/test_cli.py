@@ -7,9 +7,9 @@ import pytest
 from helpers import (
     FIXTURES,
     finance_ontology_text,
-    reference_corpus_digest,
     scripted_completion,
     uppercase_variant_transport,
+    write_saved_manifest,
 )
 
 from lakeforge import cli
@@ -610,18 +610,6 @@ def _drop_manifest_key(section, key):
     return damage
 
 
-def _write_saved_layout(path, manifest):
-    """Write the manifest in save_corpus's layout, its digest recomputed."""
-
-    def write():
-        path.write_text(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-    write()
-    # the digest does not cover its own line, so the stale one can stand in
-    manifest["digest"] = reference_corpus_digest(path.parent)
-    write()
-
-
 def _bad_pair_entry(key, value):
     """Set ground_truth[0][key] (the whole entry when key is None) and
     recompute the digest, so that only the entry's types are wrong."""
@@ -633,7 +621,7 @@ def _bad_pair_entry(key, value):
             manifest["ground_truth"][0] = value
         else:
             manifest["ground_truth"][0][key] = value
-        _write_saved_layout(path, manifest)
+        write_saved_manifest(path, manifest)
         return path, "ground-truth entry 1: " + (f"{key!r} is" if key else "not an object")
 
     return damage
@@ -738,7 +726,7 @@ def _break_csv_encoding(corpus):
         _set_manifest_value(("stats",), [], "stats: not an object"),
         _set_manifest_value(("tables", 0, "columns"), 5, "table entry 1: 'columns' is not a list of objects"),
         _set_manifest_value(("tables", 0, "columns", 0), "id", "table entry 1: 'columns' is not a list"),
-        _set_manifest_value(("tables", 0), "T.csv", "table entry 1 is not an object"),
+        _set_manifest_value(("tables", 0), "T.csv", "table entry 1: not an object"),
         _set_manifest_value(("tables", 0, "name"), 5, "table entry 1: 'name' is not a string: 5"),
         _set_manifest_value(("tables", 0, "file"), None, "table entry 1: 'file' is not a string: None"),
         _set_manifest_value(
@@ -747,6 +735,11 @@ def _break_csv_encoding(corpus):
         _set_manifest_value(
             ("tables", 0, "columns", 1, "datatype"), 3, "table entry 1: 'columns[1].datatype' is not a string: 3"
         ),
+        _set_manifest_value(("tables",), 5, "'tables' is not a list: 5"),
+        _set_manifest_value(("ground_truth",), 5, "'ground_truth' is not a list: 5"),
+        _set_manifest_value(("lineage",), 5, "'lineage' is not a list: 5"),
+        _set_manifest_value(("stats", "semantic_joins"), False, "stats: 'semantic_joins' is not an integer: False"),
+        _set_manifest_value(("seed",), "42", "'seed' is not an integer: '42'"),
         _set_manifest_value(("format_version",), 1, "format_version 1 cannot be verified: only version 2 digests are checked; regenerate"),
         _rewrite_manifest("the first member is not the digest", _digest_last, indent=2),
         _rewrite_manifest("digest mismatch", sort_keys=True, indent=4),
@@ -786,6 +779,11 @@ def _break_csv_encoding(corpus):
         "table-file-null",
         "table-primary-key-list",
         "table-column-datatype-integer",
+        "tables-not-list",
+        "ground-truth-not-list",
+        "lineage-not-list",
+        "stats-count-bool",
+        "seed-string",
         "format-version-1",
         "digest-not-first",
         "manifest-reindented",
@@ -812,7 +810,7 @@ def test_evaluate_unknown_difficulty_exit_2(tmp_path, capsys, small_finance_corp
     path = tmp_path / "c" / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
     next(p for p in manifest["ground_truth"] if p["kind"] == "semantic")["difficulty"] = "hard"
-    _write_saved_layout(path, manifest)
+    write_saved_manifest(path, manifest)
     capsys.readouterr()
     code = run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"), "--matchers", "jl"])
     assert code == 2

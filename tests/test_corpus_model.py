@@ -3,10 +3,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_corpus_digest
+from helpers import reference_corpus_digest, write_saved_manifest
 
 from lakeforge import model
 from lakeforge.common import CorpusError, _write_json
@@ -333,6 +333,17 @@ def _empty_corpus():
     return corpus
 
 
+def _manifest_values(corpus):
+    """The values of the corpus's manifest but its digest, one dict per pair."""
+    core = model._manifest_core(corpus, model._table_files(corpus))
+    core["ground_truth"] = [
+        {"left": list(p.left), "right": list(p.right), "kind": p.kind, "difficulty": p.difficulty,
+         "key_side": p.key_side, "mapping_id": p.mapping_id}
+        for p in corpus.ground_truth
+    ]
+    return core
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(corpus=_corpora())
 @example(corpus=small_corpus())
@@ -341,13 +352,7 @@ def test_manifest_and_digest_equal_the_dict_encodings(corpus):
     """The template that writes ground-truth pairs gives the bytes the stdlib
     gives for the manifest as one dict per pair, and the digest is the
     README's rule applied to the files saved."""
-    files = model._table_files(corpus)
-    core = model._manifest_core(corpus, files)
-    core["ground_truth"] = [
-        {"left": list(p.left), "right": list(p.right), "kind": p.kind, "difficulty": p.difficulty,
-         "key_side": p.key_side, "mapping_id": p.mapping_id}
-        for p in corpus.ground_truth
-    ]
+    core = _manifest_values(corpus)
     with tempfile.TemporaryDirectory() as directory:
         digest = save_corpus(corpus, directory)
         assert digest == reference_corpus_digest(directory)
@@ -448,3 +453,80 @@ def test_load_names_the_first_fault(tmp_path, damages, message):
     with pytest.raises(CorpusError) as info:
         load_corpus(tmp_path)
     assert str(info.value) == message.format(manifest=tmp_path / "manifest.json")
+
+
+def test_load_checks_each_table_row_count(tmp_path):
+    # re-sealed, so only the count is wrong
+    save_corpus(small_corpus(), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["tables"][0]["rows"] = 999
+    write_saved_manifest(path, manifest)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path)
+    assert str(info.value) == f"{path}: table entry 1: accounts.csv has 2 rows, not 999"
+
+
+def test_validate_names_a_ref_that_is_not_a_tuple():
+    corpus = small_corpus()
+    corpus.ground_truth = [JoinPair(["Accounts", "acct_id"], ["Payments", "account"], "pkfk", "difficult", "left")]
+    with pytest.raises(CorpusError) as info:
+        corpus.validate()
+    assert str(info.value) == "ground-truth pair 1: ['Accounts', 'acct_id'] is not a tuple of two strings"
+
+
+def _retyping_corpus():
+    """small_corpus with a lineage event, so that every kind of manifest
+    entry is present."""
+    corpus = small_corpus()
+    corpus.lineage.append(
+        LineageEvent("ev00001", "noop", ("Accounts", None), ("Accounts", None), params={"rate": 0.5},
+                     value_map={"1001": "1001"}, cell_changes=[(0, "1001", "1001")])
+    )
+    corpus.refresh_stats()
+    return corpus
+
+
+def _json_paths(value, path=()):
+    """The path to every value of a JSON tree, its root included."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    where=st.sampled_from(list(_json_paths(_manifest_values(_retyping_corpus())))),
+    value=st.sampled_from(["x", 5, 0.5, True, None, [], {}, ["x"], {"x": "y"}]),
+)
+@example(where=("ground_truth",), value=5)
+@example(where=("tables", 0, "rows"), value="x")
+@example(where=("lineage", 0, "cell_changes"), value=[])
+def test_a_value_of_another_type_fails_to_load_or_round_trips(where, value):
+    """Setting one manifest value to a value of another JSON type (int and
+    float apart) makes load raise CorpusError, or give a corpus that saves
+    the same manifest bytes back."""
+    with tempfile.TemporaryDirectory() as directory:
+        directory = Path(directory)
+        save_corpus(_retyping_corpus(), directory)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        parent = manifest
+        for key in where[:-1]:
+            parent = parent[key]
+        assume(type(parent[where[-1]] if where else parent) is not type(value))
+        if where:
+            parent[where[-1]] = value
+        else:
+            manifest = value
+        try:
+            write_saved_manifest(path, manifest)
+        except (LookupError, TypeError, AttributeError):  # the digest rule needs the table entries
+            pass
+        try:
+            loaded = load_corpus(directory)
+        except CorpusError:
+            return
+        save_corpus(loaded, directory / "again")
+        assert (directory / "again" / "manifest.json").read_bytes() == path.read_bytes()

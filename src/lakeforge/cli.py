@@ -263,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except LakeforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # a path that cannot be read or written as asked
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return 2
     finally:
         if enabled:
             gc.enable()

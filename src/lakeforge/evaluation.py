@@ -27,17 +27,16 @@ DEFAULT_KS = (1, 3, 5)
 
 TASK_EXACT = "exact_joins"
 TASK_SEMANTIC = "semantic_joins"
-TASK_ALL = "all"
-TASKS = (TASK_EXACT, TASK_SEMANTIC, TASK_ALL)
+TASKS = (TASK_EXACT, TASK_SEMANTIC)
 
 
 def task_truth(pairs: list[JoinPair], task: str) -> set[PairKey]:
     """Truth set for a task. The exact task covers {exact, pkfk}; the semantic
-    task, like the all task, covers every kind, since every pkfk/exact pair is
-    also joinable under an identity mapping."""
+    task covers every kind, since every pkfk/exact pair is also joinable under
+    an identity mapping."""
     if task == TASK_EXACT:
         kinds = {KIND_EXACT, KIND_PKFK}
-    elif task in (TASK_SEMANTIC, TASK_ALL):
+    elif task == TASK_SEMANTIC:
         kinds = {KIND_EXACT, KIND_PKFK, KIND_SEMANTIC}
     else:
         raise EvaluationError(f"unknown task {task!r}")

@@ -164,7 +164,7 @@ class LineageEvent:
             "result": list(self.result),
             "params": self.params,
             "value_map": self.value_map,
-            "cell_changes": [list(c) for c in self.cell_changes] if self.cell_changes else None,
+            "cell_changes": None if self.cell_changes is None else [list(c) for c in self.cell_changes],
         }
 
 
@@ -332,10 +332,10 @@ def _csv_bytes(table: TableData) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _table_files(corpus: Corpus) -> dict[str, str]:
+def _table_files(names: list[str]) -> dict[str, str]:
     files: dict[str, str] = {}
     used: set[str] = set()
-    for name in sorted(corpus.table_names()):
+    for name in sorted(set(names)):
         candidate = unique_name(slugify(name), used)
         used.add(candidate)
         files[name] = candidate + ".csv"
@@ -421,7 +421,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> str:
     """
     corpus.validate()
     directory = Path(directory)
-    files = _table_files(corpus)
+    files = _table_files(corpus.table_names())
     parts: list[str] = []
     _write_manifest(_manifest_core(corpus, files), corpus.ground_truth, parts.append)
     parts.append("\n")
@@ -508,10 +508,9 @@ _CELL = _tuple("", _INT, _STR, _STR)
 _VALUE_MAP = Shape("is neither null nor an object of strings", lambda values: values if (
     set(map(type, values)) <= {dict, type(None)} and _STR.take([v for m in values if m for v in m.values()])
     is not None) else None)
-# save writes an empty list of cell changes as null, so only a non-empty one is read
-_CELL_CHANGES = Shape("is neither null nor a non-empty list of [int, str, str]", lambda values: (
+_CELL_CHANGES = Shape("is neither null nor a list of [int, str, str]", lambda values: (
     [None if v is None else _CELL.take(v) for v in values]
-    if set(map(type, values)) <= {list, type(None)} and [] not in values
+    if set(map(type, values)) <= {list, type(None)}
     and _CELL.take([c for v in values if v for c in v]) is not None else None))
 _TABLE = Entry(lambda name, file, pk, rows, columns: (TableSchema(name, columns, pk), file, rows),
                name=_STR, file=_STR, primary_key=(_STR_OR_NULL, None), rows=_INT,
@@ -612,6 +611,10 @@ def load_corpus(directory: str | Path) -> Corpus:
     pairs = _decode(_PAIR, pairs, lambda n: f"{manifest_path}: ground-truth entry {n}")
     events = _decode(_LINEAGE, events, lambda n: f"{manifest_path}: lineage entry {n}")
     [stats] = _decode(_STATS, [stats], lambda n: f"{manifest_path}: stats")
+    files = _table_files([schema.name for schema, _, _ in tables])
+    for n, (schema, file, _) in enumerate(tables, start=1):
+        if file != files[schema.name]:  # so no path leads out of the corpus directory
+            raise CorpusError(f"{manifest_path}: table entry {n}: file {file!r} is not {files[schema.name]!r}")
 
     data: list[TableData] = []
     for schema, file, _ in tables:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from .common import OntologyError, slugify, split_words, unique_name
 from .model import Column, DATATYPES, TableSchema
@@ -33,16 +34,12 @@ class Concept:
     name: str
     data_properties: list[DataProperty] = field(default_factory=list)
 
-    def property_names(self) -> list[str]:
-        return [p.name for p in self.data_properties]
-
 
 @dataclass
 class ObjectProperty:
     name: str
     domain_concept: str
     range_concept: str
-    allow_self: bool = False
 
 
 @dataclass
@@ -65,7 +62,7 @@ class Ontology:
             raise OntologyError(f"duplicate concept name(s): {dupes}")
         known = set(names)
         for c in self.concepts:
-            props = c.property_names()
+            props = [p.name for p in c.data_properties]
             pdupes = sorted({p for p in props if props.count(p) > 1})
             if pdupes:
                 raise OntologyError(f"concept {c.name!r}: duplicate data properties {pdupes}")
@@ -78,11 +75,9 @@ class Ontology:
                     raise OntologyError(
                         f"object property {op.name!r}: dangling {side} reference {ref!r}"
                     )
-            if op.domain_concept == op.range_concept and not op.allow_self:
-                raise OntologyError(
-                    f"object property {op.name!r}: self-reference on "
-                    f"{op.domain_concept!r} not flagged with [self]"
-                )
+            if op.domain_concept == op.range_concept:
+                # a table referencing itself would depend on itself
+                raise OntologyError(f"object property {op.name!r}: self-reference on {op.domain_concept!r}")
 
 
 @dataclass
@@ -130,15 +125,12 @@ class GroupingConfig:
 class DependencyGraph:
     """Directed graph: edge A -> B means table A depends on table B.
 
-    waves: the Kahn layering; wave k holds, sorted by name, the tables whose
-    dependencies all sit in waves < k."""
+    waves: the topological layering; wave k holds, sorted by name, the tables
+    whose dependencies all sit in waves < k."""
 
     nodes: list[str]
     edges: set[tuple[str, str]]
     waves: list[list[str]] = field(default_factory=list)
-
-    def dependencies(self, name: str) -> list[str]:
-        return sorted(b for (a, b) in self.edges if a == name)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +173,7 @@ def _parse_native(source: str) -> Ontology:
         m = _RE_RELATION.match(line)
         if m:
             name, domain, rng = m.groups()
-            allow_self = False
-            if rng.endswith("[self]"):
-                rng = rng[: -len("[self]")].strip()
-                allow_self = True
-            onto.object_properties.append(
-                ObjectProperty(
-                    name=name, domain_concept=domain, range_concept=rng, allow_self=allow_self
-                )
-            )
+            onto.object_properties.append(ObjectProperty(name=name, domain_concept=domain, range_concept=rng))
             continue
         raise OntologyError(f"cannot parse statement {line!r}", lineno)
     onto.validate()
@@ -261,8 +245,10 @@ def _parse_turtle(source: str) -> Ontology:
 
     classes: dict[str, int] = {}
     labels: dict[str, str] = {}
-    dprops: dict[str, dict] = {}
-    oprops: dict[str, dict] = {}
+    # each property's first line, domain and range; those typed
+    # owl:ObjectProperty are object properties, the rest datatype properties
+    props: dict[str, dict] = {}
+    object_props: set[str] = set()
 
     def record(subject: str, pred: str, obj: str, lineno: int) -> None:
         p = _local_name(pred).lower()
@@ -270,18 +256,12 @@ def _parse_turtle(source: str) -> Ontology:
             t = _local_name(obj).lower()
             if t == "class":
                 classes.setdefault(subject, lineno)
-            elif t == "datatypeproperty":
-                dprops.setdefault(subject, {"line": lineno})
-            elif t == "objectproperty":
-                oprops.setdefault(subject, {"line": lineno})
-        elif p == "domain":
-            dprops.setdefault(subject, {"line": lineno})["domain"] = obj
-            if subject in oprops:
-                oprops[subject]["domain"] = obj
-        elif p == "range":
-            dprops.setdefault(subject, {"line": lineno})["range"] = obj
-            if subject in oprops:
-                oprops[subject]["range"] = obj
+            elif t in ("datatypeproperty", "objectproperty"):
+                props.setdefault(subject, {"line": lineno})
+                if t == "objectproperty":
+                    object_props.add(subject)
+        elif p in ("domain", "range"):
+            props.setdefault(subject, {"line": lineno})[p] = obj
         elif p == "label":
             labels[subject] = obj.strip('"')
 
@@ -305,18 +285,14 @@ def _parse_turtle(source: str) -> Ontology:
             record(subject, chunk[0], chunk[1], lineno)
             i = sep + 1
 
-    # object properties: moved out of dprops when their range is a class
-    for name, info in list(dprops.items()):
-        if name in oprops:
-            oprops[name].update({k: v for k, v in info.items() if k != "line"})
-            del dprops[name]
-
     concept_map: dict[str, Concept] = {}
     for subject in classes:
         cname = labels.get(subject, _display_name(subject))
         concept_map[subject] = Concept(name=cname)
 
-    for name, info in sorted(dprops.items()):
+    for name, info in sorted(props.items()):
+        if name in object_props:
+            continue
         domain = info.get("domain")
         if domain is None:
             raise OntologyError(f"datatype property {name!r} lacks rdfs:domain", info["line"])
@@ -332,7 +308,8 @@ def _parse_turtle(source: str) -> Ontology:
         )
 
     object_properties: list[ObjectProperty] = []
-    for name, info in sorted(oprops.items()):
+    for name in sorted(object_props):
+        info = props[name]
         domain, rng = info.get("domain"), info.get("range")
         if domain is None or rng is None:
             raise OntologyError(
@@ -348,7 +325,6 @@ def _parse_turtle(source: str) -> Ontology:
                 name=labels.get(name, _local_name(name)),
                 domain_concept=concept_map[domain].name,
                 range_concept=concept_map[rng].name,
-                allow_self=(domain == rng),
             )
         )
 
@@ -391,8 +367,6 @@ def _connectivity(onto: Ontology) -> dict[str, dict[str, int]]:
     conn: dict[str, dict[str, int]] = {c.name: {} for c in onto.concepts}
     for op in onto.object_properties:
         a, b = op.domain_concept, op.range_concept
-        if a == b:
-            continue
         conn[a][b] = conn[a].get(b, 0) + 1
         conn[b][a] = conn[b].get(a, 0) + 1
     return conn
@@ -433,7 +407,6 @@ def ontology_to_schemas(
         return merged_into.get(concept, concept)
 
     tables: dict[str, TableSchema] = {}
-    key_col: dict[str, str] = {}
     for c in onto.concepts:
         if c.name in merged_into:
             continue
@@ -466,20 +439,18 @@ def ontology_to_schemas(
                 pk_name += "_"
             schema.columns.insert(0, Column(pk_name, f"{name} Identifier", "integer"))
             schema.primary_key = pk_name
-        key_col[name] = schema.primary_key
 
     relationships: list[DeclaredJoin] = []
     for op in onto.object_properties:
         domain_t, range_t = home(op.domain_concept), home(op.range_concept)
-        if domain_t == range_t and not op.allow_self:
+        if domain_t == range_t:
             warnings.append(
                 f"object property {op.name!r} links concepts merged into the same table "
                 f"{domain_t!r}; dropped"
             )
             continue
-        target = tables[domain_t]
-        pk = key_col[domain_t]
-        pk_col = target.column(pk)
+        pk = tables[domain_t].primary_key
+        pk_col = tables[domain_t].column(pk)
         schema = tables[range_t]
         existing = set(schema.column_names())
         passive = _passive_column_name(op.name)
@@ -515,32 +486,18 @@ def build_dependency_graph(schema_set: SchemaSet) -> DependencyGraph:
     nodes = sorted(t.name for t in schema_set.tables)
     edges = {(j.source_table, j.target_table) for j in schema_set.relationships}
     graph = DependencyGraph(nodes=nodes, edges=edges)
-
-    # Kahn's algorithm over dependency edges; leftovers indicate a cycle.
-    deps = {n: set(graph.dependencies(n)) for n in nodes}
-    done: set[str] = set()
-    remaining = list(nodes)
-    while remaining:
-        ready = [n for n in remaining if deps[n] <= done]
-        if not ready:
-            cycle = _find_cycle(remaining, deps)
-            raise OntologyError("dependency cycle detected: " + " -> ".join(cycle))
-        graph.waves.append(ready)
-        done.update(ready)
-        remaining = [n for n in remaining if n not in done]
+    # added in sorted order, so the cycle reported does not hang on set order
+    sorter = TopologicalSorter({n: () for n in nodes})
+    for a, b in sorted(edges):
+        sorter.add(a, b)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        # graphlib walks from a table to its dependents; the message reads
+        # in the depends-on direction
+        raise OntologyError("dependency cycle detected: " + " -> ".join(reversed(exc.args[1]))) from None
+    while sorter.is_active():
+        wave = sorted(sorter.get_ready())
+        graph.waves.append(wave)
+        sorter.done(*wave)
     return graph
-
-
-def _find_cycle(nodes: list[str], deps: dict[str, set[str]]) -> list[str]:
-    start = nodes[0]
-    path = [start]
-    seen = {start}
-    cur = start
-    while True:
-        nxt = sorted(d for d in deps[cur] if d in nodes)[0]
-        if nxt in seen:
-            idx = path.index(nxt)
-            return path[idx:] + [nxt]
-        path.append(nxt)
-        seen.add(nxt)
-        cur = nxt

@@ -253,6 +253,20 @@ def fig1_text() -> str:
 # ---------------------------------------------------------------------------
 
 
+def waves_oracle(nodes, edges) -> list[list[str]] | None:
+    """Generation waves by fixed-point iteration, edge (a, b) meaning that a
+    depends on b: a table's wave is 1 plus the largest wave among its
+    dependencies (0 with none), each wave sorted by name. None when the waves
+    never settle, which only a cycle makes them do."""
+    wave = dict.fromkeys(nodes, 0)
+    for _ in range(len(wave) + 1):
+        nxt = {n: max((wave[b] + 1 for a, b in edges if a == n), default=0) for n in wave}
+        if nxt == wave:
+            return [sorted(n for n in wave if wave[n] == k) for k in range(max(wave.values(), default=-1) + 1)]
+        wave = nxt
+    return None
+
+
 def _oracle_classify(values, pks, value_maps, left, right):
     """(kind, key_side, mapping_id) of one pair, straight from the definition:
     PK containment, then intersection, then the first value map in event-id
@@ -350,7 +364,6 @@ def topk_oracle(rows, truth: set, k: int) -> float:
 _TASK_KINDS = {
     "exact_joins": {"exact", "pkfk"},
     "semantic_joins": {"exact", "pkfk", "semantic"},
-    "all": {"exact", "pkfk", "semantic"},
 }
 
 

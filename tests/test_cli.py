@@ -371,6 +371,23 @@ def test_finance_generate_twenty_tables(tmp_path):
     assert len(corpus.tables) == 20
 
 
+@pytest.mark.parametrize("argv, path, reason", [
+    (["schema", "--ontology", FIG1, "--out", "{file}"], "{file}", "File exists"),
+    (["generate", "--ontology", "{dir}", "--out", "{dir}/c", "--seed", "1"], "{dir}", "Is a directory"),
+    (["perturb", "--corpus", "{base}", "--out", "{dir}/c", "--plan", "{dir}"], "{dir}", "Is a directory"),
+    (["perturb", "--corpus", "{base}", "--out", "{file}"], "{file}", "File exists"),
+    (["evaluate", "--corpus", "{base}", "--out", "{file}", "--matchers", "sf"], "{file}", "File exists"),
+], ids=["schema-out", "generate-ontology", "perturb-plan", "perturb-out", "evaluate-out"])
+def test_file_error_exit_2(tmp_path, capsys, fig1_base, argv, path, reason):
+    # a directory where a file is read, or a file where a directory is made
+    names = {"dir": tmp_path / "dir", "file": tmp_path / "file", "base": fig1_base}
+    names["dir"].mkdir()
+    names["file"].write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert run([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: {reason}: {path.format(**names)}\n"
+
+
 def test_schema_from_turtle_file(tmp_path):
     code = run(["schema", "--ontology", str(FIXTURES / "fig1.ttl"), "--out", str(tmp_path)])
     assert code == 0

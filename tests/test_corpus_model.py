@@ -68,8 +68,7 @@ def test_table_lookup_by_name():
 
 def test_table_files_take_the_first_free_suffix():
     names = ["A b", "a-b", "a_b", "A_B_2", "!!"]
-    corpus = Corpus(tables=[TableData(TableSchema(n, [Column("c", "C")]), []) for n in names])
-    assert model._table_files(corpus) == {
+    assert model._table_files(names) == {
         "!!": "t.csv", "A b": "a_b.csv", "A_B_2": "a_b_2.csv", "a-b": "a_b_3.csv", "a_b": "a_b_4.csv",
     }
 
@@ -221,6 +220,16 @@ def test_lineage_round_trip(tmp_path):
     assert loaded.lineage == corpus.lineage
 
 
+def test_empty_cell_changes_round_trip(tmp_path):
+    corpus = small_corpus()
+    corpus.lineage.append(
+        LineageEvent("ev00001", "inject_nulls", ("Accounts", "Owner"), ("Accounts", "Owner"), cell_changes=[])
+    )
+    corpus.refresh_stats()
+    save_corpus(corpus, tmp_path)
+    assert load_corpus(tmp_path) == corpus
+
+
 _json_scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -335,7 +344,7 @@ def _empty_corpus():
 
 def _manifest_values(corpus):
     """The values of the corpus's manifest but its digest, one dict per pair."""
-    core = model._manifest_core(corpus, model._table_files(corpus))
+    core = model._manifest_core(corpus, model._table_files(corpus.table_names()))
     core["ground_truth"] = [
         {"left": list(p.left), "right": list(p.right), "kind": p.kind, "difficulty": p.difficulty,
          "key_side": p.key_side, "mapping_id": p.mapping_id}
@@ -465,6 +474,20 @@ def test_load_checks_each_table_row_count(tmp_path):
     with pytest.raises(CorpusError) as info:
         load_corpus(tmp_path)
     assert str(info.value) == f"{path}: table entry 1: accounts.csv has 2 rows, not 999"
+
+
+def test_load_checks_each_table_file_name(tmp_path):
+    # re-sealed, and the CSV named exists outside the corpus directory
+    save_corpus(small_corpus(), tmp_path / "c")
+    (tmp_path / "other").mkdir()
+    (tmp_path / "other" / "accounts.csv").write_bytes((tmp_path / "c" / "accounts.csv").read_bytes())
+    path = tmp_path / "c" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["tables"][0]["file"] = "../other/accounts.csv"
+    write_saved_manifest(path, manifest)
+    with pytest.raises(CorpusError) as info:
+        load_corpus(tmp_path / "c")
+    assert str(info.value) == f"{path}: table entry 1: file '../other/accounts.csv' is not 'accounts.csv'"
 
 
 def test_validate_names_a_ref_that_is_not_a_tuple():

@@ -194,7 +194,7 @@ def test_task_truth_filters():
     ]
     assert len(task_truth(pairs, "exact_joins")) == 2
     assert len(task_truth(pairs, "semantic_joins")) == 3  # superset reading
-    assert len(task_truth(pairs, "all")) == 3
+    assert task_truth(pairs, "semantic_joins") == {p.key() for p in pairs}
 
 
 def test_render_report_deterministic_and_formatted():
@@ -274,7 +274,7 @@ def test_evaluate_tasks_equal_per_task_metrics():
         rows.append((right, left, score * rng.random()))
     rng.shuffle(rows)
     preds = Predictions.best_of(rows)
-    tasks = ["exact_joins", "semantic_joins", "all"]
+    tasks = ["exact_joins", "semantic_joins", "semantic_joins"]
     ks = (1, 3, 5, 100)
     reports = evaluate(preds, ground_truth, tasks, matcher="m", threshold=0.5, ks=ks, corpus_digest="d")
     want = []
@@ -308,6 +308,8 @@ def test_evaluate_takes_a_list_of_tasks():
         evaluate(NONE, [], "exact_joins")
     with pytest.raises(EvaluationError, match="unknown task"):
         evaluate(NONE, [], ["exact_joins", "exact"])
+    with pytest.raises(EvaluationError, match="^unknown task 'all'$"):
+        evaluate(NONE, [], ["all"])
     assert evaluate(NONE, [], []) == []
 
 

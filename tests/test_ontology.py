@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fig1_text, finance_ontology_text, FIXTURES
+from helpers import fig1_text, finance_ontology_text, waves_oracle, FIXTURES
 
 from lakeforge.common import OntologyError
 from lakeforge.ontology import (
+    DeclaredJoin,
     GroupingConfig,
     build_dependency_graph,
     ontology_to_schemas,
@@ -45,12 +48,20 @@ def test_syntax_error_carries_line_number():
 
 
 def test_unflagged_self_reference_rejected():
+    # a table referencing itself would depend on itself, so no wave holds it;
+    # no syntax flags one through, so the relation fails at parse
     text = "concept A\n  prop x: text\n  prop y: text\nrelation r: A -> A\n"
-    with pytest.raises(OntologyError, match="self-reference"):
+    with pytest.raises(OntologyError, match="^object property 'r': self-reference on 'A'$"):
         parse_ontology(text)
-    ok = "concept A\n  prop x: text\n  prop y: text\nrelation r: A -> A [self]\n"
-    onto = parse_ontology(ok)
-    assert onto.object_properties[0].allow_self
+    with pytest.raises(OntologyError, match="^object property 'r': dangling range reference 'A \\[self\\]'$"):
+        parse_ontology(text.replace("-> A", "-> A [self]"))
+    turtle = (
+        "@prefix ex: <http://x#> .\n"
+        "ex:A a owl:Class .\n"
+        "ex:r a owl:ObjectProperty ; rdfs:domain ex:A ; rdfs:range ex:A .\n"
+    )
+    with pytest.raises(OntologyError, match="^object property 'r': self-reference on 'A'$"):
+        parse_ontology(turtle, format="turtle")
 
 
 def test_turtle_subset_parses():
@@ -201,8 +212,7 @@ def test_dependency_graph_edgeless():
     text = "concept A\n  prop x: text\n  prop y: text\nconcept B\n  prop z: text\n  prop w: text\n"
     schema_set, _ = ontology_to_schemas(parse_ontology(text))
     graph = build_dependency_graph(schema_set)
-    assert graph.edges == set()
-    assert all(graph.dependencies(n) == [] for n in graph.nodes)
+    assert (graph.nodes, graph.edges) == (["A", "B"], set())
     assert graph.waves == [["A", "B"]]
 
 
@@ -213,15 +223,87 @@ def test_cycle_detected():
         "relation ab: A -> B\nrelation ba: B -> A\n"
     )
     schema_set, _ = ontology_to_schemas(parse_ontology(text))
-    with pytest.raises(OntologyError, match="cycle"):
+    with pytest.raises(OntologyError, match="^dependency cycle detected: A -> B -> A$"):
         build_dependency_graph(schema_set)
+    # the range side depends on the domain side: B on A, C on B, A on C
+    text = text.replace("relation ba: B -> A\n", "concept C\n  prop v: text\n  prop u: text\n"
+                        "relation bc: B -> C\nrelation ca: C -> A\n")
+    schema_set, _ = ontology_to_schemas(parse_ontology(text))
+    with pytest.raises(OntologyError, match="^dependency cycle detected: A -> C -> B -> A$"):
+        build_dependency_graph(schema_set)
+
 
 
 def test_self_loop_is_a_cycle():
-    text = "concept A\n  prop x: text\n  prop y: text\nrelation r: A -> A [self]\n"
+    # no ontology parses to a self-join, but a schema set built in Python can
+    # hold one, and the graph names it as a cycle
+    text = "concept A\n  prop x: text\n  prop y: text\n"
     schema_set, _ = ontology_to_schemas(parse_ontology(text))
-    with pytest.raises(OntologyError, match="cycle"):
+    key = schema_set.tables[0].primary_key
+    schema_set.relationships.append(DeclaredJoin("A", key, "A", key))
+    with pytest.raises(OntologyError, match="^dependency cycle detected: A -> A$"):
         build_dependency_graph(schema_set)
+
+
+_NAMES = ["Gamma", "alpha", "Beta 2", "Beta", "delta", "Zeta", "eta", "Theta"]
+
+
+def _relations_text(names, relations, fmt, split):
+    """An ontology of `names`, two properties each (so none merges), with
+    relation `link<i>` from a to b for each (a, b) of `relations`; in Turtle,
+    `split` states each relation's domain and range before its type."""
+    if fmt == "native":
+        text = "".join(f"concept {c}\n  prop {c} One: text\n  prop {c} Two: text\n" for c in names)
+        return text + "".join(f"relation link{i}: {a} -> {b}\n" for i, (a, b) in enumerate(relations))
+    iri = {c: f"ex:C{k}" for k, c in enumerate(names)}
+    lines = ["@prefix ex: <http://x#> ."]
+    for c in names:
+        lines.append(f'{iri[c]} a owl:Class ; rdfs:label "{c}" .')
+        lines += [f'{iri[c]}{p} a owl:DatatypeProperty ; rdfs:domain {iri[c]} ; rdfs:label "{c} {p}" .'
+                  for p in ("One", "Two")]
+    for i, (a, b) in enumerate(relations):
+        ends = f"rdfs:domain {iri[a]} ; rdfs:range {iri[b]}"
+        lines += ([f"ex:link{i} {ends} .", f"ex:link{i} a owl:ObjectProperty ."] if split
+                  else [f"ex:link{i} a owl:ObjectProperty ; {ends} ."])
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 8), fmt=st.sampled_from(["native", "turtle"]), split=st.booleans())
+def test_waves_equal_the_oracle_or_a_cycle_is_named(data, n, fmt, split):
+    """Random relations over n concepts, in either format: a relation from a
+    concept to itself fails at parse; otherwise the waves are the oracle's,
+    or, when the joins hold a cycle, the error names a closed path of
+    declared joins."""
+    names = data.draw(st.permutations(_NAMES[:n]))
+    link = st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(lambda ab: ab[0] != ab[1])
+    size = data.draw(st.integers(0, 12))
+    relations = data.draw(st.lists(link, min_size=size, max_size=size))
+    if data.draw(st.integers(0, 3)) == 0:  # a relation from a concept to itself
+        loop = data.draw(st.sampled_from(names))
+        relations.insert(data.draw(st.integers(0, size)), (loop, loop))
+    text = _relations_text(names, relations, fmt, split)
+    loops = {(f"link{i}", a) for i, (a, b) in enumerate(relations) if a == b}
+    if loops:
+        with pytest.raises(OntologyError) as info:
+            parse_ontology(text, format=fmt)
+        assert any(str(info.value) == f"object property {r!r}: self-reference on {c!r}" for r, c in loops)
+        return
+    schema_set, warnings = ontology_to_schemas(parse_ontology(text, format=fmt))
+    assert warnings == []
+    joins = {(j.source_table, j.target_table) for j in schema_set.relationships}
+    assert joins == {(b, a) for a, b in relations}
+    want = waves_oracle(names, joins)
+    if want is not None:
+        assert build_dependency_graph(schema_set).waves == want
+        return
+    with pytest.raises(OntologyError) as info:
+        build_dependency_graph(schema_set)
+    prefix = "dependency cycle detected: "
+    assert str(info.value).startswith(prefix)
+    path = str(info.value)[len(prefix):].split(" -> ")
+    assert path[0] == path[-1] and len(set(path)) == len(path) - 1 >= 2
+    assert set(zip(path, path[1:])) <= joins
 
 
 def test_finance_ontology_compiles_to_20_tables():

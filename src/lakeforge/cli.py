@@ -27,7 +27,7 @@ from .common import (
 from .evaluation import DEFAULT_KS, DEFAULT_THRESHOLD, TASKS, evaluate, render_report
 from .gateway import DEFAULT_MODEL, GatewayConfig, LlmGateway
 from .generate import plan_generation, generate_base_tables
-from .matchers import external_match, match_corpus, write_predictions_csv
+from .matchers import MATCHERS, external_match, match_corpus, write_predictions_csv
 from .model import load_corpus, save_corpus
 from .ontology import GroupingConfig, build_dependency_graph, ontology_to_schemas, parse_ontology
 from .perturb import apply_plan, default_plan, parse_plan
@@ -149,9 +149,6 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 
 def cmd_evaluate(args) -> int:
-    corpus = load_corpus(args.corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     tasks = [t.strip() for t in args.tasks.split(",") if t.strip()]
     for t in tasks:
         if t not in TASKS:
@@ -159,9 +156,16 @@ def cmd_evaluate(args) -> int:
     ks = _parse_ks(args.k)
     if not 0.0 <= args.threshold <= 1.0:  # NaN fails both comparisons
         raise EvaluationError(f"--threshold: {args.threshold} is not a number in [0, 1]")
+    specs = [m.strip() for m in args.matchers.split(",") if m.strip()]
+    for spec in specs:  # every flag is checked before --out is made or a matcher runs
+        if not spec.startswith("external:") and spec not in MATCHERS:
+            raise EvaluationError(f"unknown matcher {spec!r}")
+    corpus = load_corpus(args.corpus)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     reports = []
-    for spec in [m.strip() for m in args.matchers.split(",") if m.strip()]:
+    for spec in specs:
         if spec.startswith("external:"):
             name, preds = "external", external_match(args.corpus, spec[len("external:"):], corpus)
         else:

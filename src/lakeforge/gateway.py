@@ -46,7 +46,6 @@ class CompletionRequest:
 
 
 def request_digest(req: CompletionRequest, model: str) -> str:
-    req.validate()
     core = {
         "model": " ".join(model.split()),
         "prompt": req.prompt,
@@ -60,17 +59,10 @@ def request_digest(req: CompletionRequest, model: str) -> str:
 class GatewayConfig:
     mode: str = "replay"  # live | record | replay
     cache_dir: str | Path | None = None
-    endpoint: str | None = None
-    api_key: str | None = None
+    endpoint: str | None = None  # else $LAKEFORGE_ENDPOINT; $LAKEFORGE_API_KEY is the bearer token
     model: str = DEFAULT_MODEL
     timeout: float = 60.0
     retries: int = 3
-
-    def resolved_endpoint(self) -> str | None:
-        return self.endpoint or os.environ.get(ENV_ENDPOINT)
-
-    def resolved_api_key(self) -> str | None:
-        return self.api_key or os.environ.get(ENV_API_KEY)
 
 
 class HttpStatusError(GatewayError):
@@ -134,13 +126,14 @@ class LlmGateway:
     def _call_endpoint(self, req: CompletionRequest) -> str:
         if self._transport is not None:
             return self._transport(req)
-        endpoint = self.config.resolved_endpoint()
+        endpoint = self.config.endpoint or os.environ.get(ENV_ENDPOINT)
         if not endpoint:
             raise GatewayError(f"no endpoint configured (flag or {ENV_ENDPOINT})")
-        import requests
-
+        # imported here, as only a live call needs them: at the top, every CLI start would load ssl
+        from urllib.error import HTTPError, URLError
+        from urllib.request import HTTPRedirectHandler, Request, build_opener
         headers = {"Content-Type": "application/json"}
-        key = self.config.resolved_api_key()
+        key = os.environ.get(ENV_API_KEY)
         if key:
             headers["Authorization"] = f"Bearer {key}"
         payload = {
@@ -149,23 +142,31 @@ class LlmGateway:
             "max_tokens": req.max_tokens,
             "temperature": req.temperature,
         }
+        post = Request(endpoint, json.dumps(payload).encode(), headers)
+        if post.type not in ("http", "https"):  # the opener would also read file: and data: URLs
+            raise GatewayError(f"endpoint {endpoint!r} is not an http(s) URL")
+        no_redirect = HTTPRedirectHandler()  # following a 3xx would carry the bearer token to its target
+        no_redirect.redirect_request = lambda *args: None
         try:
-            resp = requests.post(endpoint, json=payload, headers=headers, timeout=self.config.timeout)
-        except requests.Timeout as exc:
-            raise TimeoutError(str(exc)) from exc
-        except requests.ConnectionError as exc:
-            raise ConnectionError(str(exc)) from exc
-        if resp.status_code != 200:
-            raise HttpStatusError(resp.status_code, resp.text)
-        body = resp.json()
+            with build_opener(no_redirect).open(post, timeout=self.config.timeout) as resp:
+                status, raw = resp.status, resp.read()
+        except HTTPError as exc:  # any status from 300 up
+            with exc:
+                status, raw = exc.code, exc.read()
+        except URLError as exc:  # a refused connection or a timeout stays retryable
+            raise (exc.reason if isinstance(exc.reason, OSError) else ConnectionError(exc.reason)) from None
+        if status != 200:
+            raise HttpStatusError(status, raw.decode("utf-8", "replace"))
+        body, text = json.loads(raw), None
         if isinstance(body, dict):
             choices = body.get("choices")
             if isinstance(choices, list) and choices:
-                return str(choices[0].get("text", ""))
-            for field in ("text", "completion"):
-                if field in body:
-                    return str(body[field])
-        raise GatewayError("endpoint response carries no completion text")
+                text = choices[0].get("text") if isinstance(choices[0], dict) else None
+            else:
+                text = body.get("text", body.get("completion"))
+        if not isinstance(text, str):
+            raise GatewayError("endpoint response carries no completion text")
+        return text
 
     def _call_with_retries(self, req: CompletionRequest) -> str:
         """Call the endpoint up to `retries` times (at least once), backing off
@@ -185,17 +186,14 @@ class LlmGateway:
         mode = mode or self.config.mode
         if mode == "live":
             return self._call_with_retries(req)
+        if mode not in ("record", "replay"):
+            raise GatewayError(f"unknown gateway mode {mode!r}")
         digest = request_digest(req, self.config.model)
-        if mode == "replay":
-            cached = self._cache_read(digest)
-            if cached is None:
-                raise CacheMiss(digest)
+        cached = self._cache_read(digest)
+        if cached is not None:
             return cached
-        if mode == "record":
-            cached = self._cache_read(digest)
-            if cached is not None:
-                return cached
-            response = self._call_with_retries(req)
-            self._cache_write(digest, req, response)
-            return response
-        raise GatewayError(f"unknown gateway mode {mode!r}")
+        if mode == "replay":
+            raise CacheMiss(digest)
+        response = self._call_with_retries(req)
+        self._cache_write(digest, req, response)
+        return response

@@ -61,6 +61,7 @@ from .model import ColumnRef, Corpus, TableData
 
 VALUE_SAMPLE_CAP = 500  # distinct values per column fed to instance matchers
 JL_DELTA = 0.8  # jl: least normalized Levenshtein similarity of two equal values
+MATCHERS = ("jl", "sf", "hybrid")  # the built-in pair matchers, by name
 
 PairKey = tuple[ColumnRef, ColumnRef]
 
@@ -736,7 +737,7 @@ def profile(tables: Iterable[TableData], matcher: str, seed: int = 0) -> dict:
     The similarity tables are complete, keyed (x, y) with x <= y: every pair
     of names, each name with itself included, so a table can also be matched
     with itself. `seed` draws the column samples."""
-    if matcher not in ("jl", "sf", "hybrid"):
+    if matcher not in MATCHERS:
         raise EvaluationError(f"unknown matcher {matcher!r}")
     tables = list(tables)
     headers = [c.name for t in tables for c in t.schema.columns]

@@ -43,6 +43,7 @@ from typing import Callable
 
 from .common import (
     NULL,
+    GatewayError,
     PerturbationError,
     norm_header,
     round_half_up,
@@ -737,7 +738,7 @@ def apply_plan(
                     step, k, tables, base_names, lineage, warnings,
                     corpus.seed, gateway, consumed, index,
                 )
-            except PerturbationError:
+            except (PerturbationError, GatewayError):  # a gateway failure keeps its exit code
                 raise
             except Exception as exc:
                 raise PerturbationError(str(exc), step_index=k)

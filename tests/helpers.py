@@ -11,7 +11,8 @@ call, next to the oracles they are checked against: `fuzzy_jaccard` (jl's
 score of two value lists), `apply_value_noise` (one value op on one column),
 `filled` (an op's parameters as a plan step hands them to its handler),
 `ALL_OPS` (every op name) and `random_plans` (a hypothesis strategy of
-plans over `small_finance_corpus`).
+plans over `small_finance_corpus`). `LoopbackEndpoint` serves scripted
+completions over real HTTP on 127.0.0.1, for the gateway's own client.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import csv
 import hashlib
 import json
 import re
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from itertools import chain
@@ -741,6 +745,83 @@ def uppercase_variant_transport(req) -> str:
         if m:
             out.append(f"{m.group(1)}. {m.group(2).upper()}")
     return "\n".join(out)
+
+
+# ---------------------------------------------------------------------------
+# loopback completions endpoint (the real HTTP client against a local server)
+# ---------------------------------------------------------------------------
+
+HANG_UP = "hang up"  # close the connection without a response
+STALL = "stall"  # send nothing until the endpoint closes: the client times out
+
+
+class _EndpointHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        endpoint = self.server.endpoint
+        raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        payload = json.loads(raw) if raw else None
+        endpoint.received.append((dict(self.headers), payload))
+        reply = endpoint.reply
+        outcome = reply(payload) if callable(reply) else reply[min(len(endpoint.received), len(reply)) - 1]
+        if outcome == STALL:
+            endpoint.closing.wait(5)
+        if outcome in (STALL, HANG_UP):
+            return
+        status, body, *headers = outcome
+        data = (body if isinstance(body, str) else json.dumps(body, ensure_ascii=False)).encode("utf-8")
+        self.send_response(status)
+        for name, value in dict(*headers).items():
+            self.send_header(name, value)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST  # a client that followed a redirect is recorded too
+
+    def log_message(self, *args):
+        pass
+
+
+class _EndpointServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has hung up: writing to it breaks the pipe
+
+
+class LoopbackEndpoint:
+    """A completions endpoint on 127.0.0.1 for the span of a `with` block.
+
+    Each POST or GET is recorded in `received` as (headers, JSON payload or
+    None), then answered by `reply`: a function of the payload, or a list
+    played in order whose last entry repeats. An answer is (status, body)
+    or (status, body, extra headers), a str body sent as it is and any other
+    as UTF-8 JSON, or HANG_UP, or STALL."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.received: list[tuple[dict, dict]] = []
+        self.closing = threading.Event()
+
+    def __enter__(self) -> "LoopbackEndpoint":
+        self._server = _EndpointServer(("127.0.0.1", 0), _EndpointHandler)
+        self._server.endpoint = self
+        # polled every 10 ms: shutdown() waits up to one poll interval (0.5 s by default)
+        threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True).start()
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1/completions"
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.closing.set()
+        self._server.shutdown()
+        self._server.server_close()
+
+
+def refused_url() -> str:
+    """A loopback URL whose port was just bound and released: nothing listens."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/completions"
 
 
 ALL_OPS = tuple(OPS)

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     FIXTURES,
+    LoopbackEndpoint,
     finance_ontology_text,
     scripted_completion,
     uppercase_variant_transport,
@@ -507,22 +508,49 @@ def test_generate_corrupt_cache_entry_exit_3(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "corrupt cache entry" in err and str(entry) in err
 
 
-def test_generate_live_http_401_fails_first_attempt_exit_3(tmp_path, capsys, monkeypatch):
-    import requests
-
-    class Denied:
-        status_code = 401
-        text = "invalid api key"
-
-    calls = []
-    monkeypatch.setattr(requests, "post", lambda url, **kwargs: calls.append(url) or Denied())
-    code = run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "1",
-                "--backend", "llm", "--mode", "live", "--endpoint", "http://127.0.0.1:9/v1/completions",
-                "--row-cap", "5"])
+def test_generate_live_http_401_fails_first_attempt_exit_3(tmp_path, capsys):
+    with LoopbackEndpoint([(401, "invalid api key")]) as endpoint:
+        code = run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "1",
+                    "--backend", "llm", "--mode", "live", "--endpoint", endpoint.url, "--row-cap", "5"])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "after 1 attempt: endpoint returned HTTP 401" in err
-    assert len(calls) == 1
+    assert err.count("\n") == 1 and "after 1 attempt: endpoint returned HTTP 401: invalid api key" in err
+    assert len(endpoint.received) == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [([], "cache_dir required for record/replay modes"),
+     (["--cache-dir", "EMPTY"], "replay cache miss for request digest ")],
+    ids=["no-cache-dir", "replay-miss"],
+)
+def test_perturb_gateway_failure_exit_3(tmp_path, capsys, fig1_base, flags, message):
+    # the gateway's error and exit code, not a step's exit 4
+    plan = tmp_path / "llm.plan"
+    plan.write_text("step * semantic_value_perturb backend=llm\n")
+    flags = [str(tmp_path / "cache") if f == "EMPTY" else f for f in flags]
+    code = run(["perturb", "--corpus", str(fig1_base), "--out", str(tmp_path / "drv"),
+                "--plan", str(plan), "--mode", "replay", *flags])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "drv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--matchers", "jl,nope"], "unknown matcher 'nope'"),
+     (["--matchers", "external:false,nope"], "unknown matcher 'nope'"),
+     (["--tasks", "nope"], "unknown task 'nope' (choose from ")],
+    ids=["after-jl", "after-external", "task"],
+)
+def test_evaluate_checks_flags_before_writing(tmp_path, capsys, flags, message):
+    run(["generate", "--ontology", FIG1, "--out", str(tmp_path / "c"), "--seed", "5",
+         "--row-cap", "5"])
+    capsys.readouterr()
+    code = run(["evaluate", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "r"), *flags])
+    assert code == 5
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "r").exists()
 
 
 def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):
@@ -533,7 +561,7 @@ def test_evaluate_unknown_matcher_exit_5(tmp_path, capsys):
                 "--matchers", "nope"])
     assert code == 5
     assert capsys.readouterr().err == "error: unknown matcher 'nope'\n"
-    assert not (tmp_path / "r" / "report.json").exists()
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("threshold, code", [
@@ -548,7 +576,7 @@ def test_evaluate_threshold_must_be_finite_in_unit_interval(tmp_path, capsys, th
     err = capsys.readouterr().err
     if code:
         assert err == f"error: --threshold: {float(threshold)} is not a number in [0, 1]\n"
-        assert not (tmp_path / "r" / "report.json").exists()
+        assert not (tmp_path / "r").exists()
     else:
         doc = json.loads((tmp_path / "r" / "report.json").read_text(encoding="utf-8"))
         assert {r["threshold"] for r in doc["reports"]} == {float(threshold)}
@@ -564,7 +592,7 @@ def test_evaluate_bad_k_exit_5(tmp_path, capsys, ks, message):
     assert code == 5
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
-    assert not (tmp_path / "r" / "report.json").exists()
+    assert not (tmp_path / "r").exists()
 
 
 def _evaluate_external(tmp_path, command):

@@ -1,9 +1,15 @@
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import HANG_UP, STALL, LoopbackEndpoint, refused_url
+from lakeforge import gateway
 from lakeforge.common import CacheMiss, GatewayError
 from lakeforge.gateway import (
     DEFAULT_MODEL,
@@ -112,35 +118,14 @@ def test_exhausted_retries_raise():
         gw.complete(CompletionRequest(prompt="p"))
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
-        text = f"echo: {payload['prompt'][:20]}"
-        body = json.dumps({"choices": [{"text": text}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
+def _echo(payload):
+    return 200, {"choices": [{"text": f"echo: {payload['prompt'][:20]}"}]}
 
 
-@pytest.fixture()
-def stub_endpoint():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/v1/completions"
-    server.shutdown()
-    server.server_close()
-
-
-def test_live_mode_against_local_endpoint(stub_endpoint, tmp_path):
-    gw = LlmGateway(GatewayConfig(mode="record", cache_dir=tmp_path, endpoint=stub_endpoint))
-    out = gw.complete(CompletionRequest(prompt="hello endpoint"))
+def test_live_mode_against_local_endpoint(tmp_path):
+    with LoopbackEndpoint(_echo) as endpoint:
+        gw = LlmGateway(GatewayConfig(mode="record", cache_dir=tmp_path, endpoint=endpoint.url))
+        out = gw.complete(CompletionRequest(prompt="hello endpoint"))
     assert out == "echo: hello endpoint"
     # recorded: replay works offline
     replay = LlmGateway(GatewayConfig(mode="replay", cache_dir=tmp_path))
@@ -200,75 +185,123 @@ def test_corrupt_cache_entry_names_file(tmp_path, content, reason):
         assert str(entry) in str(err.value) and reason in str(err.value)
 
 
-class _FakeResponse:
-    def __init__(self, status_code, body=None):
-        self.status_code = status_code
-        self.text = "request denied" if body is None else json.dumps(body)
-        self._body = body
-
-    def json(self):
-        return self._body
-
-
-def _patched_post(monkeypatch, outcomes):
-    """Replace requests.post with a fake that plays `outcomes` in order (a
-    response or an exception to raise), recording each call."""
-    import requests
-
-    calls = []
-
-    def post(url, **kwargs):
-        outcome = outcomes[min(len(calls), len(outcomes) - 1)]
-        calls.append(url)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-    monkeypatch.setattr(requests, "post", post)
-    return calls
-
-
-def _live_gateway(retries=3):
-    gw = LlmGateway(GatewayConfig(mode="live", endpoint="http://127.0.0.1:9/v1/completions", retries=retries))
+def _live_gateway(url, **config):
+    gw = LlmGateway(GatewayConfig(mode="live", endpoint=url, **config))
     gw._sleep = lambda s: None
     return gw
 
 
 @pytest.mark.parametrize("status, attempts", [(400, 1), (401, 1), (404, 1), (429, 3), (500, 3), (503, 3)])
-def test_http_status_retry_discipline(monkeypatch, status, attempts):
-    calls = _patched_post(monkeypatch, [_FakeResponse(status)])
+def test_http_status_retry_discipline(status, attempts):
+    body = "request denied " + "x" * 300
+    with LoopbackEndpoint([(status, body)]) as endpoint:
+        with pytest.raises(GatewayError) as err:
+            _live_gateway(endpoint.url).complete(CompletionRequest(prompt="p"))
     noun = "attempt" if attempts == 1 else "attempts"
-    with pytest.raises(GatewayError, match=f"after {attempts} {noun}: endpoint returned HTTP {status}"):
-        _live_gateway().complete(CompletionRequest(prompt="p"))
-    assert len(calls) == attempts
+    assert str(err.value) == f"completion failed after {attempts} {noun}: endpoint returned HTTP {status}: {body[:200]}"
+    assert len(endpoint.received) == attempts
 
 
-def test_timeouts_and_connection_errors_are_retried(monkeypatch):
-    import requests
-
-    calls = _patched_post(
-        monkeypatch,
-        [requests.Timeout("slow"), requests.ConnectionError("refused"),
-         _FakeResponse(200, {"choices": [{"text": "ok"}]})],
-    )
-    assert _live_gateway().complete(CompletionRequest(prompt="p")) == "ok"
-    assert len(calls) == 3
+def test_timeouts_and_connection_errors_are_retried():
+    # a stalled answer times out, a hung-up one drops the connection
+    with LoopbackEndpoint([STALL, HANG_UP, (200, {"choices": [{"text": "ok"}]})]) as endpoint:
+        assert _live_gateway(endpoint.url, timeout=0.1).complete(CompletionRequest(prompt="p")) == "ok"
+    assert len(endpoint.received) == 3
 
 
-def test_unusable_response_is_not_retried(monkeypatch):
-    calls = _patched_post(monkeypatch, [_FakeResponse(200, {"unexpected": 1})])
-    with pytest.raises(GatewayError, match="after 1 attempt: .*no completion text"):
-        _live_gateway().complete(CompletionRequest(prompt="p"))
-    assert len(calls) == 1
+def test_refused_connection_is_retried_with_backoff():
+    gw = _live_gateway(refused_url())
+    sleeps = []
+    gw._sleep = sleeps.append
+    with pytest.raises(GatewayError, match="after 3 attempts: .*Connection refused"):
+        gw.complete(CompletionRequest(prompt="p"))
+    assert sleeps == [0.5, 1.0]
+
+
+def test_unusable_response_is_not_retried():
+    for body, reason in [({"unexpected": 1}, "no completion text"), (["text"], "no completion text"),
+                         ({"choices": [{}]}, "no completion text"), ({"text": None}, "no completion text"),
+                         ({"choices": [{"text": 5}]}, "no completion text"), ({"choices": ["x"]}, "no completion text"),
+                         ("<html>", "Expecting value")]:
+        with LoopbackEndpoint([(200, body)]) as endpoint:
+            with pytest.raises(GatewayError, match=f"after 1 attempt: .*{reason}"):
+                _live_gateway(endpoint.url).complete(CompletionRequest(prompt="p"))
+        assert len(endpoint.received) == 1
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_is_not_followed(monkeypatch, status):
+    # following it would send the bearer token to wherever the reply points
+    monkeypatch.setenv("LAKEFORGE_API_KEY", "k1")
+    with LoopbackEndpoint([(200, {"text": "elsewhere"})]) as other:
+        with LoopbackEndpoint([(status, "moved", {"Location": other.url})]) as endpoint:
+            with pytest.raises(GatewayError, match=f"after 1 attempt: endpoint returned HTTP {status}: moved$"):
+                _live_gateway(endpoint.url).complete(CompletionRequest(prompt="p"))
+    assert len(endpoint.received) == 1 and other.received == []
+
+
+def test_non_http_endpoint_is_refused(tmp_path):
+    with pytest.raises(GatewayError, match="after 1 attempt: endpoint 'file:.*' is not an http\\(s\\) URL"):
+        _live_gateway((tmp_path / "x").as_uri()).complete(CompletionRequest(prompt="p"))
 
 
 def test_payload_carries_the_configured_model(monkeypatch):
-    import requests
+    monkeypatch.setenv("LAKEFORGE_API_KEY", "k1")
+    with LoopbackEndpoint([(200, {"text": "ok"})]) as endpoint:
+        gw = LlmGateway(GatewayConfig(mode="live", endpoint=endpoint.url, model="m2"))
+        assert gw.complete(CompletionRequest(prompt="p", max_tokens=64, temperature=0.3)) == "ok"
+    [(headers, payload)] = endpoint.received
+    assert payload == {"model": "m2", "prompt": "p", "max_tokens": 64, "temperature": 0.3}
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == "Bearer k1"
 
-    sent = []
-    monkeypatch.setattr(
-        requests, "post", lambda url, json, **kw: sent.append(json) or _FakeResponse(200, {"text": "ok"})
+
+def test_endpoint_and_key_come_from_the_environment(monkeypatch):
+    monkeypatch.delenv("LAKEFORGE_API_KEY", raising=False)
+    with LoopbackEndpoint([(200, {"completion": "ok"})]) as endpoint:
+        monkeypatch.setenv("LAKEFORGE_ENDPOINT", endpoint.url)
+        assert LlmGateway(GatewayConfig(mode="live")).complete(CompletionRequest(prompt="p")) == "ok"
+    [(headers, payload)] = endpoint.received
+    assert "Authorization" not in headers and payload["model"] == DEFAULT_MODEL
+
+
+@st.composite
+def _wire_text(draw):
+    """Text holding a non-ASCII, an astral, a quote, a backslash and a
+    newline character, in a drawn order among drawn text."""
+    any_char = st.characters(blacklist_categories=("Cs",))  # every code point UTF-8 carries
+    required = [
+        draw(st.characters(min_codepoint=0x80, max_codepoint=0xFFFF, blacklist_categories=("Cs",))),
+        draw(st.characters(min_codepoint=0x10000)),
+        '"', "\\", "\n",
+    ]
+    fillers = draw(st.lists(st.text(any_char, max_size=4), min_size=6, max_size=6))
+    return "".join(f + r for f, r in zip(fillers, draw(st.permutations(required)) + [""]))
+
+
+def test_text_crosses_the_wire_unchanged():
+    # the endpoint answers in raw UTF-8 JSON with the prompt reversed
+    with LoopbackEndpoint(lambda payload: (200, {"choices": [{"text": payload["prompt"][::-1]}]})) as endpoint:
+        gw = _live_gateway(endpoint.url, retries=1)
+
+        @settings(max_examples=25, deadline=None, derandomize=True)
+        @given(_wire_text())
+        def check(prompt):
+            endpoint.received.clear()
+            assert gw.complete(CompletionRequest(prompt=prompt)) == prompt[::-1]
+            assert [payload["prompt"] for _, payload in endpoint.received] == [prompt]
+
+        check()
+
+
+def test_live_check_runs_on_the_standard_library_alone():
+    # the script CI runs under every Python version: -S keeps site-packages,
+    # and so any third-party HTTP client, off the path
+    src = Path(gateway.__file__).parents[1]
+    script = Path(__file__).parents[1] / ".github" / "live_check.py"
+    result = subprocess.run(
+        [sys.executable, "-S", str(script)], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60,
     )
-    gw = LlmGateway(GatewayConfig(mode="live", endpoint="http://127.0.0.1:9/v1/completions", model="m2"))
-    assert gw.complete(CompletionRequest(prompt="p")) == "ok"
-    assert [payload["model"] for payload in sent] == ["m2"]
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"completion": 'HÉLLO 😀 "LIVE"\\\n'}

@@ -861,7 +861,10 @@ def parse_predictions_csv(text: str, corpus: Corpus | None = None) -> Prediction
                     raise EvaluationError(
                         f"predictions line {lineno}: unknown table {tbl!r}"
                     )
-                corpus.table(tbl).schema.column_index(col)
+                if col not in corpus.table(tbl).schema.column_names():
+                    raise EvaluationError(
+                        f"predictions line {lineno}: table {tbl!r} has no column {col!r}"
+                    )
         parsed.append(((lt, lc), (rt, rc), score))
     return Predictions.best_of(parsed)
 

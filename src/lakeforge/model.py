@@ -19,6 +19,10 @@ strictly, so save writes the pairs in the order it is given and load builds
 them in the order it reads, and neither swaps, sorts or drops one.
 Validation decides with set and map passes, and looks for the first fault
 item by item only when one fails, so its messages are those of a loop.
+Loading frees the manifest's JSON tree before the first CSV is read, and
+interns the cells: one dict per load, shared by every table, keeps a single
+`str` for each distinct value, as the tables `perturb` derives share their
+source's strings.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -575,7 +580,12 @@ def _decode(kind: Entry, entries: list, name) -> list:
 
 def load_corpus(directory: str | Path) -> Corpus:
     """Load and verify a corpus directory written by save_corpus. It leaves
-    the cyclic collector alone: `cli.main` pauses it for each command."""
+    the cyclic collector alone: `cli.main` pauses it for each command.
+
+    The parsed manifest goes before the CSVs are read: each raw JSON list is
+    dropped as its decoded entries replace it. Every cell passes through one
+    value -> object dict shared by the load's tables, so equal values are one
+    object; the dict is the load's own, not the process-wide `sys.intern`."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     if not manifest_path.exists():
@@ -607,6 +617,10 @@ def load_corpus(directory: str | Path) -> Corpus:
         )
 
     _, seed, stats, tables, pairs, events, digest = _decode(_MANIFEST, [manifest], lambda _: manifest_path)[0]
+    # decided now, raised after validation; each raw list goes as its decode
+    # replaces it, so no JSON tree is left once the CSVs are read
+    digest_first = next(iter(manifest)) == "digest"
+    del manifest
     tables = _decode(_TABLE, tables, lambda n: f"{manifest_path}: table entry {n}")
     pairs = _decode(_PAIR, pairs, lambda n: f"{manifest_path}: ground-truth entry {n}")
     events = _decode(_LINEAGE, events, lambda n: f"{manifest_path}: lineage entry {n}")
@@ -617,6 +631,7 @@ def load_corpus(directory: str | Path) -> Corpus:
             raise CorpusError(f"{manifest_path}: table entry {n}: file {file!r} is not {files[schema.name]!r}")
 
     data: list[TableData] = []
+    pool: dict[str, str] = {}  # each distinct cell value's one object
     for schema, file, _ in tables:
         path = f"{directory}/{file}"  # a string: a pathlib join costs as much as the read
         try:
@@ -629,13 +644,20 @@ def load_corpus(directory: str | Path) -> Corpus:
             text = blob.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorpusError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
-        rows = list(map(tuple, csv.reader(io.StringIO(text, newline=""))))
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         if not rows:
             raise CorpusError(f"table {schema.name!r}: empty CSV (missing header)")
-        header = list(rows[0])
+        header = rows.pop(0)
         if header != schema.column_names():
             raise CorpusError(f"table {schema.name!r}: CSV header {header} != schema columns")
-        data.append(TableData(schema=schema, rows=rows[1:]))
+        width = len(header)
+        if width and set(map(len, rows)) <= {width}:
+            # interned and regrouped in C: no Python step per row or cell
+            cells = map(pool.setdefault, chain.from_iterable(rows), chain.from_iterable(rows))
+            rows = list(zip(*[cells] * width))
+        else:  # a row of the wrong arity, for validate to name, or no columns
+            rows = list(map(tuple, rows))
+        data.append(TableData(schema=schema, rows=rows))
     corpus = Corpus(tables=data, ground_truth=pairs, lineage=events, seed=seed, stats=stats)
 
     # validated ahead of the row counts and the digest, so a row of the wrong
@@ -644,7 +666,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     for n, ((_, file, count), t) in enumerate(zip(tables, data), start=1):
         if len(t.rows) != count:
             raise CorpusError(f"{manifest_path}: table entry {n}: {file} has {len(t.rows)} rows, not {count}")
-    if next(iter(manifest)) != "digest":
+    if not digest_first:
         raise CorpusError(f"{manifest_path}: the first member is not the digest")
     expect = h.hexdigest()
     if expect != digest:

@@ -33,7 +33,6 @@ A new op is one `OPS` entry: its handler and its parameters.
 from __future__ import annotations
 
 import fnmatch
-import logging
 import random
 import re
 import shlex
@@ -71,8 +70,6 @@ from .synth import (
     substitute_words,
     typo_variant,
 )
-
-log = logging.getLogger(__name__)
 
 VOWELS = set("aeiouAEIOU")
 VARIANT_CHUNK_SIZE = 100  # distinct values per semantic-variant prompt
@@ -519,12 +516,15 @@ def _format_noise(values, params, rng, source):
 class _Source:
     """The source column of a derivative's value op, with what the
     semantic_value_perturb handler reads: the source table, its columns in an
-    exact or pkfk pair when the step began, and the gateway."""
+    exact or pkfk pair when the step began, the gateway, and the step's index
+    and the warnings list that apply_plan returns."""
 
     table: TableData
     column: str
     joinable: set[str]
     gateway: LlmGateway | None
+    step: int
+    warnings: list[str]
 
 
 _NUMBERED_LINE = re.compile(r"^\s*(\d+)[.)]\s*(.*\S)\s*$")
@@ -584,10 +584,9 @@ def _semantic_value_perturb(values, params, rng, source: _Source):
         )
         variants = _parse_variant_response(response, len(chunk))
         if variants is None:
-            log.warning(
-                "semantic perturb chunk of %s.%s left unperturbed (response arity mismatch)",
-                t.name,
-                column,
+            source.warnings.append(
+                f"step {source.step}: semantic_value_perturb left a chunk of {t.name!r} "
+                f"column {column!r} unperturbed (response arity mismatch)"
             )
             continue
         for old, new in zip(chunk, variants):
@@ -878,7 +877,7 @@ def _run_step(
                 )
             for cname in cols:
                 idx = schema.column_index(cname)
-                source = _Source(src, original_name[cname], joinable, gateway)
+                source = _Source(src, original_name[cname], joinable, gateway, k, warnings)
                 rng = seeded_rng("noise", stable_hash(step_seed, name, cname), op)
                 new_values, vmap, cell_changes = spec.handler(list(columns[idx]), params, rng, source)
                 if not vmap and not cell_changes:

@@ -636,6 +636,19 @@ def test_evaluate_external_timeout_exit_5(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "timed out after 0.5 s" in err and str(stub) in err
 
 
+@pytest.mark.parametrize("row, fault", [
+    ("Ghost,x,Organization,id", "unknown table 'Ghost'"),
+    ("Organization,ghost,Organization,id", "table 'Organization' has no column 'ghost'"),
+])
+def test_evaluate_external_unknown_reference_exit_5(tmp_path, capsys, row, fault):
+    stub = tmp_path / "stub.py"
+    stub.write_text(f"print('left_table,left_column,right_table,right_column,score')\nprint('{row},0.5')\n")
+    capsys.readouterr()
+    assert _evaluate_external(tmp_path, f"{sys.executable} {stub}") == 5
+    assert capsys.readouterr().err == f"error: predictions line 2: {fault}\n"
+    assert not (tmp_path / "r" / "report.json").exists()
+
+
 _ENTRY_NAMES = {"tables": "table entry", "ground_truth": "ground-truth entry", "lineage": "lineage entry"}
 
 

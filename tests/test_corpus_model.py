@@ -126,6 +126,25 @@ def test_empty_corpus_round_trip(tmp_path):
     assert loaded.stats.exact_joins == 0
 
 
+def test_load_holds_one_object_per_distinct_cell_value(tmp_path):
+    save_corpus(small_corpus(), tmp_path)
+    loaded = load_corpus(tmp_path)
+    cells = [v for t in loaded.tables for row in t.rows for v in row]
+    # "1001" is in both tables, three times
+    assert len(set(map(id, cells))) == len(set(cells)) < len(cells)
+
+
+def test_zero_column_table_round_trip(tmp_path):
+    corpus = small_corpus()
+    corpus = Corpus(tables=[*corpus.tables, TableData(TableSchema("Blank", []), [(), (), ()])],
+                    ground_truth=corpus.ground_truth, seed=corpus.seed)
+    corpus.refresh_stats()
+    digest = save_corpus(corpus, tmp_path)
+    loaded = load_corpus(tmp_path)
+    assert loaded == corpus and loaded.table("Blank").rows == [(), (), ()]
+    assert save_corpus(loaded, tmp_path / "again") == digest
+
+
 def test_tampered_row_arity_reported(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path)

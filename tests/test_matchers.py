@@ -804,7 +804,15 @@ def test_external_match_reference_validation(tmp_path, small_finance_corpus):
         "print('left_table,left_column,right_table,right_column,score')\n"
         "print('Ghost,x,Organization,id,0.5')\n"
     )
-    with pytest.raises(EvaluationError, match="unknown table"):
+    with pytest.raises(EvaluationError, match="^predictions line 2: unknown table 'Ghost'$"):
+        external_match(str(tmp_path), f"{sys.executable} {stub}", small_finance_corpus)
+    stub.write_text(
+        "print('left_table,left_column,right_table,right_column,score')\n"
+        "print('Currency Name,Currency,Currency Name,ghost,0.5')\n"
+    )
+    with pytest.raises(
+        EvaluationError, match="^predictions line 2: table 'Currency Name' has no column 'ghost'$"
+    ):
         external_match(str(tmp_path), f"{sys.executable} {stub}", small_finance_corpus)
 
 

@@ -257,7 +257,7 @@ def _semantic(corpus, table, column, gateway=None, backend="offline"):
     would run it: (new values, value_map)."""
     t = corpus.table(table)
     joinable = ValueIndex(corpus.tables).joinable().get(table, set())
-    source = perturb_module._Source(t, column, joinable, gateway)
+    source = perturb_module._Source(t, column, joinable, gateway, 0, [])
     values, value_map, _cells = OPS["semantic_value_perturb"].handler(
         t.column_values(column), filled("semantic_value_perturb", backend=backend), None, source
     )
@@ -292,17 +292,23 @@ def test_semantic_perturb_llm_double_uppercases(small_finance_corpus):
         assert new == old.upper()
 
 
-def test_semantic_perturb_llm_arity_mismatch_leaves_chunk(small_finance_corpus, caplog):
+def test_semantic_perturb_llm_arity_mismatch_leaves_chunk(small_finance_corpus):
     gw = LlmGateway(GatewayConfig(mode="live"), transport=lambda req: "garbled")
-    import logging
-
-    with caplog.at_level(logging.WARNING):
-        values, mapping = _semantic(
-            small_finance_corpus, "Currency Name", "Currency", gateway=gw, backend="llm"
-        )
+    values, mapping = _semantic(
+        small_finance_corpus, "Currency Name", "Currency", gateway=gw, backend="llm"
+    )
     assert mapping is None  # no value changed
     assert values == small_finance_corpus.table("Currency Name").column_values("Currency")
-    assert "left unperturbed" in caplog.text
+    # the warning reaches the list apply_plan returns, with the step's index
+    plan = parse_plan('step Ghost text_noise\nstep "Currency Name" semantic_value_perturb backend=llm col=Currency\n')
+    derived, warnings = apply_plan(small_finance_corpus, plan, gateway=gw)
+    assert warnings == [
+        "step 0: selector 'Ghost' matched no table",
+        "step 1: semantic_value_perturb left a chunk of 'Currency Name' column 'Currency' "
+        "unperturbed (response arity mismatch)",
+        "step 1: semantic_value_perturb changed no cell of 'Currency Name'",
+    ]
+    assert derived.table_names() == small_finance_corpus.table_names()
 
 
 # ---------------------------------------------------------------------------
